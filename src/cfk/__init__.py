@@ -7,8 +7,7 @@ a small expression language (torus knots, L-space cables, mirrors,
 connected sums) or from `.cfk` files.
 """
 from .complexes import (BifilteredComplex, DiffTerm, Generator, Violation,
-                        cancel_filtered_pairs, dual, staircase, tensor,
-                        unknot_complex, validate)
+                        dual, staircase, tensor, unknot_complex, validate)
 from .errors import (CfkError, ExprSemanticError, ExprSyntaxError,
                      FormatError, KnotTypeError, NoConstructorError,
                      PreconditionError, ValidationError)
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BifilteredComplex", "DiffTerm", "Generator", "Violation",
-    "cancel_filtered_pairs", "dual", "staircase", "tensor",
-    "unknot_complex", "validate",
+    "dual", "staircase", "tensor", "unknot_complex", "validate",
     "CfkError", "ExprSemanticError", "ExprSyntaxError", "FormatError",
     "KnotTypeError", "NoConstructorError", "PreconditionError",
     "ValidationError",

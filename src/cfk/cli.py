@@ -12,24 +12,24 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from . import __version__, cfkfile, selftest
 from .complexes import validate
-from .errors import (ExprSemanticError, ExprSyntaxError, FormatError,
-                     NoConstructorError, PreconditionError, ValidationError)
-from .expr import build_complex, parse, root_annotations, to_text
-from .invariants import V, epsilon, hfk_hat, nu, nu_plus, seifert_genus, tau
+from .errors import CfkError, PreconditionError
+from .expr import build_complex, parse, to_text
+from .invariants import V, epsilon, hfk_hat, tau
 from .surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
-                      d_invariants, genus_report, signature_eval, surgery_d)
+                      d_invariants, g4_upper_annotation, genus_report,
+                      surgery_d)
 
 _VK_RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 _SURGERY = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(CfkError):
+    exit_code = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,10 +59,6 @@ def _parse_surgery(text: str) -> SurgerySpec:
         raise _UsageError(str(exc)) from exc
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _hfk_rows(C) -> list[dict[str, int]]:
     table = hfk_hat(C)
     return [{"alexander": a, "maslov": m, "rank": table[(a, m)]}
@@ -72,14 +68,14 @@ def _hfk_rows(C) -> list[dict[str, int]]:
 def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
     e = parse(text)
     C = build_complex(e)
-    genus = seifert_genus(C)
+    rep = genus_report(C, e)
+    genus = rep.seifert_genus
     lo, hi = vk if vk is not None else (-genus, genus)
     vals = {k: V(C, k) for k in range(lo, hi + 1)}
     warnings = []
     for k in vals:
         if -k in vals and vals[-k] != vals[k] + k:
             warnings.append(f"V table violates V(-k) = V(k) + k at k={k}")
-    rep = genus_report(C, e)
     return {
         "expression": to_text(e),
         "generators": len(C.generators),
@@ -109,9 +105,9 @@ def _dinv_report(text: str, spec: SurgerySpec, spinc: int | None) -> dict[str, A
         if not 0 <= spinc < spec.p:
             raise _UsageError(f"--spinc must lie in [0, {spec.p}), got {spinc}")
         report["spinc"] = spinc
-        report["d_invariants"] = [_fraction_str(surgery_d(C, spec, spinc))]
+        report["d_invariants"] = [str(surgery_d(C, spec, spinc))]
     else:
-        report["d_invariants"] = [_fraction_str(d) for d in d_invariants(C, spec)]
+        report["d_invariants"] = [str(d) for d in d_invariants(C, spec)]
     return report
 
 
@@ -134,10 +130,11 @@ def _genus_report(text: str) -> dict[str, Any]:
 
 
 def _cable_bounds_report(text: str, p: int, q: int) -> dict[str, Any]:
+    if p < 1 or q < 1 or gcd(p, q) != 1:
+        raise _UsageError(f"cable parameters must be coprime and >= 1, got ({p},{q})")
     e = parse(text)
+    g4_upper = g4_upper_annotation(e)
     C = build_complex(e)
-    annots = dict(root_annotations(e))
-    g4_upper = annots.get("g4_upper")
     bounds = cable_nu_plus_bounds(C, p, q, g4_upper=g4_upper)
     t, eps = tau(C), epsilon(C)
     report: dict[str, Any] = {
@@ -161,7 +158,7 @@ def _hfk_report(text: str) -> dict[str, Any]:
         "expression": to_text(e),
         "hfk": rows,
         "total_rank": sum(r["rank"] for r in rows),
-        "seifert_genus": seifert_genus(C),
+        "seifert_genus": rows[0]["alexander"],  # rows run from the top grading
     }
 
 
@@ -305,27 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _render_text(args.command, report)
         return 0
-    except _UsageError as exc:
+    except CfkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ExprSemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoConstructorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

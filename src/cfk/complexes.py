@@ -59,15 +59,9 @@ class BifilteredComplex:
         self.label = label
         self.by_name: dict[str, Generator] = {g.name: g for g in self.generators}
 
-    def generator(self, name: str) -> Generator:
-        return self.by_name[name]
-
     @property
     def max_alexander(self) -> int:
         return max((g.alexander for g in self.generators), default=0)
-
-    def terms_from(self, name: str) -> list[DiffTerm]:
-        return [t for t in self.terms if t.source == name]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifilteredComplex):
@@ -146,7 +140,13 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     if out:
         return out
 
-    dims = _vertical_homology_dims(C)
+    # Vertical homology: the i-preserving slice at i = 0.  Each generator g
+    # contributes U^{i_g} g in grading M(g) - 2 i_g; a term survives the
+    # slice exactly when its translated U power i_s - i_t + n is zero.
+    dims = f2.graded_homology_dims(
+        {g.name: g.maslov - 2 * g.i for g in C.generators},
+        ((t.source, t.target) for t in C.terms
+         if t.upower + gens[t.source].i - gens[t.target].i == 0))
     if dims != {0: 1}:
         total = sum(dims.values())
         out.append(Violation(
@@ -161,37 +161,6 @@ def require_valid(C: BifilteredComplex) -> BifilteredComplex:
     if violations:
         raise ValidationError(violations)
     return C
-
-
-def _vertical_homology_dims(C: BifilteredComplex) -> dict[int, int]:
-    """Homology dimensions by grading of the i-preserving slice at i = 0.
-
-    Each generator g contributes U^{i_g} g in grading M(g) - 2 i_g; a term
-    survives the slice exactly when its translated U power i_s - i_t + n
-    is zero.
-    """
-    grading = {g.name: g.maslov - 2 * g.i for g in C.generators}
-    by_grading: dict[int, list[str]] = {}
-    for g in C.generators:
-        by_grading.setdefault(grading[g.name], []).append(g.name)
-    index = {name: k for names in by_grading.values() for k, name in enumerate(names)}
-    blocks: dict[int, dict[str, int]] = {m: {} for m in by_grading}
-    for t in C.terms:
-        s, g = C.by_name[t.source], C.by_name[t.target]
-        if t.upower + s.i - g.i == 0:
-            m = grading[s.name]
-            row = blocks[m].setdefault(s.name, 0)
-            blocks[m][s.name] = row | (1 << index[g.name])
-    ranks: dict[int, int] = {}
-    for m, names in by_grading.items():
-        rows = [blocks[m].get(name, 0) for name in names]
-        ranks[m] = f2.rank(rows)
-    dims: dict[int, int] = {}
-    for m, names in by_grading.items():
-        h = len(names) - ranks.get(m, 0) - ranks.get(m + 1, 0)
-        if h:
-            dims[m] = h
-    return dims
 
 
 def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -> BifilteredComplex:
@@ -256,57 +225,3 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         for t in C2.terms:
             terms.append(DiffTerm(f"{g.name}*{t.source}", f"{g.name}*{t.target}", t.upower))
     return BifilteredComplex(gens, terms, f"tensor({C1.label}, {C2.label})")
-
-
-def cancel_filtered_pairs(C: BifilteredComplex) -> BifilteredComplex:
-    """Cancel U^0 arrows between generators at equal (i, j).
-
-    Repeated Gaussian cancellation with the usual zig-zag correction terms;
-    the filtration and grading constraints survive because the cancelled
-    pair sits at one position.  Idempotent once no such arrow remains.
-    """
-    gens = {g.name: g for g in C.generators}
-    order = [g.name for g in C.generators]
-    outmap: dict[str, set[tuple[str, int]]] = {name: set() for name in order}
-    inmap: dict[str, set[tuple[str, int]]] = {name: set() for name in order}
-    for t in C.terms:
-        outmap[t.source].add((t.target, t.upower))
-        inmap[t.target].add((t.source, t.upower))
-
-    def toggle(s: str, t: str, n: int) -> None:
-        if (t, n) in outmap[s]:
-            outmap[s].remove((t, n))
-            inmap[t].remove((s, n))
-        else:
-            outmap[s].add((t, n))
-            inmap[t].add((s, n))
-
-    while True:
-        pair = None
-        for a in sorted(outmap):
-            for (b, n) in sorted(outmap[a]):
-                if n == 0 and gens[a].i == gens[b].i and gens[a].j == gens[b].j:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        a, b = pair
-        into_b = sorted((s, c) for (s, c) in inmap[b] if s != a)
-        from_a = sorted((t, d) for (t, d) in outmap[a] if t != b)
-        for (s, c) in into_b:
-            for (t, d) in from_a:
-                toggle(s, t, c + d)
-        for name in (a, b):
-            for (t, n) in list(outmap[name]):
-                toggle(name, t, n)
-            for (s, n) in list(inmap[name]):
-                toggle(s, name, n)
-            del outmap[name], inmap[name], gens[name]
-        order = [n for n in order if n not in (a, b)]
-
-    terms = sorted(
-        (DiffTerm(s, t, n) for s in outmap for (t, n) in outmap[s]),
-        key=lambda t: (t.source, t.target, t.upower))
-    return BifilteredComplex([gens[n] for n in order], terms, C.label)

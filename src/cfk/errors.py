@@ -1,13 +1,14 @@
 """Exception hierarchy, organized by how the CLI reports each failure.
 
-Syntax/semantic expression errors exit 1, file-format and validation errors
-exit 2, and missing-constructor / unmet-precondition errors exit 3.
+Each class carries the exit code of the CLI: syntax/semantic expression
+errors exit 1, file-format and validation errors exit 2, and
+missing-constructor / unmet-precondition errors exit 3.
 """
 from __future__ import annotations
 
 
 class CfkError(Exception):
-    pass
+    exit_code = 1
 
 
 class ExprSyntaxError(CfkError):
@@ -22,9 +23,12 @@ class ExprSemanticError(CfkError):
 
 class FormatError(CfkError):
     """Malformed cfk v1 file."""
+    exit_code = 2
 
 
 class ValidationError(CfkError):
+    exit_code = 2
+
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(f"[{v.kind}] {v.message}" for v in self.violations))
@@ -32,10 +36,12 @@ class ValidationError(CfkError):
 
 class NoConstructorError(CfkError):
     """The expression denotes a knot with no complex constructor here."""
+    exit_code = 3
 
 
 class PreconditionError(CfkError):
     """A formula's hypothesis is not satisfied by the given input."""
+    exit_code = 3
 
 
 class KnotTypeError(PreconditionError):

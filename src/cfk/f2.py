@@ -6,6 +6,8 @@ past the sizes the invariant engines need.
 """
 from __future__ import annotations
 
+from typing import Hashable, Iterable
+
 
 def rank(rows: list[int]) -> int:
     r = 0
@@ -77,5 +79,30 @@ def kernel_basis(rows: list[int], ncols: int) -> list[int]:
     return kernel
 
 
-def in_span(rows: list[int], ncols: int, rhs: int) -> bool:
-    return solve(rows, ncols, rhs) is not None
+def graded_homology_dims(grading: dict[Hashable, Hashable],
+                         edges: Iterable[tuple[Hashable, Hashable]]) -> dict[Hashable, int]:
+    """Nonzero homology dimensions, by grading key, of a graded F2 complex.
+
+    The basis is the keys of grading; each edge (source, target) is one
+    entry of the differential, which must carry all of a grading key into a
+    single other key.  dim H_key = size - rank(out of key) - rank(into key).
+    """
+    index: dict[Hashable, int] = {}
+    dims: dict[Hashable, int] = {}
+    for el, key in grading.items():
+        index[el] = dims.get(key, 0)
+        dims[key] = index[el] + 1
+    rows: dict[Hashable, int] = {}
+    target_key: dict[Hashable, Hashable] = {}
+    for s, t in edges:
+        rows[s] = rows.get(s, 0) ^ (1 << index[t])
+        target_key[grading[s]] = grading[t]
+    blocks: dict[Hashable, list[int]] = {}
+    for el, key in grading.items():  # rows in basis order
+        if el in rows:
+            blocks.setdefault(key, []).append(rows[el])
+    for key, block in blocks.items():
+        r = rank(block)
+        dims[key] -= r
+        dims[target_key[key]] -= r
+    return {key: h for key, h in dims.items() if h}

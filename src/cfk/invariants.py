@@ -311,27 +311,9 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     """Bigraded homology ranks of the associated graded object, keyed by
     (alexander, maslov); only nonzero ranks appear."""
     vert = vertical_complex(C)
-    alex = {name: a for (name, _m, a) in vert.basis}
-    groups: dict[tuple[int, int], list[str]] = {}
-    for name, m, a in vert.basis:
-        groups.setdefault((a, m), []).append(name)
-    graded_terms = [(s, t) for (s, t) in vert.terms if alex[s] == alex[t]]
-    ranks: dict[tuple[int, int], int] = {}
-    for (a, m), names in groups.items():
-        targets = groups.get((a, m - 1), [])
-        tidx = {n: i for i, n in enumerate(targets)}
-        sidx = {n: i for i, n in enumerate(names)}
-        rows = [0] * len(targets)
-        for s, t in graded_terms:
-            if s in sidx and t in tidx:
-                rows[tidx[t]] ^= 1 << sidx[s]
-        ranks[(a, m)] = f2.rank(rows)
-    out: dict[tuple[int, int], int] = {}
-    for (a, m), names in groups.items():
-        h = len(names) - ranks.get((a, m), 0) - ranks.get((a, m + 1), 0)
-        if h:
-            out[(a, m)] = h
-    return out
+    grading = {name: (a, m) for (name, m, a) in vert.basis}
+    return f2.graded_homology_dims(
+        grading, ((s, t) for (s, t) in vert.terms if grading[s][0] == grading[t][0]))
 
 
 def seifert_genus(C: BifilteredComplex) -> int:

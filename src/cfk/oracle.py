@@ -4,13 +4,11 @@ The expansion here forgets the module structure: each free basis element b
 of a_minus(C, k) becomes the chain of F2 generators U^s b down to a cutoff
 grading, the differential is expanded likewise, and per-grading dense GF(2)
 elimination gives exact homology dimensions for every grading above the
-cutoff.  Two read-offs recover V_k:
-
-* pattern: the largest even grading d in the trusted window below which
-  dimensions look exactly like a free tower (1 at even gradings, 0 at odd).
-* U-rank: the largest even grading whose classes still map onto something
-  after multiplying by U^S for S past every torsion exponent.  This one
-  stays correct even when torsion overlaps the tower gradings.
+cutoff.  Those dimensions check the torsion part of a UModuleSummary
+(dims_from_summary).  V_k itself is read off by U-action ranks: the largest
+even grading whose classes still map onto something after multiplying by
+U^S for S past every torsion exponent.  A plain dimension scan cannot do
+this, since torsion at the tower gradings looks like a higher tower.
 
 Nothing here touches the Smith reduction; only a_minus is shared.
 """
@@ -31,36 +29,19 @@ def truncated_dimensions(x: FreeUComplex, cutoff: int) -> dict[int, int]:
     in (cutoff, top].  Dimensions at the cutoff itself are unreliable (their
     incoming boundaries are complete but elimination below is cut off), so
     they are not reported."""
-    grading = dict(x.basis)
-    by_grading: dict[int, list[tuple[str, int]]] = {}
+    grading: dict[tuple[str, int], int] = {}
     for name, mu in x.basis:
         s = 0
         while mu - 2 * s >= cutoff:
-            by_grading.setdefault(mu - 2 * s, []).append((name, s))
+            grading[(name, s)] = mu - 2 * s
             s += 1
-    index: dict[tuple[str, int], int] = {}
-    for els in by_grading.values():
-        for i, el in enumerate(els):
-            index[el] = i
     outgoing: dict[str, list[tuple[str, int]]] = {}
     for s_, t_, e in x.terms:
         outgoing.setdefault(s_, []).append((t_, e))
-    ranks: dict[int, int] = {}
-    for m, els in by_grading.items():
-        nrows = len(by_grading.get(m - 1, ()))
-        rows = [0] * nrows
-        for cidx, (name, s) in enumerate(els):
-            for (t_, e) in outgoing.get(name, ()):
-                tgt = (t_, s + e)
-                if tgt in index:
-                    rows[index[tgt]] |= 1 << cidx
-        ranks[m] = f2.rank(rows)
-    dims: dict[int, int] = {}
-    for m, els in by_grading.items():
-        if m <= cutoff:
-            continue
-        dims[m] = len(els) - ranks.get(m, 0) - ranks.get(m + 1, 0)
-    return dims
+    edges = (((name, s), (t_, s + e)) for (name, s) in grading
+             for (t_, e) in outgoing.get(name, ()) if (t_, s + e) in grading)
+    nonzero = f2.graded_homology_dims(grading, edges)
+    return {m: nonzero.get(m, 0) for m in set(grading.values()) if m > cutoff}
 
 
 def dims_from_summary(summary: UModuleSummary, lo: int, hi: int) -> dict[int, int]:
@@ -91,32 +72,6 @@ def _window(x: FreeUComplex) -> tuple[dict[int, int], int, int]:
     dims = truncated_dimensions(x, cutoff)
     window_lo = cutoff + buffer + 1
     return dims, window_lo, top
-
-
-def v_by_pattern(C: BifilteredComplex, k: int) -> int:
-    """V_k from the dimension pattern: largest even d such that every
-    grading m <= d in the trusted window has dimension 1 (m even) or 0.
-
-    Only trustworthy when no torsion lives at an even grading at or above
-    the tower top.  Counterexample otherwise: tensoring T_{2,3} with
-    (mirror # itself) at k=1 has homology F[U] (top 0) plus one U-torsion
-    class at 0, so dimensions run 2,0,1,0,1,... and the pattern rule reads
-    the tower top as -2 even though V_1 = 0.  Identical dimensions also
-    arise from a genuine tower at -2 under two torsion classes at 0, so no
-    dimension scan can do better; use v_by_u_rank when torsion may overlap.
-    """
-    x = a_minus(C, k)
-    dims, window_lo, top = _window(x)
-    d = None
-    for m in range(window_lo, top + 1):
-        want = 1 if m % 2 == 0 else 0
-        if dims.get(m, 0) != want:
-            break
-        if m % 2 == 0:
-            d = m
-    if d is None or d > 0:
-        raise OracleError(f"no free-tower pattern in the trusted window (k={k})")
-    return -d // 2
 
 
 def v_by_u_rank(C: BifilteredComplex, k: int) -> int:

@@ -203,6 +203,15 @@ def signature_eval(e: "kx.KnotExpr") -> SignatureValue:
     return SignatureValue(walk(e), tuple(steps))
 
 
+def g4_upper_annotation(e: "kx.KnotExpr") -> Optional[int]:
+    """The g4_upper annotation at the root of e, or None when it has none."""
+    val = kx.root_annotations(e).get("g4_upper")
+    if val is not None and (isinstance(val, bool) or val < 0):
+        raise PreconditionError(
+            f"g4_upper annotation must be a nonnegative integer, got {val!r}")
+    return val
+
+
 @dataclass(frozen=True)
 class GenusReport:
     tau: int
@@ -235,9 +244,7 @@ def genus_report(C: BifilteredComplex, expression: "kx.KnotExpr | None" = None) 
     if expression is not None:
         sig = signature_eval(expression)
         sigma = sig.value
-        ann = kx.root_annotations(expression)
-        if "g4_upper" in ann:
-            g4_annotation = int(ann["g4_upper"])
+        g4_annotation = g4_upper_annotation(expression)
     lower = max(np_here, np_mirror)
     source = "nu_plus" if np_here >= np_mirror else "nu_plus of the mirror"
     if sigma is not None:

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cfk
 from cfk.cli import main
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
+SRC = Path(__file__).parent.parent / "src"
 K45 = "{torus(2,9) # mirror(cable(2,5,torus(2,3))) @ g4_upper=2}"
 
 
@@ -166,6 +171,14 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("p,q", [("2", "4"), ("0", "3"), ("2", "-3")])
+def test_bad_cable_parameters_exit_1(capsys, p, q):
+    assert main(["cable-bounds", "torus(2,3)", p, q]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cable parameters must be coprime")
+    assert err.count("\n") == 1
+
+
 def test_expression_errors_exit_1(capsys):
     assert main(["invariants", "torus(2,"]) == 1
     assert "syntax error at position 8" in capsys.readouterr().err
@@ -195,6 +208,17 @@ def test_unsupported_constructions_exit_3(capsys):
     assert "sigma annotation must be an even integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("annotation", ["g4_upper", "g4_upper=-1"])
+@pytest.mark.parametrize("command", [["genus"], ["cable-bounds"]])
+def test_bad_g4_upper_annotation_exits_3(capsys, command, annotation):
+    argv = command + [f"{{torus(2,5) @ {annotation}}}"]
+    if command == ["cable-bounds"]:
+        argv += ["2", "5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: g4_upper annotation must be a nonnegative integer")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
@@ -207,3 +231,21 @@ def test_selftest_subcommand(capsys):
     out = capsys.readouterr().out
     assert "12/12 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_fails_under_optimize_flag():
+    # the checks must not be bare asserts, which python -O strips
+    code = ("import sys, cfk.selftest as s\n"
+            "s.tau = lambda C: 99\n"
+            "sys.exit(1 if s.run() else 0)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL staircase goldens" in proc.stdout
+    assert "12/12 checks passed" not in proc.stdout
+
+
+def test_all_exported_names_resolve():
+    for name in cfk.__all__:
+        assert hasattr(cfk, name), name

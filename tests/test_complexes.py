@@ -1,9 +1,8 @@
 import pytest
 
 from conftest import cable_staircase, torus_staircase
-from cfk.complexes import (BifilteredComplex, DiffTerm, Generator,
-                           cancel_filtered_pairs, dual, staircase, tensor,
-                           unknot_complex, validate)
+from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual,
+                           staircase, tensor, unknot_complex, validate)
 from cfk.errors import ValidationError
 from cfk.invariants import V, epsilon, nu, nu_plus, tau
 from cfk.laurent import LaurentPoly, torus_alexander
@@ -88,11 +87,11 @@ def test_tensor_differential_spot_checks(knot_45):
     by_name = {g.name: g for g in knot_45.generators}
     g = by_name["x1*y0"]
     assert (g.i, g.j) == (1, 0)
-    outs = sorted((t.target, t.upower) for t in knot_45.terms_from("x1*y0"))
+    outs = sorted((t.target, t.upower) for t in knot_45.terms if t.source == "x1*y0")
     assert outs == [("x0*y0", 0), ("x1*y1", 0), ("x2*y0", 0)]
     g2 = by_name["x0*y1"]
     assert (g2.i, g2.j) == (-1, 0)
-    assert list(knot_45.terms_from("x0*y1")) == []
+    assert [t for t in knot_45.terms if t.source == "x0*y1"] == []
 
 
 def test_tensor_is_symmetric_up_to_invariants():
@@ -150,6 +149,12 @@ def test_validate_vertical_homology():
     violations = validate(C)
     assert [v.kind for v in violations] == ["vertical-homology"]
     assert "dimension 3" in violations[0].message
+    # a box at the origin next to a free dot: the box is acyclic
+    box = BifilteredComplex(
+        [Generator("a", 0, 0, 1), Generator("b", 0, 0, 0),
+         Generator("c", 0, 0, 0)],
+        [DiffTerm("a", "b", 0)])
+    assert validate(box) == []
 
 
 def test_require_valid_raises():
@@ -157,38 +162,6 @@ def test_require_valid_raises():
     from cfk.complexes import require_valid
     with pytest.raises(ValidationError):
         require_valid(C)
-
-
-def test_cancel_simple_pair():
-    # a box at the origin next to a free dot: cancelling kills the box
-    C = BifilteredComplex(
-        [Generator("a", 0, 0, 1), Generator("b", 0, 0, 0),
-         Generator("c", 0, 0, 0)],
-        [DiffTerm("a", "b", 0)])
-    assert validate(C) == []
-    R = cancel_filtered_pairs(C)
-    assert [g.name for g in R.generators] == ["c"]
-    assert R.terms == ()
-
-
-def test_cancel_with_corrections_reduces_to_torus_knot():
-    box = BifilteredComplex(
-        [Generator("a", 0, 0, 1), Generator("b", 0, 0, 0),
-         Generator("c", 0, 0, 0)],
-        [DiffTerm("a", "b", 0)])
-    T = torus_staircase(2, 5)
-    R = cancel_filtered_pairs(tensor(box, T))
-    assert len(R.generators) == 5
-    assert validate(R) == []
-    for f in (tau, nu, nu_plus, epsilon):
-        assert f(R) == f(T)
-    for k in range(-2, 3):
-        assert V(R, k) == V(T, k)
-
-
-def test_cancel_leaves_staircase_tensors_alone(knot_45):
-    # every arrow in a staircase tensor moves in i or j, so nothing cancels
-    assert cancel_filtered_pairs(knot_45) == knot_45
 
 
 def test_complex_equality_ignores_label_and_term_order(trefoil):

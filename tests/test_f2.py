@@ -1,6 +1,6 @@
 import random
 
-from cfk.f2 import in_span, kernel_basis, rank, solve
+from cfk.f2 import kernel_basis, rank, solve
 
 
 def check(rows, x, rhs):
@@ -38,14 +38,6 @@ def test_kernel_basis_dimensions():
     assert cols[0] == 0b111
     assert kernel_basis([0b1, 0b10, 0b100], 3) == []
     assert sorted(kernel_basis([], 2)) == [0b01, 0b10]
-
-
-def test_in_span():
-    # columns of [[1],[0]] span {(0,0), (1,0)} of the row-index space
-    assert in_span([0b1, 0b0], 1, 0b01)
-    assert not in_span([0b1, 0b0], 1, 0b10)
-    assert in_span([0b1, 0b1], 1, 0b11)
-    assert in_span([], 2, 0)
 
 
 def test_rank_nullity_and_solve_random():
