@@ -58,6 +58,8 @@ class BifilteredComplex:
         self.terms: tuple[DiffTerm, ...] = tuple(terms)
         self.label = label
         self.by_name: dict[str, Generator] = {g.name: g for g in self.generators}
+        # Results of cfk.invariants for this complex, keyed by (function, args).
+        self._memo: dict[tuple, object] = {}
 
     @property
     def max_alexander(self) -> int:

@@ -15,10 +15,20 @@ term's U exponent is pinned by the endpoint gradings
 can be stored as bare presence sets; cancelling a globally minimal-exponent
 entry with honest change-of-basis updates keeps every remaining exponent
 at or above the minimum, which is exactly the Smith pivot argument for the
-graded PID F2[U].
+graded PID F2[U].  Basis names are interned as ints in sorted-name order
+and the minimal entry comes from a lazy-deletion heap, so one reduction
+costs about O(toggles * log) instead of a scan of every entry per pivot,
+with the same (exponent, source, target) tie-break as a plain scan.
+
+Each complex object keeps a private memo of V_k, tau, nu, the vertical
+class and the HFK-hat table, so every report reduces a given (complex, k)
+once.  V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
+computed table.
 """
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 
 from . import f2
@@ -80,84 +90,116 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     """Graded module structure of H_*(x) over F2[U].
 
-    Repeatedly cancels a minimal-exponent matrix entry (ties broken by
-    lexicographically smallest (source, target) names).  Cancelling at
+    Repeatedly cancels a minimal-exponent matrix entry, ties broken by the
+    lexicographically smallest (source, target) names.  Cancelling at
     exponent e >= 1 contributes a torsion summand F2[U]/U^e topped at the
     target's grading; exponent 0 pairs cancel silently; leftover basis
     elements are free generators.
+
+    Basis names are interned as ints in sorted-name order, so comparing
+    indices compares names and the tie-break is unchanged.  Rows and
+    columns are lists of int sets.  Pivots come from a lazy-deletion heap
+    of (exponent, source, target) keys packed into one int: every entry a
+    basis change creates is pushed, and a popped key whose entry has since
+    cancelled out is skipped.  Every live entry has a key in the heap, so
+    the first live key popped is the global minimum.  A toggle flips an
+    entry over F2, and grading parity keeps the rows and columns that a
+    cancellation iterates over fixed while it runs, so the order of its
+    toggles does not change the matrix it leaves behind.
     """
-    grading: dict[str, int] = {}
+    grading_of: dict[str, int] = {}
     for name, m in x.basis:
-        if name in grading:
+        if name in grading_of:
             raise ValueError(f"duplicate basis name {name!r}")
-        grading[name] = m
-    rows: dict[str, set[str]] = {}  # target -> sources
-    cols: dict[str, set[str]] = {}  # source -> targets
-    seen = set()
-    for s, t, e in x.terms:
-        if (s, t) in seen:
-            raise ValueError(f"duplicate term {s}->{t}")
-        seen.add((s, t))
+        grading_of[name] = m
+    names = sorted(grading_of)
+    index = {name: i for i, name in enumerate(names)}
+    grading = [grading_of[name] for name in names]
+    n = len(names)
+    nn = n * n
+    rows: list[set[int]] = [set() for _ in range(n)]  # target -> sources
+    cols: list[set[int]] = [set() for _ in range(n)]  # source -> targets
+    heap: list[int] = []  # (exponent * n + source) * n + target
+    for s_name, t_name, e in x.terms:
+        s, t = index[s_name], index[t_name]
+        if s in rows[t]:
+            raise ValueError(f"duplicate term {s_name}->{t_name}")
         if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
             raise ValueError(
-                f"term U^{e}:{s}->{t} is not homogeneous of degree -1")
-        rows.setdefault(t, set()).add(s)
-        cols.setdefault(s, set()).add(t)
+                f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
+        rows[t].add(s)
+        cols[s].add(t)
+        heap.append(e * nn + s * n + t)
+    heapq.heapify(heap)
 
-    def exponent(t: str, s: str) -> int:
-        num = grading[t] - grading[s] + 1
-        if num < 0 or num % 2:
-            raise AssertionError("entry exponent left the grading lattice")
-        return num // 2
-
-    def toggle(t: str, s: str) -> None:
-        if s in rows.get(t, ()):
-            rows[t].discard(s)
+    def toggle(t: int, s: int) -> None:
+        row = rows[t]
+        if s in row:
+            row.discard(s)
             cols[s].discard(t)
         else:
-            exponent(t, s)  # parity / sign sanity on every created entry
-            rows.setdefault(t, set()).add(s)
-            cols.setdefault(s, set()).add(t)
+            # parity / sign sanity on every created entry
+            num = grading[t] - grading[s] + 1
+            if num < 0 or num % 2:
+                raise AssertionError("entry exponent left the grading lattice")
+            row.add(s)
+            cols[s].add(t)
+            heapq.heappush(heap, (num // 2) * nn + s * n + t)
 
-    alive = dict(grading)
+    alive = [True] * n
     torsion: list[tuple[int, int]] = []
-    while True:
-        entries = [(exponent(t, s), s, t) for t, ss in rows.items() for s in ss]
-        if not entries:
-            break
-        e, a, b = min(entries)
+    while heap:
+        key = heapq.heappop(heap)
+        e, rest = divmod(key, nn)
+        a, b = divmod(rest, n)
+        if a not in rows[b]:
+            continue  # stale: the entry cancelled out after it was pushed
         # Clear the other entries of row b: sources s pick up a U^{f-e} a
         # summand, which also feeds row a through the inverse basis change.
-        for s in sorted(rows[b] - {a}):
-            for t2 in sorted(cols.get(a, ())):
+        for s in rows[b] - {a}:
+            for t2 in cols[a]:
                 toggle(t2, s)
-            for x2 in sorted(rows.get(s, ())):
+            for x2 in rows[s]:
                 toggle(a, x2)
         # Absorb the other targets of a into b' = b + sum U^{d-e} t; the
         # complex property forces d(b') = 0, i.e. column b empties out.
-        for t in sorted(cols[a] - {b}):
-            for w in sorted(cols.get(t, ())):
+        for t in cols[a] - {b}:
+            for w in cols[t]:
                 toggle(w, b)
             toggle(t, a)
-        if cols.get(b):
+        if cols[b]:
             raise ValueError("column of the cancelled target is nonzero; "
                              "input differential does not square to zero")
-        if rows.get(a):
+        if rows[a]:
             raise ValueError("row of the cancelled source is nonzero; "
                              "input differential does not square to zero")
-        if rows.get(b) != {a} or cols.get(a) != {b}:
+        if rows[b] != {a} or cols[a] != {b}:
             raise AssertionError("pivot pair lost its own entry")
         rows[b].clear()
         cols[a].clear()
         if e >= 1:
             torsion.append((grading[b], e))
-        del alive[a], alive[b]
+        alive[a] = alive[b] = False
 
-    free = tuple(sorted(alive.values(), reverse=True))
+    free = tuple(sorted((m for m, live in zip(grading, alive) if live), reverse=True))
     torsion.sort(key=lambda p: (-p[0], p[1]))
     return UModuleSummary(free, tuple(torsion))
 
 
+def _memoized(fn):
+    """Keep fn(C, *args) in C's private memo, so that each complex object
+    computes it once.  A call that raises leaves nothing behind."""
+    @functools.wraps(fn)
+    def cached(C: BifilteredComplex, *args):
+        key = (fn.__name__, *args)
+        memo = C._memo
+        if key not in memo:
+            memo[key] = fn(C, *args)
+        return memo[key]
+    return cached
+
+
+@_memoized
 def V(C: BifilteredComplex, k: int) -> int:
     """V_k: minus half the grading of the free part of H(A^-_k)."""
     summary = homology_over_U(a_minus(C, k))
@@ -177,13 +219,21 @@ def H(C: BifilteredComplex, k: int) -> int:
 
 
 def nu_plus(C: BifilteredComplex) -> int:
-    """Least k >= 0 with V_k = 0; V is nonincreasing so a forward scan works."""
+    """Least k >= 0 with V_k = 0, found by stepping k <- k + V_k from k = 0.
+
+    The step is exact: V_{k+1} >= V_k - 1, so V_{k+j} >= V_k - j > 0 for
+    every j < V_k and no level below k + V_k can vanish.  The levels probed
+    are a subset of the forward scan's 0..nu_plus; on two-strand torus
+    knots there are about log2 of the genus of them.
+    """
     cap = max(C.max_alexander, 0) + 1
     k = 0
-    while V(C, k) > 0:
-        k += 1
+    v = V(C, k)
+    while v > 0:
+        k += v
         if k > cap:
             raise AssertionError("V_k failed to vanish by the genus bound")
+        v = V(C, k)
     return k
 
 
@@ -226,9 +276,13 @@ def _boundary_rows(x: F2Complex, row_names: list[str], col_names: list[str]) -> 
     return rows
 
 
-def _vertical_class(vert: F2Complex) -> tuple[list[str], list[str], list[int], int]:
-    """Grading-0 basis, grading-1 basis, the boundary matrix from grading 1,
-    and a cycle representing the generator of the one-dimensional homology."""
+@_memoized
+def _vertical_class(
+        C: BifilteredComplex) -> tuple[F2Complex, list[str], list[str], list[int], int]:
+    """The vertical complex, its grading-0 basis, its grading-1 basis, the
+    boundary matrix from grading 1, and a cycle representing the generator
+    of the one-dimensional homology."""
+    vert = vertical_complex(C)
     b0 = _grading_names(vert, 0)
     b1 = _grading_names(vert, 1)
     bm1 = _grading_names(vert, -1)
@@ -236,16 +290,16 @@ def _vertical_class(vert: F2Complex) -> tuple[list[str], list[str], list[int], i
     into = _boundary_rows(vert, b0, b1)
     for z in f2.kernel_basis(down, len(b0)):
         if f2.solve(into, len(b1), z) is None:
-            return b0, b1, into, z
+            return vert, b0, b1, into, z
     raise KnotTypeError(
         "vertical homology has no grading-zero generator; complex is not knot-type")
 
 
+@_memoized
 def tau(C: BifilteredComplex) -> int:
     """Least k such that the vertical homology generator is homologous to a
     cycle supported in Alexander gradings <= k."""
-    vert = vertical_complex(C)
-    b0, b1, into, z = _vertical_class(vert)
+    vert, b0, b1, into, z = _vertical_class(C)
     alex = {name: a for (name, _m, a) in vert.basis}
     alexs = [alex[n] for n in b0]
     lo = min((a for (_n, _m, a) in vert.basis), default=0)
@@ -261,12 +315,12 @@ def tau(C: BifilteredComplex) -> int:
     raise KnotTypeError("tau scan found no supporting level")
 
 
+@_memoized
 def nu(C: BifilteredComplex) -> int:
     """Least k >= tau such that some cycle of the U = 0 slice of A^-_k
     projects to the vertical homology generator's class."""
     t = tau(C)
-    vert = vertical_complex(C)
-    b0, b1, into, z0 = _vertical_class(vert)
+    vert, b0, b1, into, z0 = _vertical_class(C)
     hi = max((a for (_n, _m, a) in vert.basis), default=0)
     for k in range(t, hi + 1):
         hat = hat_a(C, k)
@@ -309,7 +363,13 @@ def epsilon(C: BifilteredComplex) -> int:
 
 def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     """Bigraded homology ranks of the associated graded object, keyed by
-    (alexander, maslov); only nonzero ranks appear."""
+    (alexander, maslov); only nonzero ranks appear.  The table is computed
+    once per complex; each call hands out a copy."""
+    return dict(_hfk_table(C))
+
+
+@_memoized
+def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     vert = vertical_complex(C)
     grading = {name: (a, m) for (name, m, a) in vert.basis}
     return f2.graded_homology_dims(

@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
 from conftest import cable_staircase, torus_staircase
+from cfk import invariants
 from cfk.complexes import BifilteredComplex, Generator, dual, tensor, unknot_complex
 from cfk.errors import KnotTypeError
-from cfk.invariants import (FreeUComplex, H, V, a_minus, epsilon, hat_a,
-                            hfk_hat, homology_over_U, nu, nu_plus,
-                            seifert_genus, tau, vertical_complex)
+from cfk.expr import build_complex, parse
+from cfk.invariants import (FreeUComplex, H, UModuleSummary, V, a_minus,
+                            epsilon, hat_a, hfk_hat, homology_over_U, nu,
+                            nu_plus, seifert_genus, tau, vertical_complex)
 
 
 def test_a_minus_trefoil_shifts(trefoil):
@@ -44,6 +47,68 @@ def test_homology_over_u_rejects_inhomogeneous():
                                      terms=(("a", "b", 0),)))
 
 
+@pytest.mark.parametrize("x, message", [
+    (FreeUComplex(basis=(("a", 0), ("a", 1)), terms=()),
+     "duplicate basis name 'a'"),
+    (FreeUComplex(basis=(("a", 1), ("b", 0)),
+                  terms=(("a", "b", 0), ("a", "b", 0))),
+     "duplicate term a->b"),
+    # a -> b -> c: the pivot a -> b leaves b -> c in the cancelled target's column
+    (FreeUComplex(basis=(("a", 2), ("b", 1), ("c", 0)),
+                  terms=(("a", "b", 0), ("b", "c", 0))),
+     "column of the cancelled target is nonzero"),
+    # x -> a -> b: the pivot a -> b leaves x -> a in the cancelled source's row
+    (FreeUComplex(basis=(("a", 1), ("b", 0), ("x", 2)),
+                  terms=(("x", "a", 0), ("a", "b", 0))),
+     "row of the cancelled source is nonzero"),
+])
+def test_homology_over_u_rejects_bad_input(x, message):
+    with pytest.raises(ValueError, match=message):
+        homology_over_U(x)
+
+
+# UModuleSummary of a_minus(C, k), recorded from the string-keyed kernel
+# that scanned every entry per pivot: (complex, mirrored, k, free, torsion).
+FROZEN_SUMMARIES = [
+    ('K45', False, -3, (-6,), ((-3, 1), (-5, 1))),
+    ('K45', False, -2, (-4,), ((-3, 1),)),
+    ('K45', False, -1, (-4,), ((-1, 1), (-1, 1))),
+    ('K45', False, 0, (-2,), ()),
+    ('K45', False, 1, (-2,), ((1, 1), (1, 1))),
+    ('K45', False, 2, (0,), ((1, 1),)),
+    ('K45', False, 3, (0,), ((3, 1), (1, 1))),
+    ('K45', True, -3, (-6,), ((-1, 1), (-3, 1))),
+    ('K45', True, -2, (-4,), ((-1, 1),)),
+    ('K45', True, -1, (-2,), ((1, 2), (-1, 1))),
+    ('K45', True, 0, (0,), ((1, 1),)),
+    ('K45', True, 1, (0,), ((3, 2), (1, 1))),
+    ('K45', True, 2, (0,), ((3, 1),)),
+    ('K45', True, 3, (0,), ((5, 1), (3, 1))),
+    ('K225', False, -3, (-6,), ((-3, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1), (-5, 1))),
+    ('K225', False, -2, (-4,), ((-2, 1), (-2, 1), (-2, 1), (-3, 1), (-4, 1), (-4, 1))),
+    ('K225', False, -1, (-4,), ((-1, 1), (-1, 1), (-1, 1), (-1, 1), (-3, 1))),
+    ('K225', False, 0, (-2,), ((-2, 1), (-2, 1), (-2, 1))),
+    ('K225', False, 1, (-2,), ((1, 1), (1, 1), (1, 1), (1, 1), (-1, 1))),
+    ('K225', False, 2, (0,), ((2, 1), (2, 1), (2, 1), (1, 1), (0, 1), (0, 1))),
+    ('K225', False, 3, (0,), ((3, 1), (3, 1), (3, 1), (3, 1), (3, 1), (1, 1))),
+    ('K225', True, -3, (-6,), ((-1, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1))),
+    ('K225', True, -2, (-4,), ((0, 1), (0, 1), (-1, 1), (-2, 1), (-2, 1), (-2, 1))),
+    ('K225', True, -1, (-2,), ((1, 1), (1, 2), (-1, 1), (-1, 1), (-1, 1))),
+    ('K225', True, 0, (0,), ((2, 1), (2, 1), (2, 1), (1, 1))),
+    ('K225', True, 1, (0,), ((3, 1), (3, 2), (1, 1), (1, 1), (1, 1))),
+    ('K225', True, 2, (0,), ((4, 1), (4, 1), (3, 1), (2, 1), (2, 1), (2, 1))),
+    ('K225', True, 3, (0,), ((5, 1), (3, 1), (3, 1), (3, 1), (3, 1), (3, 1))),
+]
+
+
+def test_frozen_summaries(knot_45, knot_225):
+    knots = {"K45": knot_45, "K225": knot_225}
+    for name, mirrored, k, free, torsion in FROZEN_SUMMARIES:
+        C = dual(knots[name]) if mirrored else knots[name]
+        assert homology_over_U(a_minus(C, k)) == UModuleSummary(free, torsion), (
+            name, mirrored, k)
+
+
 def test_v_and_h_frozen_values(trefoil):
     assert V(trefoil, 0) == 1
     assert V(trefoil, 1) == 0
@@ -67,6 +132,62 @@ def test_nu_plus_values(trefoil, knot_45):
     assert nu_plus(trefoil) == 1
     assert nu_plus(dual(trefoil)) == 0
     assert nu_plus(knot_45) == 2
+
+
+def test_nu_plus_probes_no_more_levels_than_a_forward_scan(
+        monkeypatch, trefoil, knot_45, knot_225):
+    probed = []
+
+    def counting_V(C, k):
+        probed.append(k)
+        return V(C, k)
+
+    monkeypatch.setattr(invariants, "V", counting_V)
+    knots = [trefoil, knot_45, knot_225, torus_staircase(2, 9),
+             torus_staircase(2, 21), torus_staircase(3, 7), cable_staircase()]
+    for C in knots + [dual(C) for C in knots]:
+        probed.clear()
+        n = nu_plus(C)
+        forward = next(k for k in range(n + 2) if V(C, k) == 0)
+        assert n == forward
+        assert sorted(set(probed)) == probed and probed[-1] == n
+        assert len(probed) <= n + 1
+    # V_k = ceil((10 - k) / 2) on T(2,21): the steps land on 0, 5, 8, 9, 10
+    probed.clear()
+    assert nu_plus(torus_staircase(2, 21)) == 10
+    assert probed == [0, 5, 8, 9, 10]
+
+
+def test_nu_plus_of_high_genus_sum_is_fast():
+    start = time.monotonic()
+    C = build_complex(parse("torus(2,401) # mirror(torus(2,3))"))
+    assert nu_plus(C) == 199
+    assert time.monotonic() - start < 5.0
+
+
+def test_each_complex_reduces_each_level_once(monkeypatch):
+    calls = []
+
+    def counting_kernel(x):
+        calls.append(x)
+        return homology_over_U(x)
+
+    monkeypatch.setattr(invariants, "homology_over_U", counting_kernel)
+    C = tensor(torus_staircase(2, 9), dual(cable_staircase(prefix="y")))
+    assert [V(C, k) for k in (0, 1, 2, 0, 1)] == [1, 1, 0, 1, 1]
+    assert [H(C, k) for k in (0, -1, -2)] == [1, 1, 0]
+    assert nu_plus(C) == 2
+    assert len(calls) == 3
+    assert V(dual(C), 0) == 0  # a new complex object starts a new memo
+    assert len(calls) == 4
+
+
+def test_hfk_hat_hands_out_a_copy(trefoil):
+    C = torus_staircase(2, 3)
+    table = hfk_hat(C)
+    table[(5, 5)] = 9
+    assert hfk_hat(C) == hfk_hat(trefoil) == {(1, 0): 1, (0, -1): 1, (-1, -2): 1}
+    assert seifert_genus(C) == 1
 
 
 def test_vertical_and_hat_complexes(trefoil):
