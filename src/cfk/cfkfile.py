@@ -9,9 +9,12 @@
 
 One generator per gen line; one source per dif line with its targets as
 either a bare name or U^<n>.<name>.  "#" starts a comment (full line or
-trailing).  Writing is canonical: generators in declared order, dif lines
-sorted by source, targets sorted by (U power, name); reading a canonical
-file back is byte-identical under dumps().
+trailing).  Integers are ASCII -?[0-9]+ (U powers [0-9]+).  A name is
+nonempty, holds no whitespace or "#" and does not start with "U^", so
+that it reads back as one name and never as a term; loads() and dumps()
+both refuse any other.  Writing is canonical: generators in declared
+order, dif lines sorted by source, targets sorted by (U power, name);
+reading a canonical file back is byte-identical under dumps().
 """
 from __future__ import annotations
 
@@ -22,16 +25,21 @@ from .complexes import BifilteredComplex, DiffTerm, Generator
 from .errors import FormatError
 
 HEADER = "cfk v1"
-_RESERVED = re.compile(r"^U\^\d+\.")
-_TERM = re.compile(r"^U\^(\d+)\.(.+)$")
+# int() alone would also take "+1", "1_0" and non-ASCII digits.
+_GEN_INTS = re.compile(r"-?[0-9]+ -?[0-9]+ -?[0-9]+")
+_TERM = re.compile(r"U\^([0-9]+)\.(.+)")
 
 
-def _check_name(name: str, lineno: int) -> str:
-    if _RESERVED.match(name):
-        raise FormatError(f"line {lineno}: name {name!r} collides with term syntax")
+def _name_problem(name: str) -> str | None:
+    """Why a generator name cannot be written to a file and read back, or
+    None when it can."""
+    if name.startswith("U^"):
+        return "collides with term syntax"
     if "#" in name:
-        raise FormatError(f"line {lineno}: name {name!r} may not contain '#'")
-    return name
+        return "may not contain '#'"
+    if name.split() != [name]:
+        return "must be nonempty and contain no whitespace"
+    return None
 
 
 def loads(text: str, label: str = "") -> BifilteredComplex:
@@ -54,12 +62,16 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
             if len(fields) != 5:
                 raise FormatError(
                     f"line {lineno}: gen needs name, i, j, maslov ({len(fields) - 1} fields given)")
-            name = _check_name(fields[1], lineno)
+            _, name, i, j, maslov = fields
+            problem = _name_problem(name)
+            if problem is not None:
+                raise FormatError(f"line {lineno}: name {name!r} {problem}")
             try:
-                i, j, maslov = (int(v) for v in fields[2:5])
-            except ValueError:
+                if _GEN_INTS.fullmatch(f"{i} {j} {maslov}") is None:
+                    raise ValueError(maslov)
+                generators.append(Generator(name, int(i), int(j), int(maslov)))
+            except ValueError:  # not ASCII decimal, or past int()'s digit limit
                 raise FormatError(f"line {lineno}: gen positions must be integers") from None
-            generators.append(Generator(name, i, j, maslov))
             declared.add(name)
         elif directive == "dif":
             if len(fields) < 3:
@@ -69,10 +81,16 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
                 raise FormatError(
                     f"line {lineno}: dif references undeclared generator {source!r}")
             for token in fields[2:]:
-                m = _TERM.match(token)
-                if m is None and token.startswith("U^"):
-                    raise FormatError(f"line {lineno}: malformed term {token!r}")
-                upower, target = (int(m.group(1)), m.group(2)) if m else (0, token)
+                if token.startswith("U^"):
+                    m = _TERM.fullmatch(token)
+                    try:
+                        if m is None:
+                            raise ValueError(token)
+                        upower, target = int(m.group(1)), m.group(2)
+                    except ValueError:
+                        raise FormatError(f"line {lineno}: malformed term {token!r}") from None
+                else:
+                    upower, target = 0, token
                 if target not in declared:
                     raise FormatError(
                         f"line {lineno}: dif references undeclared generator {target!r}")
@@ -89,16 +107,17 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
 
 def dumps(C: BifilteredComplex) -> str:
     lines = [HEADER]
-    for g in C.generators:
-        _check_name(g.name, 0)
-        lines.append(f"gen {g.name} {g.i} {g.j} {g.maslov}")
-    by_source: dict[str, list[DiffTerm]] = {}
-    for t in C.terms:
-        by_source.setdefault(t.source, []).append(t)
+    for name, i, j, maslov in C.generators:
+        problem = _name_problem(name)
+        if problem is not None:
+            raise FormatError(f"cannot write generator {name!r}: name {problem}")
+        lines.append(f"gen {name} {i} {j} {maslov}")
+    by_source: dict[str, list[tuple[int, str]]] = {}
+    for source, target, n in C.terms:
+        by_source.setdefault(source, []).append((n, target))
     for source in sorted(by_source):
-        parts = []
-        for t in sorted(by_source[source], key=lambda t: (t.upower, t.target)):
-            parts.append(t.target if t.upower == 0 else f"U^{t.upower}.{t.target}")
+        parts = [target if n == 0 else f"U^{n}.{target}"
+                 for n, target in sorted(by_source[source])]
         lines.append(f"dif {source} {' '.join(parts)}")
     return "\n".join(lines) + "\n"
 

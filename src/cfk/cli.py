@@ -24,8 +24,11 @@ from .surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
                       d_invariants, g4_upper_annotation, genus_report,
                       surgery_d)
 
-_VK_RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-_SURGERY = re.compile(r"^(\d+)(?:/(\d+))?$")
+# ASCII digits only: int() alone would also take "+1", "1_0" and
+# non-ASCII digits.
+_INT = re.compile(r"-?[0-9]+")
+_VK_RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
+_SURGERY = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 class _UsageError(CfkError):
@@ -37,22 +40,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    """argparse type for integer arguments."""
+    try:
+        if _INT.fullmatch(text) is None:
+            raise ValueError(text)
+        return int(text)
+    except ValueError:  # not ASCII decimal, or past int()'s digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_vk(text: str) -> tuple[int, int]:
-    m = _VK_RANGE.match(text)
-    if m is None:
-        raise _UsageError(f"--vk expects MIN..MAX, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    m = _VK_RANGE.fullmatch(text)
+    try:
+        if m is None:
+            raise ValueError(text)
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError:
+        raise _UsageError(f"--vk expects MIN..MAX, got {text!r}") from None
     if lo > hi:
         raise _UsageError(f"--vk range is empty: {text}")
     return lo, hi
 
 
 def _parse_surgery(text: str) -> SurgerySpec:
-    m = _SURGERY.match(text)
-    if m is None:
-        raise _UsageError(f"--surgery expects P or P/Q with positive integers, got {text!r}")
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) else 1
+    m = _SURGERY.fullmatch(text)
+    try:
+        if m is None:
+            raise ValueError(text)
+        p = int(m.group(1))
+        q = int(m.group(2)) if m.group(2) else 1
+    except ValueError:
+        raise _UsageError(
+            f"--surgery expects P or P/Q with positive integers, got {text!r}") from None
     try:
         return SurgerySpec(p, q)
     except PreconditionError as exc:
@@ -235,7 +255,7 @@ def _build_argparser() -> _Parser:
     p_dinv = sub.add_parser("dinv", help="d-invariants of positive surgeries")
     p_dinv.add_argument("expression")
     p_dinv.add_argument("--surgery", required=True, metavar="P[/Q]")
-    p_dinv.add_argument("--spinc", type=int, default=None)
+    p_dinv.add_argument("--spinc", type=_int, default=None)
     p_dinv.add_argument("--json", action="store_true")
 
     p_genus = sub.add_parser("genus", help="4-ball genus bounds")
@@ -244,8 +264,8 @@ def _build_argparser() -> _Parser:
 
     p_cable = sub.add_parser("cable-bounds", help="nu+ bounds for the (p,q)-cable")
     p_cable.add_argument("expression")
-    p_cable.add_argument("p", type=int)
-    p_cable.add_argument("q", type=int)
+    p_cable.add_argument("p", type=_int)
+    p_cable.add_argument("q", type=_int)
     p_cable.add_argument("--json", action="store_true")
 
     p_hfk = sub.add_parser("hfk", help="hat-flavor knot homology ranks")

@@ -6,11 +6,18 @@ U^n: source -> target.  U drops both filtration slots by one and the grading
 by two, which forces M(source) - 1 = M(target) - 2n on every term.  The
 knot-type condition (vertical homology one-dimensional, in grading zero)
 is part of validation because every invariant downstream assumes it.
+
+Generator and DiffTerm are NamedTuples, not dataclasses: a file of a few
+thousand generators makes tens of thousands of them on each load, and a
+tuple is about three times cheaper to build and to hash.  Attribute access
+on a NamedTuple is slower than on a dataclass, so the loops that walk every
+generator or term unpack the records (``for name, i, j, m in
+C.generators``) instead of reading their fields.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import f2
 from .errors import ValidationError
@@ -26,8 +33,7 @@ D_SQUARED = "d-squared"
 VERTICAL_HOMOLOGY = "vertical-homology"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     i: int
     j: int
@@ -38,8 +44,7 @@ class Generator:
         return self.j - self.i
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(NamedTuple):
     """One differential term U^upower: source -> target."""
     source: str
     target: str
@@ -82,73 +87,86 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     Returns an empty list when C is a valid knot-like complex.  The deeper
     checks (d^2 = 0, vertical homology) only run once the purely structural
     ones pass, since they would crash or lie on malformed input.
+
+    d^2 = 0 is checked over F2 per (end generator, total U power): each
+    generator keeps the set of such pairs reached by an odd number of
+    two-step paths, toggling a pair in or out per path, and reports what is
+    left in sorted order.
     """
     out: list[Violation] = []
     seen: set[str] = set()
-    for g in C.generators:
-        if g.name in seen:
-            out.append(Violation(DUPLICATE_NAME, f"generator name {g.name!r} declared twice"))
-        seen.add(g.name)
+    for name, _i, _j, _m in C.generators:
+        if name in seen:
+            out.append(Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice"))
+        seen.add(name)
 
-    gens = {g.name: g for g in C.generators}
+    gens = C.by_name
     structural_ok = not out
     term_seen: set[DiffTerm] = set()
-    for t in C.terms:
-        if t in term_seen:
-            out.append(Violation(DUPLICATE_TERM,
-                                 f"term U^{t.upower}:{t.source}->{t.target} repeated"))
+    for term in C.terms:
+        source, target, n = term
+        if term in term_seen:
+            out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
             structural_ok = False
             continue
-        term_seen.add(t)
-        if t.source not in gens or t.target not in gens:
-            missing = t.source if t.source not in gens else t.target
+        term_seen.add(term)
+        if source not in gens or target not in gens:
+            missing = source if source not in gens else target
             out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
             structural_ok = False
             continue
-        s, g = gens[t.source], gens[t.target]
-        if t.upower < 0:
-            out.append(Violation(FILTRATION,
-                                 f"negative U power on {t.source}->{t.target}"))
+        _, si, sj, sm = gens[source]
+        _, ti, tj, tm = gens[target]
+        if n < 0:
+            out.append(Violation(FILTRATION, f"negative U power on {source}->{target}"))
             structural_ok = False
             continue
-        if g.i - t.upower > s.i or g.j - t.upower > s.j:
+        if ti - n > si or tj - n > sj:
             out.append(Violation(
                 FILTRATION,
-                f"U^{t.upower}:{t.source}->{t.target} raises filtration: "
-                f"({g.i - t.upower},{g.j - t.upower}) from ({s.i},{s.j})"))
-        if s.maslov - 1 != g.maslov - 2 * t.upower:
+                f"U^{n}:{source}->{target} raises filtration: "
+                f"({ti - n},{tj - n}) from ({si},{sj})"))
+        if sm - 1 != tm - 2 * n:
             out.append(Violation(
                 GRADING,
-                f"U^{t.upower}:{t.source}->{t.target} grading mismatch: "
-                f"M={s.maslov} source vs M={g.maslov}-2*{t.upower} target"))
+                f"U^{n}:{source}->{target} grading mismatch: "
+                f"M={sm} source vs M={tm}-2*{n} target"))
 
     if out or not structural_ok:
         return out
 
-    # d^2 = 0, coefficientwise over F2 per (end generator, total U power).
-    outgoing: dict[str, list[DiffTerm]] = {}
-    for t in C.terms:
-        outgoing.setdefault(t.source, []).append(t)
-    for g in C.generators:
-        paths: Counter = Counter()
-        for t1 in outgoing.get(g.name, ()):
-            for t2 in outgoing.get(t1.target, ()):
-                paths[(t2.target, t1.upower + t2.upower)] += 1
-        for (end, power), count in sorted(paths.items()):
-            if count % 2:
-                out.append(Violation(
-                    D_SQUARED,
-                    f"d^2({g.name}) contains U^{power}*{end}"))
+    # outgoing holds (target, power) pairs; after a first step of power 0
+    # such a pair is already the path's (end, power).
+    outgoing: dict[str, list[tuple[str, int]]] = {}
+    for source, target, n in C.terms:
+        outgoing.setdefault(source, []).append((target, n))
+    for name, _i, _j, _m in C.generators:
+        odd: set[tuple[str, int]] = set()
+        for mid, n1 in outgoing.get(name, ()):
+            for path in outgoing.get(mid, ()):
+                if n1:
+                    path = (path[0], path[1] + n1)
+                if path in odd:
+                    odd.remove(path)
+                else:
+                    odd.add(path)
+        if odd:
+            for end, power in sorted(odd):
+                out.append(Violation(D_SQUARED, f"d^2({name}) contains U^{power}*{end}"))
     if out:
         return out
 
     # Vertical homology: the i-preserving slice at i = 0.  Each generator g
     # contributes U^{i_g} g in grading M(g) - 2 i_g; a term survives the
     # slice exactly when its translated U power i_s - i_t + n is zero.
+    level: dict[str, int] = {}
+    grading: dict[str, int] = {}
+    for name, i, _j, m in C.generators:
+        level[name] = i
+        grading[name] = m - 2 * i
     dims = f2.graded_homology_dims(
-        {g.name: g.maslov - 2 * g.i for g in C.generators},
-        ((t.source, t.target) for t in C.terms
-         if t.upower + gens[t.source].i - gens[t.target].i == 0))
+        grading, ((source, target) for source, target, n in C.terms
+                  if n + level[source] - level[target] == 0))
     if dims != {0: 1}:
         total = sum(dims.values())
         out.append(Violation(
@@ -203,8 +221,8 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
 
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
-    gens = [Generator(g.name, -g.i, -g.j, -g.maslov) for g in C.generators]
-    terms = [DiffTerm(t.target, t.source, t.upower) for t in C.terms]
+    gens = [Generator(name, -i, -j, -m) for name, i, j, m in C.generators]
+    terms = [DiffTerm(t, s, n) for s, t, n in C.terms]
     return BifilteredComplex(gens, terms, f"dual({C.label})")
 
 
@@ -215,15 +233,12 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     ordering is by factor index pairs, so the result is deterministic.
     """
     gens = [
-        Generator(f"{g.name}*{h.name}", g.i + h.i, g.j + h.j, g.maslov + h.maslov)
-        for g in C1.generators
-        for h in C2.generators
+        Generator(f"{a}*{b}", i1 + i2, j1 + j2, m1 + m2)
+        for a, i1, j1, m1 in C1.generators
+        for b, i2, j2, m2 in C2.generators
     ]
-    terms = []
-    for t in C1.terms:
-        for h in C2.generators:
-            terms.append(DiffTerm(f"{t.source}*{h.name}", f"{t.target}*{h.name}", t.upower))
-    for g in C1.generators:
-        for t in C2.terms:
-            terms.append(DiffTerm(f"{g.name}*{t.source}", f"{g.name}*{t.target}", t.upower))
+    names1 = [g.name for g in C1.generators]
+    names2 = [h.name for h in C2.generators]
+    terms = [DiffTerm(f"{s}*{b}", f"{t}*{b}", n) for s, t, n in C1.terms for b in names2]
+    terms += [DiffTerm(f"{a}*{s}", f"{a}*{t}", n) for a in names1 for s, t, n in C2.terms]
     return BifilteredComplex(gens, terms, f"tensor({C1.label}, {C2.label})")

@@ -78,7 +78,7 @@ KnotExpr = Union[Unknot, Torus, Cable, Mirror, Sum, FromFile, Annotated]
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>-?\d+)
+  | (?P<int>-?[0-9]+)
   | (?P<str>"[^"\\]*")
   | (?P<sym>[#(){}@,=])
 """, re.VERBOSE)
@@ -116,8 +116,11 @@ class _Parser:
         return tk, tv, tp
 
     def parse_int(self) -> int:
-        _, v, _ = self.take("int")
-        return int(v)
+        _, v, pos = self.take("int")
+        try:
+            return int(v)
+        except ValueError:  # past int()'s digit limit
+            raise ExprSyntaxError(f"integer of {len(v)} characters is too long", pos) from None
 
     def parse_expr(self) -> KnotExpr:
         node = self.parse_term()

@@ -10,16 +10,24 @@ from typing import Hashable, Iterable
 
 
 def rank(rows: list[int]) -> int:
-    r = 0
-    reduced: list[int] = []
+    """Rank of the matrix with the given rows.
+
+    Pivots are kept in a dict keyed by their lowest set bit.  A row is
+    reduced by XORing in the pivot that owns its current lowest bit, which
+    clears that bit and raises the lowest bit, until the row vanishes or
+    its lowest bit is new and the row becomes a pivot.  A row thus meets
+    only the pivots it hits, not every earlier pivot.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for piv in reduced:
-            if row & (piv & -piv):
-                row ^= piv
-        if row:
-            reduced.append(row)
-            r += 1
-    return r
+        while row:
+            low = row & -row
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = row
+                break
+            row ^= piv
+    return len(pivots)
 
 
 def solve(rows: list[int], ncols: int, rhs: int) -> int | None:

@@ -72,18 +72,18 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     """
     shift: dict[str, int] = {}
     basis = []
-    for g in C.generators:
-        c = max(g.i, g.j - k)
-        shift[g.name] = c
-        basis.append((g.name, g.maslov - 2 * c))
+    for name, i, j, m in C.generators:
+        c = i if i > j - k else j - k  # max(i, j - k) without a call
+        shift[name] = c
+        basis.append((name, m - 2 * c))
     terms = []
-    for t in C.terms:
-        e = t.upower + shift[t.source] - shift[t.target]
+    for source, target, n in C.terms:
+        e = n + shift[source] - shift[target]
         if e < 0:
             raise ValueError(
-                f"term {t.source}->{t.target} escapes the subcomplex; "
+                f"term {source}->{target} escapes the subcomplex; "
                 "input complex violates its filtration invariants")
-        terms.append((t.source, t.target, e))
+        terms.append((source, target, e))
     return FreeUComplex(tuple(basis), tuple(terms))
 
 
@@ -240,10 +240,11 @@ def nu_plus(C: BifilteredComplex) -> int:
 def vertical_complex(C: BifilteredComplex) -> F2Complex:
     """The i-preserving slice at i = 0: basis U^{i_g} g in grading
     M(g) - 2 i_g, keeping terms whose translated U power is zero."""
-    basis = tuple((g.name, g.maslov - 2 * g.i, g.alexander) for g in C.generators)
-    terms = tuple(
-        (t.source, t.target) for t in C.terms
-        if t.upower + C.by_name[t.source].i - C.by_name[t.target].i == 0)
+    basis = tuple([(name, m - 2 * i, j - i) for name, i, j, m in C.generators])
+    level = {name: i for name, i, _j, _m in C.generators}
+    terms = tuple([
+        (source, target) for source, target, n in C.terms
+        if n + level[source] - level[target] == 0])
     return F2Complex(basis, terms)
 
 
@@ -252,12 +253,12 @@ def hat_a(C: BifilteredComplex, k: int) -> F2Complex:
     exponent zero.  The alexander slot keeps the underlying generator's
     Alexander grading so callers can tell which elements project onto the
     vertical complex (exactly those with A(g) <= k)."""
-    shift = {g.name: max(g.i, g.j - k) for g in C.generators}
-    basis = tuple(
-        (g.name, g.maslov - 2 * shift[g.name], g.alexander) for g in C.generators)
-    terms = tuple(
-        (t.source, t.target) for t in C.terms
-        if t.upower + shift[t.source] - shift[t.target] == 0)
+    shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
+    basis = tuple([
+        (name, m - 2 * shift[name], j - i) for name, i, j, m in C.generators])
+    terms = tuple([
+        (source, target) for source, target, n in C.terms
+        if n + shift[source] - shift[target] == 0])
     return F2Complex(basis, terms)
 
 

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import cable_staircase, torus_staircase
 from cfk.cfkfile import dumps, loads, read_complex, write_complex
 from cfk.complexes import BifilteredComplex, DiffTerm, Generator, dual, validate
 from cfk.errors import FormatError
+from cfk.expr import build_complex, parse
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 
@@ -70,6 +72,21 @@ def test_format_errors():
         ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^x.a\n", "line 4: malformed term 'U^x.a'"),
         ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b a a\n", "line 4: term 'a' repeated for source 'b'"),
         ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b a\ndif b a\n", "line 5: term 'a' repeated for source 'b'"),
+        # only ASCII -?[0-9]+ is an integer: int() alone takes all of these
+        ("cfk v1\ngen a 0 1_0 +0\n", "line 2: gen positions must be integers"),
+        ("cfk v1\ngen a 0 +1 0\n", "line 2: gen positions must be integers"),
+        ("cfk v1\ngen a 0 \u0661 0\n", "line 2: gen positions must be integers"),
+        ("cfk v1\ngen a \uff11 0 0\n", "line 2: gen positions must be integers"),
+        ("cfk v1\ngen a 0 0 " + "1" * 5000 + "\n", "line 2: gen positions must be integers"),
+        ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^\u0661.a\n", "line 4: malformed term 'U^\u0661.a'"),
+        ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^+1.a\n", "line 4: malformed term 'U^+1.a'"),
+        ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^1_0.a\n", "line 4: malformed term 'U^1_0.a'"),
+        ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^.a\n", "line 4: malformed term 'U^.a'"),
+        ("cfk v1\ngen a 0 0 0\ngen b 0 0 1\ndif b U^" + "1" * 5000 + ".a\n",
+         "line 4: malformed term 'U^" + "1" * 5000 + ".a'"),
+        # every name that starts with U^ is reserved, not only U^<digits>.
+        ("cfk v1\ngen U^ab 0 0 0\n", "line 2: name 'U^ab' collides with term syntax"),
+        ("cfk v1\ngen U^ 0 0 0\n", "line 2: name 'U^' collides with term syntax"),
     ]
     for text, message in cases:
         with pytest.raises(FormatError) as e:
@@ -90,9 +107,46 @@ def test_duplicate_names_load_but_fail_validation():
 
 
 def test_dumps_rejects_names_that_cannot_round_trip():
-    bad = BifilteredComplex([Generator("a#b", 0, 0, 0)], [])
-    with pytest.raises(FormatError):
-        dumps(bad)
+    cases = [
+        ("a#b", "may not contain '#'"),
+        ("U^ab", "collides with term syntax"),
+        ("U^1.x", "collides with term syntax"),
+        ("a b", "must be nonempty and contain no whitespace"),
+        ("a\tb", "must be nonempty and contain no whitespace"),
+        ("a\u2028b", "must be nonempty and contain no whitespace"),
+        (" a", "must be nonempty and contain no whitespace"),
+        ("", "must be nonempty and contain no whitespace"),
+    ]
+    for name, problem in cases:
+        bad = BifilteredComplex([Generator("b", 0, 0, 1), Generator(name, 0, 0, 0)],
+                                [DiffTerm("b", name, 0)])
+        with pytest.raises(FormatError) as e:
+            dumps(bad)
+        assert str(e.value) == f"cannot write generator {name!r}: name {problem}"
+
+
+@pytest.mark.parametrize("name", ["U", "Ua", "U1.x", "u^1.x", "^U", "a^U^b", "x0*y1",
+                                  "\u00fc", "a-b", "a.b", "1"])
+def test_every_name_dumps_accepts_reads_back(name):
+    C = BifilteredComplex([Generator("b", 0, 0, 1), Generator(name, 0, 0, 0)],
+                          [DiffTerm("b", name, 0), DiffTerm("b", name, 1)])
+    text = dumps(C)
+    assert loads(text) == C
+    assert dumps(loads(text)) == text
+
+
+def test_big_file_round_trips_within_budget():
+    # 3,375 generators and 14,850 terms, the size of the largest benchmark file
+    C = build_complex(parse(
+        "torus(2,5) # torus(2,5) # torus(2,3) # torus(2,3) # torus(2,3)"
+        " # mirror(cable(2,5,torus(2,3)))"))
+    text = dumps(C)
+    start = time.monotonic()
+    loaded = loads(text)
+    assert validate(loaded) == []
+    assert dumps(loaded) == text
+    assert time.monotonic() - start < 3.0
+    assert (len(loaded.generators), len(loaded.terms)) == (3375, 14850)
 
 
 def test_write_and_read_complex(tmp_path):

@@ -171,6 +171,37 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("error: "), argv
 
 
+BIG = "1" * 5000  # past int()'s default digit limit
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["invariants", "torus(2,5)", "--vk=-\u0661..\u0661"], "--vk expects MIN..MAX"),
+    (["invariants", "torus(2,5)", "--vk=+1..2"], "--vk expects MIN..MAX"),
+    (["invariants", "torus(2,5)", "--vk=1..2\n"], "--vk expects MIN..MAX"),
+    (["invariants", "torus(2,5)", f"--vk=0..{BIG}"], "--vk expects MIN..MAX"),
+    (["dinv", "torus(2,3)", "--surgery", "\u0667"], "--surgery expects P or P/Q"),
+    (["dinv", "torus(2,3)", "--surgery", "7\n"], "--surgery expects P or P/Q"),
+    (["dinv", "torus(2,3)", "--surgery", BIG], "--surgery expects P or P/Q"),
+    (["dinv", "torus(2,3)", "--surgery", "5/4", "--spinc", "\u0662"],
+     "argument --spinc: invalid int value: '\u0662'"),
+    (["dinv", "torus(2,3)", "--surgery", "5/4", "--spinc", "+2"],
+     "argument --spinc: invalid int value: '+2'"),
+    (["dinv", "torus(2,3)", "--surgery", "5/4", "--spinc", "1_0"],
+     "argument --spinc: invalid int value: '1_0'"),
+    (["cable-bounds", "torus(2,3)", "\u0662", "3"], "argument p: invalid int value: '\u0662'"),
+    (["cable-bounds", "torus(2,3)", "2", "1_1"], "argument q: invalid int value: '1_1'"),
+    (["cable-bounds", "torus(2,3)", "2", BIG], "argument q: invalid int value"),
+    (["genus", "torus(\u0662,\u0663)"], "syntax error at position 6: unexpected character"),
+    (["genus", "torus(2,+3)"], "syntax error at position 8: unexpected character '+'"),
+    (["genus", f"torus(2,{BIG})"], "syntax error at position 8: integer of 5000"),
+])
+def test_integers_are_ascii_decimal_only(capsys, argv, message):
+    assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err[:200]
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p,q", [("2", "4"), ("0", "3"), ("2", "-3")])
 def test_bad_cable_parameters_exit_1(capsys, p, q):
     assert main(["cable-bounds", "torus(2,3)", p, q]) == 1
@@ -195,6 +226,10 @@ def test_file_errors_exit_2(tmp_path, capsys):
     bad.write_text("cfk v2\n")
     assert main(["validate", str(bad)]) == 2
     assert "missing 'cfk v1' header" in capsys.readouterr().err
+    coerced = tmp_path / "coerced.cfk"
+    coerced.write_text("cfk v1\ngen a 0 1_0 0\n")
+    assert main(["validate", str(coerced)]) == 2
+    assert "line 2: gen positions must be integers" in capsys.readouterr().err
     invalid = tmp_path / "invalid.cfk"
     invalid.write_text("cfk v1\ngen a 0 0 0\ngen b 0 0 0\ndif a b\n")
     assert main(["invariants", f'file("{invalid}")']) == 2

@@ -141,6 +141,104 @@ def test_validate_d_squared():
     assert "d^2(a)" in violations[0].message
 
 
+def malformed_complexes():
+    T23 = torus_staircase(2, 3)
+    T29 = torus_staircase(2, 9)
+    G, D = Generator, DiffTerm
+    # d^2(z) = d + f and d^2(a) = d + f + U k: e is reached twice from each
+    several_odd = [G("z", 0, 0, 2), G("a", 0, 0, 2), G("c", 0, 0, 1),
+                   G("b", 0, 0, 1), G("h", 1, 1, 3), G("f", 0, 0, 0),
+                   G("e", 0, 0, 0), G("d", 0, 0, 0), G("k", 1, 1, 2)]
+    return {
+        "duplicate name": BifilteredComplex(
+            list(T23.generators) + [G("x0", 7, 7, 0), G("x2", 0, 0, 0)], T23.terms),
+        "undeclared name": BifilteredComplex(
+            T23.generators, list(T23.terms) + [D("x1", "ghost", 0), D("ghost", "x0", 0)]),
+        "repeated term": BifilteredComplex(
+            T23.generators, list(T23.terms) + [D("x1", "x0", 0), D("x1", "x2", 0)]),
+        "negative U power": BifilteredComplex(
+            T23.generators, list(T23.terms) + [D("x1", "x0", -1)]),
+        "filtration": BifilteredComplex(
+            T23.generators, list(T23.terms) + [D("x2", "x1", 0), D("x0", "x1", 0)]),
+        "grading": BifilteredComplex(
+            T23.generators, [D("x1", "x0", 0), D("x1", "x2", 1), D("x2", "x0", 0)]),
+        "structural mix": BifilteredComplex(
+            [G("a", 0, 0, 1), G("b", 1, 0, 0), G("a", 0, 0, 1)],
+            [D("a", "b", 0), D("a", "b", 0), D("a", "q", 0), D("b", "a", -2),
+             D("b", "a", 0)]),
+        "several odd d^2 paths": BifilteredComplex(several_odd, [
+            D("a", "c", 0), D("a", "b", 0), D("a", "h", 1), D("z", "c", 0),
+            D("z", "b", 0), D("c", "e", 0), D("c", "f", 0), D("b", "d", 0),
+            D("b", "e", 0), D("h", "k", 0)]),
+        "vertical homology": BifilteredComplex(
+            T29.generators, [t for t in T29.terms if (t.source, t.target) != ("x1", "x2")]),
+        "box next to a dot": BifilteredComplex(
+            [G("a", 0, 0, 1), G("b", 0, 0, 0), G("c", 0, 0, 0)], [D("a", "b", 0)]),
+    }
+
+
+# (kind, message) lists recorded from validate() before its d^2 check used
+# a parity set; kinds and messages must stay exactly these, in this order.
+FROZEN_VIOLATIONS = {
+    "duplicate name": [
+        ("duplicate-name", "generator name 'x0' declared twice"),
+        ("duplicate-name", "generator name 'x2' declared twice"),
+        ("filtration", "U^0:x1->x0 raises filtration: (7,7) from (1,1)"),
+    ],
+    "undeclared name": [
+        ("undeclared-name", "term references unknown generator 'ghost'"),
+        ("undeclared-name", "term references unknown generator 'ghost'"),
+    ],
+    "repeated term": [
+        ("duplicate-term", "term U^0:x1->x0 repeated"),
+        ("duplicate-term", "term U^0:x1->x2 repeated"),
+    ],
+    "negative U power": [
+        ("filtration", "negative U power on x1->x0"),
+    ],
+    "filtration": [
+        ("filtration", "U^0:x2->x1 raises filtration: (1,1) from (1,0)"),
+        ("grading", "U^0:x2->x1 grading mismatch: M=0 source vs M=1-2*0 target"),
+        ("filtration", "U^0:x0->x1 raises filtration: (1,1) from (0,1)"),
+        ("grading", "U^0:x0->x1 grading mismatch: M=0 source vs M=1-2*0 target"),
+    ],
+    "grading": [
+        ("grading", "U^1:x1->x2 grading mismatch: M=1 source vs M=0-2*1 target"),
+        ("filtration", "U^0:x2->x0 raises filtration: (0,1) from (1,0)"),
+        ("grading", "U^0:x2->x0 grading mismatch: M=0 source vs M=0-2*0 target"),
+    ],
+    "structural mix": [
+        ("duplicate-name", "generator name 'a' declared twice"),
+        ("filtration", "U^0:a->b raises filtration: (1,0) from (0,0)"),
+        ("duplicate-term", "term U^0:a->b repeated"),
+        ("undeclared-name", "term references unknown generator 'q'"),
+        ("filtration", "negative U power on b->a"),
+        ("grading", "U^0:b->a grading mismatch: M=0 source vs M=1-2*0 target"),
+    ],
+    "several odd d^2 paths": [
+        ("d-squared", "d^2(z) contains U^0*d"),
+        ("d-squared", "d^2(z) contains U^0*f"),
+        ("d-squared", "d^2(a) contains U^0*d"),
+        ("d-squared", "d^2(a) contains U^0*f"),
+        ("d-squared", "d^2(a) contains U^1*k"),
+    ],
+    "vertical homology": [
+        ("vertical-homology",
+         "vertical homology has total dimension 3 at gradings [-2, -1, 0] (want "
+         "dimension 1 at grading 0)"),
+    ],
+    "box next to a dot": [],
+}
+
+
+def test_frozen_validate_table():
+    complexes = malformed_complexes()
+    assert list(complexes) == list(FROZEN_VIOLATIONS)
+    for label, C in complexes.items():
+        got = [(v.kind, v.message) for v in validate(C)]
+        assert got == FROZEN_VIOLATIONS[label], label
+
+
 def test_validate_vertical_homology():
     base = torus_staircase(2, 9)
     # dropping one vertical arrow leaves three surviving classes

@@ -1,6 +1,9 @@
 import random
 
+from cfk import f2
+from cfk.complexes import BifilteredComplex, validate
 from cfk.f2 import kernel_basis, rank, solve
+from cfk.invariants import hfk_hat
 
 
 def check(rows, x, rhs):
@@ -58,3 +61,51 @@ def test_rank_nullity_and_solve_random():
         x = solve(rows, ncols, rhs)
         assert x is not None
         check(rows, x, rhs)
+
+
+def reference_rank(rows):
+    """Plain elimination: each row meets every earlier pivot in turn."""
+    reduced = []
+    for row in rows:
+        for piv in reduced:
+            if row & (piv & -piv):
+                row ^= piv
+        if row:
+            reduced.append(row)
+    return len(reduced)
+
+
+def test_rank_matches_reference_elimination_on_random_matrices():
+    rng = random.Random(2405)
+    for density in (0.01, 0.05, 0.2, 0.5):
+        for _ in range(60):
+            nrows, ncols = rng.randint(0, 300), rng.randint(1, 300)
+            rows = [sum(1 << j for j in range(ncols) if rng.random() < density)
+                    for _ in range(nrows)]
+            assert rank(rows) == reference_rank(rows), (density, nrows, ncols)
+    # dependent rows: sums of a few random rows appended and shuffled
+    for _ in range(40):
+        ncols = rng.randint(1, 300)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(1, 150))]
+        rows += [rows[rng.randrange(len(rows))] ^ rows[rng.randrange(len(rows))]
+                 for _ in range(rng.randint(0, 150))]
+        rng.shuffle(rows)
+        assert rank(rows) == reference_rank(rows)
+
+
+def test_rank_matches_reference_elimination_on_vertical_blocks(monkeypatch, knot_225):
+    blocks = []
+    real_rank = f2.rank
+
+    def recording_rank(rows):
+        blocks.append(list(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(f2, "rank", recording_rank)
+    C = BifilteredComplex(knot_225.generators, knot_225.terms)  # empty memo
+    assert validate(C) == []
+    hfk_hat(C)
+    assert len(blocks) > 10
+    assert max(len(b) for b in blocks) > 20
+    for block in blocks:
+        assert real_rank(block) == reference_rank(block)
