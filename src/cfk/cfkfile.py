@@ -14,12 +14,15 @@ nonempty, holds no whitespace or "#" and does not start with "U^", so
 that it reads back as one name and never as a term; loads() and dumps()
 both refuse any other.  Writing is canonical: generators in declared
 order, dif lines sorted by source, targets sorted by (U power, name);
-reading a canonical file back is byte-identical under dumps().
+reading a canonical file back is byte-identical under dumps().  dumps()
+refuses a term whose source or target is not a generator, whose U power is
+negative, or that is repeated, since loads() would reject the file.
 """
 from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import NoReturn
 
 from .complexes import BifilteredComplex, DiffTerm, Generator
 from .errors import FormatError
@@ -112,14 +115,34 @@ def dumps(C: BifilteredComplex) -> str:
         if problem is not None:
             raise FormatError(f"cannot write generator {name!r}: name {problem}")
         lines.append(f"gen {name} {i} {j} {maslov}")
+    names = C.by_name
     by_source: dict[str, list[tuple[int, str]]] = {}
     for source, target, n in C.terms:
+        if n < 0 or target not in names:
+            _refuse_terms(C)
         by_source.setdefault(source, []).append((n, target))
+    if not by_source.keys() <= names.keys() or len(set(C.terms)) < len(C.terms):
+        _refuse_terms(C)
     for source in sorted(by_source):
         parts = [target if n == 0 else f"U^{n}.{target}"
                  for n, target in sorted(by_source[source])]
         lines.append(f"dif {source} {' '.join(parts)}")
     return "\n".join(lines) + "\n"
+
+
+def _refuse_terms(C: BifilteredComplex) -> NoReturn:
+    """Raise FormatError for the first term of C that a file cannot carry."""
+    seen: set[DiffTerm] = set()
+    for term in C.terms:
+        source, target, n = term
+        problem = ("source is not a generator" if source not in C.by_name
+                   else "target is not a generator" if target not in C.by_name
+                   else "U power is negative" if n < 0
+                   else "term is repeated" if term in seen else None)
+        if problem is not None:
+            raise FormatError(f"cannot write term U^{n} {source!r}->{target!r}: {problem}")
+        seen.add(term)
+    raise AssertionError("every term of the complex can be written")
 
 
 def read_complex(path: str | Path) -> BifilteredComplex:

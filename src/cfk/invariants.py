@@ -9,16 +9,16 @@ Two subquotient constructions carry everything:
   homology is one-dimensional in grading zero on knot-type input.  tau and
   nu locate where the generator of that class survives restriction.
 
-The U-module homology engine is a graded Smith reduction.  Because every
-term's U exponent is pinned by the endpoint gradings
-(exponent = (grading(target) - grading(source) + 1) / 2), matrix entries
-can be stored as bare presence sets; cancelling a globally minimal-exponent
-entry with honest change-of-basis updates keeps every remaining exponent
-at or above the minimum, which is exactly the Smith pivot argument for the
-graded PID F2[U].  Basis names are interned as ints in sorted-name order
-and the minimal entry comes from a lazy-deletion heap, so one reduction
-costs about O(toggles * log) instead of a scan of every entry per pivot,
-with the same (exponent, source, target) tie-break as a plain scan.
+The U-module homology engine is a persistence pairing (Zomorodian and
+Carlsson, "Computing persistent homology", 2005).  Every term's U exponent
+is pinned by the endpoint gradings
+(exponent = (grading(target) - grading(source) + 1) / 2), so a complex is
+its U = 1 matrix over F2 together with the gradings, and the graded Smith
+form over the PID F2[U] is the pairing of that matrix with rows and
+columns ordered by grading.  Each column is one int bitmask, so a
+reduction step is one bigint XOR.  Every pivot pair is checked and d^2 = 0
+is checked in full, so a broken input raises instead of returning a
+summary.
 
 Each complex object keeps a private memo of V_k, tau, nu, the vertical
 class and the HFK-hat table, so every report reduces a given (complex, k)
@@ -28,8 +28,8 @@ computed table.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import f2
 from .complexes import BifilteredComplex, dual
@@ -90,100 +90,92 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     """Graded module structure of H_*(x) over F2[U].
 
-    Repeatedly cancels a minimal-exponent matrix entry, ties broken by the
-    lexicographically smallest (source, target) names.  Cancelling at
-    exponent e >= 1 contributes a torsion summand F2[U]/U^e topped at the
-    target's grading; exponent 0 pairs cancel silently; leftover basis
-    elements are free generators.
+    Every entry's U exponent is pinned by the gradings, so the graded Smith
+    form over F2[U] is the persistence pairing of the U = 1 matrix with its
+    rows ordered by grading (Zomorodian-Carlsson, "Computing persistent
+    homology", 2005).  Basis element p is the p-th in descending grading,
+    and column s is an int whose bit t is the entry d(s) -> t, so the
+    highest set bit is the lowest-grading, minimal-exponent target.
+    Columns are reduced in order: while an earlier column owns the pivot
+    bit, it is XORed in, which is the basis change s -> s + U^f s' with
+    f >= 0.
 
-    Basis names are interned as ints in sorted-name order, so comparing
-    indices compares names and the tie-break is unchanged.  Rows and
-    columns are lists of int sets.  Pivots come from a lazy-deletion heap
-    of (exponent, source, target) keys packed into one int: every entry a
-    basis change creates is pushed, and a popped key whose entry has since
-    cancelled out is skipped.  Every live entry has a key in the heap, so
-    the first live key popped is the global minimum.  A toggle flips an
-    entry over F2, and grading parity keeps the rows and columns that a
-    cancellation iterates over fixed while it runs, so the order of its
-    toggles does not change the matrix it leaves behind.
+    A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
+    grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
+    cancel silently.  An element whose reduced column is zero and that is
+    no pivot is a free generator.
     """
     grading_of: dict[str, int] = {}
     for name, m in x.basis:
         if name in grading_of:
             raise ValueError(f"duplicate basis name {name!r}")
         grading_of[name] = m
-    names = sorted(grading_of)
-    index = {name: i for i, name in enumerate(names)}
+    names = sorted(grading_of, key=grading_of.__getitem__, reverse=True)
+    index = {name: p for p, name in enumerate(names)}
     grading = [grading_of[name] for name in names]
     n = len(names)
-    nn = n * n
-    rows: list[set[int]] = [set() for _ in range(n)]  # target -> sources
-    cols: list[set[int]] = [set() for _ in range(n)]  # source -> targets
-    heap: list[int] = []  # (exponent * n + source) * n + target
+    cols = [0] * n
     for s_name, t_name, e in x.terms:
         s, t = index[s_name], index[t_name]
-        if s in rows[t]:
-            raise ValueError(f"duplicate term {s_name}->{t_name}")
         if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-            raise ValueError(
-                f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
-        rows[t].add(s)
-        cols[s].add(t)
-        heap.append(e * nn + s * n + t)
-    heapq.heapify(heap)
+            break
+        cols[s] |= 1 << t
+    if sum(map(int.bit_count, cols)) != len(x.terms):  # a term stopped the loop or repeats
+        _raise_first_bad_term(x.terms, grading_of)
 
-    def toggle(t: int, s: int) -> None:
-        row = rows[t]
-        if s in row:
-            row.discard(s)
-            cols[s].discard(t)
-        else:
-            # parity / sign sanity on every created entry
-            num = grading[t] - grading[s] + 1
-            if num < 0 or num % 2:
-                raise AssertionError("entry exponent left the grading lattice")
-            row.add(s)
-            cols[s].add(t)
-            heapq.heappush(heap, (num // 2) * nn + s * n + t)
+    reduced = cols[:]
+    owner: dict[int, int] = {}  # pivot target + 1 -> the column that owns it
+    for s in range(n):
+        c = reduced[s]
+        while c:
+            lead = c.bit_length()
+            o = owner.get(lead)
+            if o is None:
+                owner[lead] = s
+                break
+            c ^= reduced[o]
+        reduced[s] = c
 
-    alive = [True] * n
-    torsion: list[tuple[int, int]] = []
-    while heap:
-        key = heapq.heappop(heap)
-        e, rest = divmod(key, nn)
-        a, b = divmod(rest, n)
-        if a not in rows[b]:
-            continue  # stale: the entry cancelled out after it was pushed
-        # Clear the other entries of row b: sources s pick up a U^{f-e} a
-        # summand, which also feeds row a through the inverse basis change.
-        for s in rows[b] - {a}:
-            for t2 in cols[a]:
-                toggle(t2, s)
-            for x2 in rows[s]:
-                toggle(a, x2)
-        # Absorb the other targets of a into b' = b + sum U^{d-e} t; the
-        # complex property forces d(b') = 0, i.e. column b empties out.
-        for t in cols[a] - {b}:
-            for w in cols[t]:
-                toggle(w, b)
-            toggle(t, a)
-        if cols[b]:
+    pairs = [(lead - 1, s) for lead, s in owner.items()]
+    is_target = [False] * n
+    for t, _s in pairs:
+        is_target[t] = True
+    # On a complex every pair is clean; report the first failure in
+    # (exponent, source name, target name) order.
+    bad = [(t, s) for t, s in pairs if reduced[t] or is_target[s]]
+    if bad:
+        t, s = min(bad, key=lambda p: (grading[p[0]] - grading[p[1]], names[p[1]], names[p[0]]))
+        if reduced[t]:
             raise ValueError("column of the cancelled target is nonzero; "
                              "input differential does not square to zero")
-        if rows[a]:
-            raise ValueError("row of the cancelled source is nonzero; "
-                             "input differential does not square to zero")
-        if rows[b] != {a} or cols[a] != {b}:
-            raise AssertionError("pivot pair lost its own entry")
-        rows[b].clear()
-        cols[a].clear()
-        if e >= 1:
-            torsion.append((grading[b], e))
-        alive[a] = alive[b] = False
+        raise ValueError("row of the cancelled source is nonzero; "
+                         "input differential does not square to zero")
+    # Clean pairs do not imply d^2 = 0, so column s of d(d(s)) is built too.
+    square = [0] * n
+    for s_name, t_name, _e in x.terms:
+        square[index[s_name]] ^= cols[index[t_name]]
+    if any(square):
+        raise ValueError("input differential does not square to zero")
 
-    free = tuple(sorted((m for m, live in zip(grading, alive) if live), reverse=True))
-    torsion.sort(key=lambda p: (-p[0], p[1]))
-    return UModuleSummary(free, tuple(torsion))
+    free = sorted((grading[p] for p in range(n) if not reduced[p] and not is_target[p]),
+                  reverse=True)
+    torsion = [(grading[t], (grading[t] - grading[s] + 1) // 2) for t, s in pairs]
+    torsion = sorted((q for q in torsion if q[1]), key=lambda q: (-q[0], q[1]))
+    return UModuleSummary(tuple(free), tuple(torsion))
+
+
+def _raise_first_bad_term(terms: tuple[tuple[str, str, int], ...],
+                          grading_of: dict[str, int]) -> NoReturn:
+    """Raise ValueError for the first repeated or inhomogeneous term."""
+    seen: set[tuple[str, str]] = set()
+    for s_name, t_name, e in terms:
+        if (s_name, t_name) in seen:
+            raise ValueError(f"duplicate term {s_name}->{t_name}")
+        if e < 0 or grading_of[s_name] - 1 != grading_of[t_name] - 2 * e:
+            raise ValueError(
+                f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
+        seen.add((s_name, t_name))
+    raise AssertionError("every term is distinct and homogeneous")
 
 
 def _memoized(fn):

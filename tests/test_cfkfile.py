@@ -125,6 +125,23 @@ def test_dumps_rejects_names_that_cannot_round_trip():
         assert str(e.value) == f"cannot write generator {name!r}: name {problem}"
 
 
+def test_dumps_rejects_terms_that_cannot_round_trip():
+    gens = [Generator("b", 0, 0, 1), Generator("a", 0, 0, 0)]
+    cases = [
+        ([DiffTerm("b", "a", -1)], "cannot write term U^-1 'b'->'a': U power is negative"),
+        ([DiffTerm("b", "ghost", 0)],
+         "cannot write term U^0 'b'->'ghost': target is not a generator"),
+        ([DiffTerm("b", "a", 0), DiffTerm("ghost", "a", 2)],
+         "cannot write term U^2 'ghost'->'a': source is not a generator"),
+        ([DiffTerm("b", "a", 1), DiffTerm("b", "a", 1)],
+         "cannot write term U^1 'b'->'a': term is repeated"),
+    ]
+    for terms, message in cases:
+        with pytest.raises(FormatError) as e:
+            dumps(BifilteredComplex(gens, terms))
+        assert str(e.value) == message
+
+
 @pytest.mark.parametrize("name", ["U", "Ua", "U1.x", "u^1.x", "^U", "a^U^b", "x0*y1",
                                   "\u00fc", "a-b", "a.b", "1"])
 def test_every_name_dumps_accepts_reads_back(name):

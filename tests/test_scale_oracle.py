@@ -7,11 +7,15 @@ of L-space knots, V is the infimal convolution of the summands' V
 (Borodzik-Livingston); for the mirror of such a sum, V_k = max(0, -k).
 The Alexander polynomials are computed here from the semigroup of the torus
 knot and the cabling formula, apart from cfk.laurent.
+
+A sum of mixed signs has no such closed form, but K # mirror(K) is slice,
+so J # K # mirror(K) is concordant to J and has J's V_k, tau, nu+ and
+epsilon at any size.
 """
 import pytest
 
 from cfk.expr import build_complex, parse
-from cfk.invariants import V, nu_plus
+from cfk.invariants import V, epsilon, nu, nu_plus, tau
 
 
 def torus_delta(p: int, q: int) -> dict[int, int]:
@@ -68,6 +72,21 @@ SUMS = [
     # 5 * 5 * 5 * 3 * 3 = 1125 generators, genus 11
     ("cable(2,5,torus(2,3)) # torus(2,5) # torus(3,4) # torus(2,3) # torus(2,3)",
      [CABLE, T25, T34, T23, T23], 1125),
+    # 5 * 5 * 5 * 3 * 3 * 3 = 3375 generators, genus 9
+    ("torus(2,5) # torus(2,5) # torus(2,5) # torus(2,3) # torus(2,3) # torus(2,3)",
+     [T25, T25, T25, T23, T23, T23], 3375),
+]
+
+K45 = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+# (expression, generators, Alexander polynomials of J's L-space summands
+# (none: J is the unknot), J's tau and epsilon); a nontrivial sum of
+# L-space knots has tau = genus and epsilon = 1
+CONCORDANT = [
+    (f"{K45} # mirror({K45})", 2025, [], 0, 0),
+    ("torus(3,4) # torus(2,5) # torus(2,3) # mirror(torus(2,5) # torus(2,3))",
+     1125, [T34], 3, 1),
+    ("torus(3,4) # torus(2,5) # torus(2,3) # mirror(torus(2,5) # torus(2,3)) # torus(2,3)",
+     3375, [T34, T23], 4, 1),
 ]
 
 
@@ -96,3 +115,15 @@ def test_mirrored_sum_has_trivial_v(text, deltas, size):
     assert len(C.generators) == size
     assert {k: V(C, k) for k in range(-3, 4)} == {k: max(0, -k) for k in range(-3, 4)}
     assert nu_plus(C) == 0
+
+
+@pytest.mark.parametrize("text, size, deltas, tau_j, epsilon_j", CONCORDANT)
+def test_sum_with_a_slice_summand_has_the_invariants_of_j(text, size, deltas, tau_j, epsilon_j):
+    C = build_complex(parse(text))
+    assert len(C.generators) == size
+    v_j = {k: sum_v(deltas, k) if deltas else max(0, -k) for k in range(-3, 10)}
+    assert {k: V(C, k) for k in range(-3, 4)} == {k: v_j[k] for k in range(-3, 4)}
+    least = next(k for k in range(10) if v_j[k] == 0)
+    assert (tau(C), nu_plus(C), epsilon(C)) == (tau_j, least, epsilon_j)
+    if not deltas:
+        assert nu(C) == 0 and nu_plus(build_complex(parse(f"mirror({text})"))) == 0
