@@ -28,6 +28,7 @@ computed table.
 from __future__ import annotations
 
 import functools
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -77,14 +78,29 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
         shift[name] = c
         basis.append((name, m - 2 * c))
     terms = []
-    for source, target, n in C.terms:
-        e = n + shift[source] - shift[target]
-        if e < 0:
-            raise ValueError(
-                f"term {source}->{target} escapes the subcomplex; "
-                "input complex violates its filtration invariants")
-        terms.append((source, target, e))
+    try:
+        for source, target, n in C.terms:
+            e = n + shift[source] - shift[target]
+            if e < 0:
+                raise ValueError(
+                    f"term {source}->{target} escapes the subcomplex; "
+                    "input complex violates its filtration invariants")
+            terms.append((source, target, e))
+    except KeyError:
+        raise _unknown_generator(C.terms, shift) from None
     return FreeUComplex(tuple(basis), tuple(terms))
+
+
+def _unknown_generator(terms: Iterable[tuple[str, str, int]],
+                       known: Container[str]) -> ValueError:
+    """The error for the first of terms (source, target, power) whose
+    source or target is not in known."""
+    for source, target, n in terms:
+        for name in (source, target):
+            if name not in known:
+                return ValueError(f"term U^{n} {source!r}->{target!r} "
+                                  f"references unknown generator {name!r}")
+    raise AssertionError("every term names known generators")
 
 
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
@@ -115,11 +131,14 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     grading = [grading_of[name] for name in names]
     n = len(names)
     cols = [0] * n
-    for s_name, t_name, e in x.terms:
-        s, t = index[s_name], index[t_name]
-        if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-            break
-        cols[s] |= 1 << t
+    try:
+        for s_name, t_name, e in x.terms:
+            s, t = index[s_name], index[t_name]
+            if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
+                break
+            cols[s] |= 1 << t
+    except KeyError:
+        raise _unknown_generator(x.terms, index) from None
     if sum(map(int.bit_count, cols)) != len(x.terms):  # a term stopped the loop or repeats
         _raise_first_bad_term(x.terms, grading_of)
 
@@ -234,9 +253,12 @@ def vertical_complex(C: BifilteredComplex) -> F2Complex:
     M(g) - 2 i_g, keeping terms whose translated U power is zero."""
     basis = tuple([(name, m - 2 * i, j - i) for name, i, j, m in C.generators])
     level = {name: i for name, i, _j, _m in C.generators}
-    terms = tuple([
-        (source, target) for source, target, n in C.terms
-        if n + level[source] - level[target] == 0])
+    try:
+        terms = tuple([
+            (source, target) for source, target, n in C.terms
+            if n + level[source] - level[target] == 0])
+    except KeyError:
+        raise _unknown_generator(C.terms, level) from None
     return F2Complex(basis, terms)
 
 
@@ -248,9 +270,12 @@ def hat_a(C: BifilteredComplex, k: int) -> F2Complex:
     shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
     basis = tuple([
         (name, m - 2 * shift[name], j - i) for name, i, j, m in C.generators])
-    terms = tuple([
-        (source, target) for source, target, n in C.terms
-        if n + shift[source] - shift[target] == 0])
+    try:
+        terms = tuple([
+            (source, target) for source, target, n in C.terms
+            if n + shift[source] - shift[target] == 0])
+    except KeyError:
+        raise _unknown_generator(C.terms, shift) from None
     return F2Complex(basis, terms)
 
 

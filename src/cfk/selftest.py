@@ -1,15 +1,23 @@
-"""Built-in verification battery, exposed as `cfk selftest`.
+"""The golden table: `CHECKS`, run by `cfk selftest` and by pytest.
 
-Every golden value here was either taken from the published tables for
-these knots or frozen from the independent brute-force engine; the checks
-mirror the test suite closely enough to catch a broken build in the field
-without needing pytest installed.
+`CHECKS` is the one list of end-to-end checks: frozen values taken from the
+published tables for these knots or from the independent brute-force
+engine (`cfk.oracle`), formula cross-checks, and the V-ladder identities.
+`cfk selftest` runs it without pytest and prints one PASS/FAIL line per
+entry; `tests/test_acceptance.py` is a single test parametrized over it, so
+`pytest tests/test_acceptance.py -v` prints one line per entry and adds the
+wall-clock budgets.  Adding a golden means adding a row here.
+
+The checks go through `_expect`, not `assert`, so they still check under
+`python -O`.  They look up `tau` and friends through this module's globals,
+and build each complex on first use, so importing this module builds none.
 """
 from __future__ import annotations
 
 import random
 import tempfile
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 from typing import Callable
 
@@ -27,6 +35,10 @@ from .surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
 _CABLE = "cable(2,5,torus(2,3))"
 _SUM45 = f"torus(2,9) # mirror({_CABLE})"
 _SUM225 = f"torus(2,5) # torus(2,3) # torus(2,3) # mirror({_CABLE})"
+_TORUS = [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]
+_BASE = ["unknot"] + [f"torus({p},{q})" for p, q in _TORUS] + [_CABLE]
+# the base knots, their mirrors and both paper knots
+_SUITE = _BASE + [f"mirror({text})" for text in _BASE] + [_SUM45, _SUM225]
 
 _cache: dict[str, BifilteredComplex] = {}
 
@@ -54,85 +66,77 @@ def _check_staircase_goldens() -> None:
     _expect(max(a for (a, _m) in table), 8)
 
 
-def _check_sum_45() -> None:
-    C = _complex(_SUM45)
-    _expect(len(C.generators), 45)
+def _check_paper_knot(text: str, generators: int) -> None:
+    """The source paper's examples: tau = 0, but nu+ = 2."""
+    C = _complex(text)
+    _expect(len(C.generators), generators)
     _expect((tau(C), nu(C), nu_plus(C)), (0, 1, 2))
-    _expect(V(C, 0) >= 1 and V(C, 1) >= 1 and V(C, 2) == 0, True)
-    _expect(epsilon(C), -1)
-
-
-def _check_sum_225() -> None:
-    C = _complex(_SUM225)
-    _expect(len(C.generators), 225)
-    _expect((tau(C), nu(C), nu_plus(C)), (0, 1, 2))
+    _expect((V(C, 0), V(C, 1), V(C, 2)), (1, 1, 0))
     _expect(epsilon(C), -1)
 
 
 def _check_ladder_relations() -> None:
-    fixtures = ["unknot", "torus(2,3)", "torus(2,5)", "torus(3,4)", _CABLE,
-                "mirror(torus(2,5))", f"mirror({_CABLE})", _SUM45]
-    for text in fixtures:
+    for text in _SUITE:
         C = _complex(text)
-        g = C.max_alexander
-        vals = {k: V(C, k) for k in range(-5, 6)}
-        for k in range(-5, 6):
-            if -k in vals:
-                _expect(vals[-k], vals[k] + k, (text, k))
+        vals = {k: V(C, k) for k in range(-7, 8)}
+        for k in range(-7, 8):
+            _expect(vals[-k], vals[k] + k, (text, k))
             if k + 1 in vals:
                 _expect(vals[k] - 1 <= vals[k + 1] <= vals[k], True, (text, k))
-            if k >= max(g, 0):
+            if k >= C.max_alexander:
                 _expect(vals[k], 0, (text, k))
-        _expect(nu_plus(C) == 0, vals[0] == 0, text)
-        t, n = tau(C), nu(C)
-        _expect(n - t in (0, 1) and nu_plus(C) >= n >= t, True, text)
+        t, n, n_plus = tau(C), nu(C), nu_plus(C)
+        _expect(n_plus == 0, vals[0] == 0, text)
+        _expect(n - t in (0, 1) and n_plus >= n >= t, True, text)
 
 
 def _check_torus_sharpness() -> None:
-    for (p, q) in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]:
+    for (p, q) in _TORUS:
         C = _complex(f"torus({p},{q})")
         g = (p - 1) * (q - 1) // 2
-        _expect((tau(C), nu_plus(C), seifert_genus(C)), (g, g, g), (p, q))
+        _expect((tau(C), nu_plus(C), seifert_genus(C), C.max_alexander), (g, g, g, g), (p, q))
         _expect(nu_plus(dual(C)), 0, (p, q))
 
 
 def _check_quasi_alternating() -> None:
     for q in (3, 5, 7, 9):
-        _expect(nu_plus(_complex(f"torus(2,{q})")), qa_nu_plus(1 - q), q)
-        _expect((nu_plus(_complex(f"mirror(torus(2,{q}))")), qa_nu_plus(q - 1)), (0, 0), q)
+        sigma = signature_eval(parse(f"torus(2,{q})")).value
+        mirror_sigma = signature_eval(parse(f"mirror(torus(2,{q}))")).value
+        _expect((sigma, mirror_sigma), (1 - q, q - 1), q)
+        _expect(nu_plus(_complex(f"torus(2,{q})")), qa_nu_plus(sigma), q)
+        _expect((nu_plus(_complex(f"mirror(torus(2,{q}))")), qa_nu_plus(mirror_sigma)), (0, 0), q)
 
 
 def _check_cable_formulas() -> None:
     C = _complex(_SUM225)
     t, eps = tau(C), epsilon(C)
-    expected = {2: 3, 3: 9, 4: 18}
-    for p, want in expected.items():
-        _expect(cable_tau(t, eps, p, 3 * p - 1), want, p)
-    for p, want in {2: 6, 3: 13, 4: 23}.items():
+    _expect((t, eps), (0, -1))
+    for p, (want_tau, want_g4) in {2: (3, 6), 3: (9, 13), 4: (18, 23)}.items():
+        _expect(cable_tau(t, eps, p, 3 * p - 1), want_tau, p)
+        _expect(want_tau, 3 * p * (p - 1) // 2, p)
         bounds = cable_nu_plus_bounds(C, p, 3 * p - 1, g4_upper=2)
-        _expect((bounds.lower, bounds.upper), (want, want), p)
-        _expect(bounds.lower, p * ((2 * 2 - 1) * p - 1) // 2 + 1, p)  # n = 2 form
+        _expect((bounds.lower, bounds.upper), (want_g4, want_g4), p)
+        _expect(want_g4, p * ((2 * 2 - 1) * p - 1) // 2 + 1, p)  # n = 2 form
     _expect(cable_nu_plus_bounds(C, 2, 5).upper, None)
 
 
 def _check_signature_rules() -> None:
-    _expect(signature_eval(parse("torus(2,5)")).value, -4)
-    _expect(signature_eval(parse(_CABLE)).value, -4)
-    _expect(signature_eval(parse(_SUM225)).value, -4)
-    _expect(signature_eval(parse(f"cable(2,5,{_SUM225})")).value, -4)
-    _expect(signature_eval(parse("mirror(torus(2,7))")).value, 6)
-    _expect(signature_eval(parse("torus(3,5)")).value, None)
-    _expect(signature_eval(parse("{torus(3,5) @ sigma=-8}")).value, -8)
+    for text, sigma in [("torus(2,5)", -4), (_CABLE, -4), (_SUM225, -4),
+                        (f"cable(2,5,{_SUM225})", -4), ("mirror(torus(2,7))", 6),
+                        ("torus(3,5)", None), ("{torus(3,5) @ sigma=-8}", -8)]:
+        _expect(signature_eval(parse(text)).value, sigma, text)
+    for p in (2, 3):  # on the (p, 3p-1) cables the signature bound stays below g4
+        sigma_bound = 4 + (p - 1) * (3 * p - 2)
+        g4 = p * (3 * p - 1) // 2 + 1
+        _expect(ceil(sigma_bound / 2) + 2 * p - 2 <= g4, True, p)
 
 
 def _check_lens_recursion() -> None:
     U = _complex("unknot")
     for (p, q) in [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (7, 3)]:
-        spec = SurgerySpec(p, q)
-        ds = d_invariants(U, spec)
-        for i, d in enumerate(ds):
-            _expect(d, lens_d(p, q, i), (p, q, i))
-            _expect((4 * p * q) % d.denominator, 0, (p, q, i))
+        ds = d_invariants(U, SurgerySpec(p, q))
+        _expect(ds, [lens_d(p, q, i) for i in range(p)], (p, q))
+        _expect([(4 * p * q) % d.denominator for d in ds], [0] * p, (p, q))
     _expect(d_invariants(U, SurgerySpec(2, 1)), [Fraction(1, 4), Fraction(-1, 4)])
     _expect(d_invariants(U, SurgerySpec(3, 1)),
             [Fraction(1, 2), Fraction(-1, 6), Fraction(-1, 6)])
@@ -140,20 +144,22 @@ def _check_lens_recursion() -> None:
 
 
 def _check_engine_agreement() -> None:
-    fixtures = ["torus(2,3)", "torus(2,5)", _CABLE, "mirror(torus(2,5))", _SUM45]
-    for text in fixtures:
+    for text in _SUITE:
         C = _complex(text)
         for k in range(-3, 4):
             _expect(oracle.v_by_u_rank(C, k), V(C, k), (text, k))
-    rng = random.Random(20260819)
-    basics = [staircase(torus_alexander(2, 3)), staircase(torus_alexander(2, 5))]
-    pool = basics + [dual(b) for b in basics]
-    for trial in range(8):
-        C = pool[rng.randrange(len(pool))]
-        for _ in range(rng.choice([1, 2])):
-            C = tensor(C, pool[rng.randrange(len(pool))])
-        k = rng.randint(-3, 3)
-        _expect(oracle.v_by_u_rank(C, k), V(C, k), trial)
+    # random sums of T(2,3), T(2,5) and their mirrors; two pools
+    alexanders = [torus_alexander(2, 3), torus_alexander(2, 5)]
+    for seed, trials, prefix in [(20260819, 8, "x"), (1603, 20, "y")]:
+        pool = ([staircase(a) for a in alexanders]
+                + [dual(staircase(a, prefix=prefix)) for a in alexanders])
+        rng = random.Random(seed)
+        for trial in range(trials):
+            C = pool[rng.randrange(len(pool))]
+            for _ in range(rng.choice([1, 2])):
+                C = tensor(C, pool[rng.randrange(len(pool))])
+            k = rng.randint(-3, 3)
+            _expect(oracle.v_by_u_rank(C, k), V(C, k), (seed, trial))
 
 
 def _check_file_roundtrip() -> None:
@@ -162,6 +168,7 @@ def _check_file_roundtrip() -> None:
     again = cfkfile.loads(text)
     _expect(again, C)
     _expect(cfkfile.dumps(again), text)
+    _expect((tau(again), nu(again), nu_plus(again)), (-4, -3, 0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.cfk"
         cfkfile.write_complex(C, path)
@@ -216,8 +223,8 @@ def _check_error_classes() -> None:
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("staircase goldens", _check_staircase_goldens),
-    ("45-generator sum fixture", _check_sum_45),
-    ("225-generator sum fixture", _check_sum_225),
+    ("45-generator sum fixture", lambda: _check_paper_knot(_SUM45, 45)),
+    ("225-generator sum fixture", lambda: _check_paper_knot(_SUM225, 225)),
     ("V/H ladder relations", _check_ladder_relations),
     ("torus knot sharpness", _check_torus_sharpness),
     ("quasi-alternating crosscheck", _check_quasi_alternating),

@@ -1,216 +1,28 @@
-"""End-to-end checks, one test per shipped guarantee, exact equality
-throughout.
+"""The golden table of `cfk selftest` (`cfk.selftest.CHECKS`), run under
+pytest: one test per table entry, named after it, so -v prints one
+pass/fail line per entry.  The goldens live only in that table; adding a
+golden means adding a row there.
 
-Run with -v to get one pass/fail line per check.  Time-sensitive checks
-assert their own budgets; the whole file is meant to stay well under a
-minute.
+Four entries also carry a wall-clock budget, a hard gate here.
 """
-import json
-import random
 import time
-from fractions import Fraction
-from math import ceil
-from pathlib import Path
 
 import pytest
 
-from conftest import cable_staircase, torus_staircase
-from cfk import expr as kx
-from cfk import oracle
-from cfk.cfkfile import dumps, loads, read_complex, write_complex
-from cfk.cli import main
-from cfk.complexes import dual, tensor, unknot_complex
-from cfk.errors import NoConstructorError
-from cfk.invariants import V, epsilon, nu, nu_plus, seifert_genus, tau
-from cfk.surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
-                         d_invariants, genus_report, lens_d, qa_nu_plus,
-                         signature_eval)
+from cfk import selftest
 
-DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
-
-K225_TEXT = "torus(2,5) # torus(2,3) # torus(2,3) # mirror(cable(2,5,torus(2,3)))"
+BUDGET_S = {
+    "staircase goldens": 1.0,
+    "45-generator sum fixture": 2.0,
+    "225-generator sum fixture": 15.0,
+    "engine agreement": 20.0,
+}
 
 
-@pytest.fixture(scope="module")
-def suite(knot_45, knot_225):
-    base = {
-        "unknot": unknot_complex(),
-        "T(2,3)": torus_staircase(2, 3),
-        "T(2,5)": torus_staircase(2, 5),
-        "T(2,7)": torus_staircase(2, 7),
-        "T(2,9)": torus_staircase(2, 9),
-        "T(3,4)": torus_staircase(3, 4),
-        "T(3,5)": torus_staircase(3, 5),
-        "cable": cable_staircase(),
-    }
-    out = dict(base)
-    for name, C in base.items():
-        out[f"mirror {name}"] = dual(C)
-    out["K45"] = knot_45
-    out["K225"] = knot_225
-    return out
-
-
-def test_01_tau_of_staircases_and_mirrors():
+@pytest.mark.parametrize("name,check", selftest.CHECKS,
+                         ids=[name for name, _check in selftest.CHECKS])
+def test_golden(name, check):
+    assert set(BUDGET_S) <= {entry for entry, _check in selftest.CHECKS}
     start = time.monotonic()
-    assert tau(torus_staircase(2, 9)) == 4
-    assert tau(dual(cable_staircase())) == -4
-    assert time.monotonic() - start < 1.0
-
-
-def test_02_tensor_45_invariant_triple(knot_45):
-    start = time.monotonic()
-    assert len(knot_45.generators) == 45
-    assert tau(knot_45) == 0
-    assert nu(knot_45) == 1
-    assert nu_plus(knot_45) == 2
-    assert V(knot_45, 0) >= 1 and V(knot_45, 1) >= 1
-    assert (V(knot_45, 0), V(knot_45, 1), V(knot_45, 2)) == (1, 1, 0)
-    assert time.monotonic() - start < 2.0
-
-
-def test_03_tensor_225_invariant_triple(knot_225):
-    start = time.monotonic()
-    assert len(knot_225.generators) == 225
-    assert tau(knot_225) == 0
-    assert nu(knot_225) == 1
-    assert nu_plus(knot_225) == 2
-    assert time.monotonic() - start < 15.0
-
-
-def test_04_v_ladder_and_ordering_properties(suite):
-    for name, C in suite.items():
-        vals = {k: V(C, k) for k in range(-7, 8)}
-        gtop = max(g.alexander for g in C.generators)
-        t, n, np_ = tau(C), nu(C), nu_plus(C)
-        assert np_ >= n >= t, name
-        assert n - t in (0, 1), name
-        assert (np_ == 0) == (vals[0] == 0), name
-        for k in range(-6, 7):
-            assert vals[-k] == vals[k] + k, (name, k)
-            assert vals[k] - 1 <= vals[k + 1] <= vals[k], (name, k)
-            if k >= gtop:
-                assert vals[k] == 0, (name, k)
-
-
-def test_05_two_strand_torus_signature_crosscheck():
-    for q in (3, 5, 7, 9):
-        C = torus_staircase(2, q)
-        sigma = signature_eval(kx.parse(f"torus(2,{q})")).value
-        assert sigma == 1 - q
-        assert nu_plus(C) == qa_nu_plus(sigma)
-        mirror_sigma = signature_eval(kx.parse(f"mirror(torus(2,{q}))")).value
-        assert mirror_sigma == q - 1
-        assert nu_plus(dual(C)) == qa_nu_plus(mirror_sigma)
-
-
-def test_06_torus_knots_are_sharp():
-    for (p, q) in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5)]:
-        C = torus_staircase(p, q)
-        gtop = max(g.alexander for g in C.generators)
-        assert nu_plus(C) == tau(C) == gtop == (p - 1) * (q - 1) // 2, (p, q)
-
-
-def test_07_cable_tau_and_bounds(knot_225):
-    t, eps = tau(knot_225), epsilon(knot_225)
-    assert (t, eps) == (0, -1)
-    expected = {2: (3, 6), 3: (9, 13), 4: (18, 23)}
-    for p, (ct, g4) in expected.items():
-        q = 3 * p - 1
-        assert cable_tau(t, eps, p, q) == ct == 3 * p * (p - 1) // 2
-        bounds = cable_nu_plus_bounds(knot_225, p, q, g4_upper=2)
-        assert bounds.lower == bounds.upper == g4
-        # the two-parameter family at n = 2 lands on the same numbers
-        n = 2
-        assert p * ((2 * n - 1) * p - 1) // 2 + 1 == g4
-
-
-def test_08_signature_calculus():
-    assert signature_eval(kx.parse("cable(2,5,torus(2,3))")).value == -4
-    assert signature_eval(kx.parse(K225_TEXT)).value == -4
-    assert signature_eval(kx.parse(f"cable(2,5,{K225_TEXT})")).value == -4
-    for p in (2, 3):
-        sigma_bound = 4 + (p - 1) * (3 * p - 2)
-        g4 = p * (3 * p - 1) // 2 + 1
-        assert ceil(sigma_bound / 2) + 2 * p - 2 <= g4
-
-
-def test_09_unknot_surgeries_match_lens_spaces():
-    U = unknot_complex()
-    for (p, q) in [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (7, 3)]:
-        ds = d_invariants(U, SurgerySpec(p, q))
-        assert ds == [lens_d(p, q, i) for i in range(p)], (p, q)
-        assert all((4 * p * q) % d.denominator == 0 for d in ds), (p, q)
-
-
-def test_10_independent_engine_agreement(suite):
-    start = time.monotonic()
-    for name, C in suite.items():
-        for k in range(-2, 3):
-            assert oracle.v_by_u_rank(C, k) == V(C, k), (name, k)
-    pool = [torus_staircase(2, 3), torus_staircase(2, 5),
-            dual(torus_staircase(2, 3, prefix="y")),
-            dual(torus_staircase(2, 5, prefix="y"))]
-    rng = random.Random(1603)
-    for trial in range(20):
-        C = pool[rng.randrange(len(pool))]
-        for _ in range(rng.choice([1, 2])):
-            C = tensor(C, pool[rng.randrange(len(pool))])
-        k = rng.randint(-3, 3)
-        assert oracle.v_by_u_rank(C, k) == V(C, k), (trial, k)
-    assert time.monotonic() - start < 20.0
-
-
-def test_11_scope_notes():
-    """What this suite deliberately does not establish.
-
-    * Invariance under concordance is a theorem about all representatives
-      of a class; a calculator can only evaluate the representatives it is
-      given, so no test here claims invariance.
-    * The cable genus family is exercised at finitely many strand counts
-      (p = 2, 3, 4 above, p = 5 here); the full infinite family is out of
-      computational reach.
-    * Four-ball genus upper bounds from explicit surfaces enter only as
-      annotations; nothing here builds a surface.
-    """
-    # finitely many strand counts only: one more beyond the contract values
-    assert cable_tau(0, -1, 5, 14) == 30
-    # upper bounds never appear without an annotation...
-    r = genus_report(torus_staircase(2, 9), kx.parse("torus(2,9)"))
-    assert r.g4_upper == r.seifert_genus == 4
-    # ...and general satellites have no constructor at all
-    with pytest.raises(NoConstructorError):
-        kx.build_complex(kx.parse("cable(3,1,torus(2,3))"))
-
-
-def test_12_file_format_and_cli_contract(tmp_path, capsys):
-    # byte-stable round trip on the five-generator example file
-    text = DATA.read_text()
-    C = loads(text)
-    assert dumps(C) == text
-    copy = tmp_path / "copy.cfk"
-    write_complex(C, copy)
-    assert read_complex(copy) == C
-    assert tau(C) == -4
-
-    # exit code 0 with the same numbers through the CLI
-    assert main(["invariants", f'file("{DATA}")', "--json"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert (rep["tau"], rep["nu"], rep["nu_plus"]) == (-4, -3, 0)
-
-    # exit code 1: malformed expressions
-    assert main(["invariants", "torus(2,"]) == 1
-    # exit code 2: malformed and invalid files
-    broken = tmp_path / "broken.cfk"
-    broken.write_text("cfk v0\n")
-    assert main(["validate", str(broken)]) == 2
-    invalid = tmp_path / "invalid.cfk"
-    invalid.write_text("cfk v1\ngen a 0 0 0\ngen b 0 0 0\ndif a b\n")
-    assert main(["validate", str(invalid)]) == 2
-    # exit code 3: constructions without a complex
-    assert main(["invariants", "cable(2,1,torus(2,3))"]) == 3
-    capsys.readouterr()
-
-    # the built-in battery agrees
-    assert main(["selftest"]) == 0
-    assert "12/12 checks passed" in capsys.readouterr().out
+    check()
+    assert time.monotonic() - start < BUDGET_S.get(name, float("inf"))

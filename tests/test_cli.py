@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 import cfk
+from cfk import selftest
 from cfk.cli import main
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 SRC = Path(__file__).parent.parent / "src"
+ALL_PASSED = f"{len(selftest.CHECKS)}/{len(selftest.CHECKS)} checks passed"
 K45 = "{torus(2,9) # mirror(cable(2,5,torus(2,3))) @ g4_upper=2}"
 
 
@@ -63,7 +65,7 @@ def test_invariants_text_matches_json(capsys):
 def test_invariants_from_file(capsys):
     rep = run_json(capsys, ["invariants", f'file("{DATA}")'])
     assert rep["generators"] == 5
-    assert rep["tau"] == -4
+    assert (rep["tau"], rep["nu"], rep["nu_plus"]) == (-4, -3, 0)
     assert rep["sigma"] is None
     assert main(["invariants", f'file("{DATA}")']) == 0
     assert "sigma: unknown" in capsys.readouterr().out
@@ -264,8 +266,7 @@ def test_version(capsys):
 def test_selftest_subcommand(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "12/12 checks passed" in out
-    assert "FAIL" not in out
+    assert out.splitlines() == [f"PASS {name}" for name, _check in selftest.CHECKS] + [ALL_PASSED]
 
 
 def test_selftest_fails_under_optimize_flag():
@@ -277,8 +278,9 @@ def test_selftest_fails_under_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "FAIL staircase goldens" in proc.stdout
-    assert "12/12 checks passed" not in proc.stdout
+    first_name = selftest.CHECKS[0][0]  # the first check reads tau
+    assert f"FAIL {first_name}: " in proc.stdout
+    assert ALL_PASSED not in proc.stdout
 
 
 def test_all_exported_names_resolve():

@@ -98,8 +98,9 @@ def test_build_complex_rejects_illegal_cable():
         "no CFK constructor available for cable(2,1,torus(2,3)): the companion "
         "must be an L-space expression (unknot, torus, or such a cable) with "
         "q >= p*(2g - 1)")
-    with pytest.raises(NoConstructorError):
-        kx.build_complex(kx.parse("cable(3,2,mirror(torus(2,3)))"))
+    for text in ["cable(3,2,mirror(torus(2,3)))", "cable(3,1,torus(2,3))"]:
+        with pytest.raises(NoConstructorError):
+            kx.build_complex(kx.parse(text))
 
 
 def test_sum_order_does_not_change_invariants():

@@ -1,5 +1,6 @@
 import heapq
 import random
+import re
 import time
 
 import pytest
@@ -71,6 +72,22 @@ def test_homology_over_u_rejects_inhomogeneous():
 def test_homology_over_u_rejects_bad_input(x, message):
     with pytest.raises(ValueError, match=message):
         homology_over_U(x)
+
+
+@pytest.mark.parametrize("ghost", ["source", "target"])
+@pytest.mark.parametrize("entry", [
+    lambda C: a_minus(C, 0), lambda C: hat_a(C, 0), vertical_complex,
+    lambda C: homology_over_U(FreeUComplex((("a", 0),), tuple(C.terms))),
+    lambda C: V(C, 0), tau, nu, hfk_hat,
+], ids=["a_minus", "hat_a", "vertical_complex", "homology_over_U", "V", "tau",
+        "nu", "hfk_hat"])
+def test_term_with_unknown_generator_is_named(entry, ghost):
+    term = DiffTerm("ghost", "a", 0) if ghost == "source" else DiffTerm("a", "ghost", 0)
+    C = BifilteredComplex([Generator("a", 0, 0, 0)], [term])
+    message = (f"term U^0 {term.source!r}->{term.target!r} "
+               "references unknown generator 'ghost'")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(C)
 
 
 def reference_homology_over_U(x):
