@@ -9,6 +9,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -242,6 +243,7 @@ def _render_text(cmd: str, report: dict[str, Any]) -> None:
         print(f"seifert_genus: {report['seifert_genus']}")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_argparser() -> _Parser:
     ap = _Parser(prog="cfk", description="knot concordance invariants from bifiltered complexes")
     ap.add_argument("--version", action="version", version=f"cfk {__version__}")

@@ -20,21 +20,45 @@ reduction step is one bigint XOR.  Every pivot pair is checked and d^2 = 0
 is checked in full, so a broken input raises instead of returning a
 summary.
 
-Each complex object keeps a private memo of V_k, tau, nu, the vertical
-class and the HFK-hat table, so every report reduces a given (complex, k)
-once.  V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
-computed table.
+Each complex is indexed once: its generator names, (i, j, M) columns and
+every term's source and target as a generator position.  ``a_minus``
+computes a level's shifts, gradings and exponents from that index by
+position, and the levels share its position lists, so ``homology_over_U``
+looks up no names.  The checks that do not depend on k (duplicate names,
+duplicate terms, homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel,
+and d^2 = 0 at U = 1) run on the first level reduced for a complex and
+are skipped once they have passed; the escape check and the pivot-pair
+checks run on every level.  A hand-built ``FreeUComplex`` is indexed by
+name on each call and runs every check.
+
+Each complex object keeps a private memo of its index, V_k, tau, nu, the
+vertical class and the HFK-hat table, so every report reduces a given
+(complex, k) once, and V outside the Alexander range reads the boundary
+level (see ``V``).  V_{-k} = V_k + k is not used as a shortcut: it stays a
+check on the computed table.
 """
 from __future__ import annotations
 
 import functools
 from collections.abc import Container, Iterable
-from dataclasses import dataclass
-from typing import NoReturn
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import f2
 from .complexes import BifilteredComplex, dual
 from .errors import KnotTypeError, PreconditionError
+
+
+class _Positions:
+    """Each term's source and target as a basis position.  One object is
+    shared by every level of a complex; checked is set once the checks
+    that do not depend on k have passed on one of them."""
+    __slots__ = ("sources", "targets", "checked")
+
+    def __init__(self, sources: list[int], targets: list[int]):
+        self.sources = sources
+        self.targets = targets
+        self.checked = False
 
 
 @dataclass(frozen=True)
@@ -42,10 +66,12 @@ class FreeUComplex:
     """Finitely generated free graded complex over F2[U].
 
     basis entries are (name, grading); terms are (source, target, exponent)
-    meaning d(source) contains U^exponent * target.
+    meaning d(source) contains U^exponent * target.  a_minus also attaches
+    its complex's shared term positions; a hand-built complex has none.
     """
     basis: tuple[tuple[str, int], ...]
     terms: tuple[tuple[str, str, int], ...]
+    _positions: _Positions | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -64,6 +90,49 @@ class F2Complex:
     terms: tuple[tuple[str, str], ...]
 
 
+def _memoized(fn):
+    """Keep fn(C, *args) in C's private memo, so that each complex object
+    computes it once.  A call that raises leaves nothing behind."""
+    @functools.wraps(fn)
+    def cached(C: BifilteredComplex, *args):
+        key = (fn.__name__, *args)
+        memo = C._memo
+        if key not in memo:
+            memo[key] = fn(C, *args)
+        return memo[key]
+    return cached
+
+
+class _Index(NamedTuple):
+    """A complex by generator position: the generators' columns, every
+    term's endpoint names and U power, the terms' positions, and the least
+    and greatest Alexander grading j - i (0 and 0 without generators)."""
+    names: tuple[str, ...]
+    i: tuple[int, ...]
+    j: tuple[int, ...]
+    maslov: tuple[int, ...]
+    source_names: tuple[str, ...]
+    target_names: tuple[str, ...]
+    powers: tuple[int, ...]
+    positions: _Positions
+    alexander_range: tuple[int, int]
+
+
+@_memoized
+def _index(C: BifilteredComplex) -> _Index:
+    names, i, j, maslov = tuple(zip(*C.generators)) or ((),) * 4
+    source_names, target_names, powers = tuple(zip(*C.terms)) or ((),) * 3
+    position = {name: p for p, name in enumerate(names)}
+    try:
+        positions = _Positions(list(map(position.__getitem__, source_names)),
+                               list(map(position.__getitem__, target_names)))
+    except KeyError:
+        raise _unknown_generator(C.terms, position) from None
+    alexander = [b - a for a, b in zip(i, j)]
+    return _Index(names, i, j, maslov, source_names, target_names, powers, positions,
+                  (min(alexander, default=0), max(alexander, default=0)))
+
+
 def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     """Free F2[U]-model of C{max(i, j - k) <= 0}.
 
@@ -71,24 +140,19 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     grading M(g) - 2 c_g; a term U^n: s -> t turns into exponent
     n + c_s - c_t, nonnegative exactly because the region is a subcomplex.
     """
-    shift: dict[str, int] = {}
-    basis = []
-    for name, i, j, m in C.generators:
-        c = i if i > j - k else j - k  # max(i, j - k) without a call
-        shift[name] = c
-        basis.append((name, m - 2 * c))
-    terms = []
-    try:
-        for source, target, n in C.terms:
-            e = n + shift[source] - shift[target]
-            if e < 0:
-                raise ValueError(
-                    f"term {source}->{target} escapes the subcomplex; "
-                    "input complex violates its filtration invariants")
-            terms.append((source, target, e))
-    except KeyError:
-        raise _unknown_generator(C.terms, shift) from None
-    return FreeUComplex(tuple(basis), tuple(terms))
+    index = _index(C)
+    shift = [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
+    basis = tuple(zip(index.names, [m - 2 * c for m, c in zip(index.maslov, shift)]))
+    positions = index.positions
+    exponents = [n + shift[s] - shift[t]
+                 for s, t, n in zip(positions.sources, positions.targets, index.powers)]
+    if min(exponents, default=0) < 0:
+        p = next(p for p, e in enumerate(exponents) if e < 0)
+        raise ValueError(
+            f"term {index.source_names[p]}->{index.target_names[p]} escapes the "
+            "subcomplex; input complex violates its filtration invariants")
+    terms = tuple(zip(index.source_names, index.target_names, exponents))
+    return FreeUComplex(basis, terms, positions)
 
 
 def _unknown_generator(terms: Iterable[tuple[str, str, int]],
@@ -109,38 +173,42 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     Every entry's U exponent is pinned by the gradings, so the graded Smith
     form over F2[U] is the persistence pairing of the U = 1 matrix with its
     rows ordered by grading (Zomorodian-Carlsson, "Computing persistent
-    homology", 2005).  Basis element p is the p-th in descending grading,
-    and column s is an int whose bit t is the entry d(s) -> t, so the
-    highest set bit is the lowest-grading, minimal-exponent target.
-    Columns are reduced in order: while an earlier column owns the pivot
-    bit, it is XORed in, which is the basis change s -> s + U^f s' with
-    f >= 0.
+    homology", 2005).  Basis element r is the r-th in descending grading,
+    ties in basis order, and column s is an int whose bit t is the entry
+    d(s) -> t, so the highest set bit is the lowest-grading,
+    minimal-exponent target.  Columns are reduced in order: while an
+    earlier column owns the pivot bit, it is XORed in, which is the basis
+    change s -> s + U^f s' with f >= 0.
 
     A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
     grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
     cancel silently.  An element whose reduced column is zero and that is
     no pivot is a free generator.
+
+    The term positions come from a_minus when it made x, and are looked up
+    by name otherwise.  The checks that do not depend on k run unless they
+    have passed on another level of the same complex.
     """
-    grading_of: dict[str, int] = {}
-    for name, m in x.basis:
-        if name in grading_of:
-            raise ValueError(f"duplicate basis name {name!r}")
-        grading_of[name] = m
-    names = sorted(grading_of, key=grading_of.__getitem__, reverse=True)
-    index = {name: p for p, name in enumerate(names)}
-    grading = [grading_of[name] for name in names]
-    n = len(names)
+    positions = x._positions
+    if positions is None:
+        position = {name: p for p, (name, _m) in enumerate(x.basis)}
+        # -1 marks a name missing from the basis; _check_terms reports it.
+        positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
+                               [position.get(t, -1) for _s, t, _e in x.terms])
+    grading = [m for _name, m in x.basis]
+    if not positions.checked:
+        _check_terms(x, grading, positions)
+    n = len(grading)
+    order = sorted(range(n), key=grading.__getitem__, reverse=True)
+    rank = [0] * n
+    for r, p in enumerate(order):
+        rank[p] = r
+    grading = list(map(grading.__getitem__, order))
+    sources = list(map(rank.__getitem__, positions.sources))
+    targets = list(map(rank.__getitem__, positions.targets))
     cols = [0] * n
-    try:
-        for s_name, t_name, e in x.terms:
-            s, t = index[s_name], index[t_name]
-            if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-                break
-            cols[s] |= 1 << t
-    except KeyError:
-        raise _unknown_generator(x.terms, index) from None
-    if sum(map(int.bit_count, cols)) != len(x.terms):  # a term stopped the loop or repeats
-        _raise_first_bad_term(x.terms, grading_of)
+    for s, t in zip(sources, targets):
+        cols[s] |= 1 << t
 
     reduced = cols[:]
     owner: dict[int, int] = {}  # pivot target + 1 -> the column that owns it
@@ -163,18 +231,21 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     # (exponent, source name, target name) order.
     bad = [(t, s) for t, s in pairs if reduced[t] or is_target[s]]
     if bad:
-        t, s = min(bad, key=lambda p: (grading[p[0]] - grading[p[1]], names[p[1]], names[p[0]]))
+        name = [x.basis[p][0] for p in order]
+        t, s = min(bad, key=lambda p: (grading[p[0]] - grading[p[1]], name[p[1]], name[p[0]]))
         if reduced[t]:
             raise ValueError("column of the cancelled target is nonzero; "
                              "input differential does not square to zero")
         raise ValueError("row of the cancelled source is nonzero; "
                          "input differential does not square to zero")
-    # Clean pairs do not imply d^2 = 0, so column s of d(d(s)) is built too.
-    square = [0] * n
-    for s_name, t_name, _e in x.terms:
-        square[index[s_name]] ^= cols[index[t_name]]
-    if any(square):
-        raise ValueError("input differential does not square to zero")
+    if not positions.checked:
+        # Clean pairs do not imply d^2 = 0, so column s of d(d(s)) is built too.
+        square = [0] * n
+        for s, t in zip(sources, targets):
+            square[s] ^= cols[t]
+        if any(square):
+            raise ValueError("input differential does not square to zero")
+        positions.checked = True
 
     free = sorted((grading[p] for p in range(n) if not reduced[p] and not is_target[p]),
                   reverse=True)
@@ -183,45 +254,68 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     return UModuleSummary(tuple(free), tuple(torsion))
 
 
-def _raise_first_bad_term(terms: tuple[tuple[str, str, int], ...],
-                          grading_of: dict[str, int]) -> NoReturn:
-    """Raise ValueError for the first repeated or inhomogeneous term."""
-    seen: set[tuple[str, str]] = set()
-    for s_name, t_name, e in terms:
-        if (s_name, t_name) in seen:
+def _check_terms(x: FreeUComplex, grading: list[int], positions: _Positions) -> None:
+    """Raise ValueError for the first duplicate basis name; else for the
+    first term that names a missing generator, unless an inhomogeneous
+    term comes before it; else for the first term that repeats an earlier
+    one or is not homogeneous of degree -1.  None of these depends on k."""
+    names = [name for name, _m in x.basis]
+    if len(set(names)) != len(names):
+        declared: set[str] = set()
+        for name in names:
+            if name in declared:
+                raise ValueError(f"duplicate basis name {name!r}")
+            declared.add(name)
+    sources, targets = positions.sources, positions.targets
+    for (_s, _t, e), s, t in zip(x.terms, sources, targets):
+        if s < 0 or t < 0:
+            raise _unknown_generator(x.terms, set(names))
+        if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
+            break
+    else:
+        if len(set(zip(sources, targets))) == len(sources):
+            return
+    # A term stopped the loop, or some term repeats; no term up to the
+    # first such one names a missing generator.
+    seen: set[tuple[int, int]] = set()
+    for (s_name, t_name, e), s, t in zip(x.terms, sources, targets):
+        if (s, t) in seen:
             raise ValueError(f"duplicate term {s_name}->{t_name}")
-        if e < 0 or grading_of[s_name] - 1 != grading_of[t_name] - 2 * e:
+        if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
             raise ValueError(
                 f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
-        seen.add((s_name, t_name))
+        seen.add((s, t))
     raise AssertionError("every term is distinct and homogeneous")
-
-
-def _memoized(fn):
-    """Keep fn(C, *args) in C's private memo, so that each complex object
-    computes it once.  A call that raises leaves nothing behind."""
-    @functools.wraps(fn)
-    def cached(C: BifilteredComplex, *args):
-        key = (fn.__name__, *args)
-        memo = C._memo
-        if key not in memo:
-            memo[key] = fn(C, *args)
-        return memo[key]
-    return cached
 
 
 @_memoized
 def V(C: BifilteredComplex, k: int) -> int:
-    """V_k: minus half the grading of the free part of H(A^-_k)."""
-    summary = homology_over_U(a_minus(C, k))
-    if len(summary.free_gradings) != 1:
+    """V_k: minus half the grading of the free part of H(A^-_k).
+
+    Only levels in the Alexander range [A_min, A_max] of C are reduced.
+    For k >= A_max every shift max(i, j - k) is i, so a_minus(C, k) is the
+    very complex at A_max.  For k <= A_min every shift is j - k, so it is
+    the complex at A_min with every grading moved by 2(k - A_min): the same
+    exponents, the same order, hence the same pairs and errors, and free
+    gradings moved by 2(k - A_min).  So V_k = V_{A_max} above the range and
+    V_k = V_{A_min} + A_min - k below it, exactly, and the checks below
+    see the gradings that H(A^-_k) itself has.
+    """
+    lo, hi = _index(C).alexander_range
+    move = 2 * min(k - lo, 0)
+    free = [d + move for d in _free_gradings(C, min(max(k, lo), hi))]
+    if len(free) != 1:
         raise KnotTypeError(
-            f"H(A^-_{k}) has free rank {len(summary.free_gradings)}, "
-            "complex is not knot-type")
-    d = summary.free_gradings[0]
+            f"H(A^-_{k}) has free rank {len(free)}, complex is not knot-type")
+    d = free[0]
     if d > 0 or d % 2:
         raise KnotTypeError(f"free grading {d} of H(A^-_{k}) is not even <= 0")
     return -d // 2
+
+
+@_memoized
+def _free_gradings(C: BifilteredComplex, k: int) -> tuple[int, ...]:
+    return homology_over_U(a_minus(C, k)).free_gradings
 
 
 def H(C: BifilteredComplex, k: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 import cfk
 from cfk import selftest
-from cfk.cli import main
+from cfk.cli import _build_argparser, main
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 SRC = Path(__file__).parent.parent / "src"
@@ -254,6 +254,18 @@ def test_bad_g4_upper_annotation_exits_3(capsys, command, annotation):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: g4_upper annotation must be a nonnegative integer")
+
+
+def test_main_reuses_one_parser_per_process(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["invariants", "torus(2,3)"], ["genus"],
+                 ["genus", "torus(2,5)", "--json"], ["validate", str(DATA)]):
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "cfk.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert _build_argparser() is _build_argparser()
 
 
 def test_version(capsys):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import cable_staircase, torus_staircase
-from cfk import invariants
+from cfk import invariants, selftest
 from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor,
                            unknot_complex)
 from cfk.errors import KnotTypeError
@@ -14,6 +14,7 @@ from cfk.expr import build_complex, parse
 from cfk.invariants import (FreeUComplex, H, UModuleSummary, V, a_minus,
                             epsilon, hat_a, hfk_hat, homology_over_U, nu,
                             nu_plus, seifert_genus, tau, vertical_complex)
+from cfk.surgery import SurgerySpec, d_invariants, lens_d
 
 
 def test_a_minus_trefoil_shifts(trefoil):
@@ -88,6 +89,22 @@ def test_term_with_unknown_generator_is_named(entry, ghost):
                "references unknown generator 'ghost'")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(C)
+
+
+def test_missing_generator_is_reported_before_an_escaping_term():
+    # the index of C is built before any level, so the ghost comes first
+    C = BifilteredComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)],
+                          [DiffTerm("a", "b", 0), DiffTerm("b", "ghost", 0)])
+    with pytest.raises(ValueError, match="references unknown generator 'ghost'"):
+        V(C, 0)
+
+
+def test_level_independent_checks_do_not_stick_after_a_failure(knot_45):
+    # without its first term K45 is clean pair by pair; only d^2 = 0 fails
+    C = BifilteredComplex(knot_45.generators, knot_45.terms[1:])
+    for k in (0, 0, 1):
+        with pytest.raises(ValueError, match="^input differential does not square to zero"):
+            V(C, k)
 
 
 def reference_homology_over_U(x):
@@ -210,6 +227,14 @@ def test_kernel_matches_reference_on_random_tensor_products():
                 homology_over_U(x)
         else:
             assert homology_over_U(x) == expected, x
+        # a hand-built copy has no positions from a_minus: same answer or error
+        try:
+            by_name = homology_over_U(FreeUComplex(x.basis, x.terms))
+        except ValueError:
+            with pytest.raises(ValueError):
+                homology_over_U(x)
+        else:
+            assert homology_over_U(x) == by_name, x
     assert broken > 10
 
 
@@ -326,6 +351,42 @@ def test_each_complex_reduces_each_level_once(monkeypatch):
     assert len(calls) == 3
     assert V(dual(C), 0) == 0  # a new complex object starts a new memo
     assert len(calls) == 4
+
+
+def direct_V(C, k):
+    """V_k read from a reduction of A^-_k itself."""
+    (d,) = homology_over_U(a_minus(C, k)).free_gradings
+    return -d // 2
+
+
+def alexander_range(C):
+    alexanders = [g.alexander for g in C.generators]
+    return min(alexanders), max(alexanders)
+
+
+def test_v_outside_the_alexander_range_reads_the_boundary_level():
+    for text in selftest._SUITE:
+        for C in (build_complex(parse(text)), dual(build_complex(parse(text)))):
+            lo, hi = alexander_range(C)
+            for k in range(lo - 5, hi + 6):
+                assert V(C, k) == direct_V(C, k), (text, C.label, k)
+
+
+def test_surgery_reduces_no_level_outside_the_alexander_range(monkeypatch):
+    calls = []
+
+    def counting_kernel(x):
+        calls.append(x)
+        return homology_over_U(x)
+
+    C = tensor(torus_staircase(2, 9), dual(cable_staircase(prefix="y")))
+    lo, hi = alexander_range(C)
+    spec = SurgerySpec(200, 1)
+    expected = [lens_d(200, 1, i) - 2 * max(direct_V(C, i), direct_V(C, 200 - i))
+                for i in range(200)]
+    monkeypatch.setattr(invariants, "homology_over_U", counting_kernel)
+    assert d_invariants(C, spec) == expected
+    assert len(calls) <= hi - lo + 1
 
 
 def test_hfk_hat_hands_out_a_copy(trefoil):
