@@ -21,6 +21,7 @@ negative, or that is repeated, since loads() would reject the file.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -28,6 +29,7 @@ from .complexes import BifilteredComplex, DiffTerm, Generator
 from .errors import FormatError
 
 HEADER = "cfk v1"
+_HEADER_FIELDS = HEADER.split()
 # int() alone would also take "+1", "1_0" and non-ASCII digits.
 _GEN_INTS = re.compile(r"-?[0-9]+ -?[0-9]+ -?[0-9]+")
 _TERM = re.compile(r"U\^([0-9]+)\.(.+)")
@@ -46,58 +48,70 @@ def _name_problem(name: str) -> str | None:
 
 
 def loads(text: str, label: str = "") -> BifilteredComplex:
-    lines = text.splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
-    if not rows or rows[0][1] != HEADER.split():
-        found = " ".join(rows[0][1]) if rows else "empty file"
-        raise FormatError(f"missing '{HEADER}' header (found {found!r})")
-    generators: list[Generator] = []
-    declared: set[str] = set()
-    terms: list[DiffTerm] = []
-    seen_terms: set[DiffTerm] = set()
-    for lineno, fields in rows[1:]:
+    """Read a complex from the text of a cfk v1 file, in one pass.
+
+    Records are collected as plain tuples and made Generator and DiffTerm
+    records in bulk at the end with tuple.__new__, which is what
+    NamedTuple's own _make runs: calling the class once per record would
+    go through its Python-level __new__ and cost about twice as much.
+    """
+    generators: list[tuple[str, int, int, int]] = []
+    # Each declared name to its generator's own str, which the terms share:
+    # a complex's index then finds their names by identity.
+    declared: dict[str, str] = {}
+    terms: list[tuple[str, str, int]] = []
+    seen_terms: set[tuple[str, str, int]] = set()
+    header = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
+            continue
+        if not header:
+            if fields != _HEADER_FIELDS:
+                raise FormatError(f"missing '{HEADER}' header (found {' '.join(fields)!r})")
+            header = True
+            continue
         directive = fields[0]
         if directive == "gen":
             if len(fields) != 5:
                 raise FormatError(
                     f"line {lineno}: gen needs name, i, j, maslov ({len(fields) - 1} fields given)")
             _, name, i, j, maslov = fields
-            problem = _name_problem(name)
-            if problem is not None:
-                raise FormatError(f"line {lineno}: name {name!r} {problem}")
+            # split() has already ruled out whitespace and "#" in a name.
+            if name.startswith("U^"):
+                raise FormatError(f"line {lineno}: name {name!r} collides with term syntax")
             try:
                 if _GEN_INTS.fullmatch(f"{i} {j} {maslov}") is None:
                     raise ValueError(maslov)
-                generators.append(Generator(name, int(i), int(j), int(maslov)))
+                generators.append((name, int(i), int(j), int(maslov)))
             except ValueError:  # not ASCII decimal, or past int()'s digit limit
                 raise FormatError(f"line {lineno}: gen positions must be integers") from None
-            declared.add(name)
+            declared[name] = name
         elif directive == "dif":
             if len(fields) < 3:
                 raise FormatError(f"line {lineno}: dif needs a source and at least one target")
-            source = fields[1]
-            if source not in declared:
+            source = declared.get(fields[1])
+            if source is None:
                 raise FormatError(
-                    f"line {lineno}: dif references undeclared generator {source!r}")
+                    f"line {lineno}: dif references undeclared generator {fields[1]!r}")
             for token in fields[2:]:
                 if token.startswith("U^"):
                     m = _TERM.fullmatch(token)
                     try:
                         if m is None:
                             raise ValueError(token)
-                        upower, target = int(m.group(1)), m.group(2)
+                        upower, name = int(m.group(1)), m.group(2)
                     except ValueError:
                         raise FormatError(f"line {lineno}: malformed term {token!r}") from None
                 else:
-                    upower, target = 0, token
-                if target not in declared:
+                    upower, name = 0, token
+                target = declared.get(name)
+                if target is None:
                     raise FormatError(
-                        f"line {lineno}: dif references undeclared generator {target!r}")
-                term = DiffTerm(source, target, upower)
+                        f"line {lineno}: dif references undeclared generator {name!r}")
+                term = (source, target, upower)
                 if term in seen_terms:
                     raise FormatError(
                         f"line {lineno}: term {token!r} repeated for source {source!r}")
@@ -105,7 +119,10 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
                 terms.append(term)
         else:
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
-    return BifilteredComplex(generators, terms, label)
+    if not header:
+        raise FormatError(f"missing '{HEADER}' header (found 'empty file')")
+    return BifilteredComplex(map(tuple.__new__, repeat(Generator), generators),
+                             map(tuple.__new__, repeat(DiffTerm), terms), label)
 
 
 def dumps(C: BifilteredComplex) -> str:

@@ -13,15 +13,44 @@ tuple is about three times cheaper to build and to hash.  Attribute access
 on a NamedTuple is slower than on a dataclass, so the loops that walk every
 generator or term unpack the records (``for name, i, j, m in
 C.generators``) instead of reading their fields.
+
+Names matter only at the boundary.  ``C.index()`` numbers the generators
+once per complex object and keeps the result in its memo: the generator
+names and (i, j, M) columns, every term's endpoint names and U power, each
+term's source and target as a generator position, and the Alexander range.
+``validate`` and every invariant in cfk.invariants work from those
+positions.  Building the index never fails: a name that is not a generator
+gets position -1 and a repeated name maps to its last declaration, as
+``by_name`` does, so each caller decides how to report them.
+
+``validate`` first runs one pass over the positions that holds exactly when
+no structural violation exists, and runs the itemized loop for the messages
+only when it fails.  A clean pass is recorded in the memo
+(``STRUCTURE_CLEAN``), so the invariants do not check the same facts
+again.  d^2 = 0 is then checked per end generator alone: once every term
+is homogeneous (M(s) - 1 = M(t) - 2n), a two-step path s -> e has total
+U power (M(e) - M(s) + 2) / 2, so the end fixes the power.  Each
+generator keeps a set of ends as plain ints, not a bitmask column: in
+generator order a column int is as wide as its largest target, which
+would cost about n^2/16 bytes over all n generators.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from . import f2
 from .errors import ValidationError
 from .laurent import LaurentPoly, is_lspace_form
+
+# The memo key under which validate() records that a complex's structure
+# is clean: no generator name repeats, every term names generators and no
+# (source, target) pair repeats.  cfk.invariants then skips its own check
+# of exactly these.
+STRUCTURE_CLEAN = ("structure clean",)
 
 # Violation kinds reported by validate().
 DUPLICATE_NAME = "duplicate-name"
@@ -57,14 +86,47 @@ class Violation:
     message: str
 
 
+class Index(NamedTuple):
+    """A complex by generator position: the generators' columns, every
+    term's endpoint names and U power, each term's source and target
+    position (-1 for a name that is not a generator), and the least and
+    greatest Alexander grading j - i (0 and 0 without generators)."""
+    names: tuple[str, ...]
+    i: tuple[int, ...]
+    j: tuple[int, ...]
+    maslov: tuple[int, ...]
+    source_names: tuple[str, ...]
+    target_names: tuple[str, ...]
+    powers: tuple[int, ...]
+    sources: list[int]
+    targets: list[int]
+    alexander_range: tuple[int, int]
+
+
 class BifilteredComplex:
     def __init__(self, generators, terms, label: str = ""):
         self.generators: tuple[Generator, ...] = tuple(generators)
         self.terms: tuple[DiffTerm, ...] = tuple(terms)
         self.label = label
         self.by_name: dict[str, Generator] = {g.name: g for g in self.generators}
-        # Results of cfk.invariants for this complex, keyed by (function, args).
+        # The index, validate's STRUCTURE_CLEAN and the results of
+        # cfk.invariants for this complex, keyed by (function, args).
         self._memo: dict[tuple, object] = {}
+
+    def index(self) -> Index:
+        """This complex by generator position, built on the first call."""
+        found = self._memo.get(("index",))
+        if found is None:
+            names, i, j, maslov = tuple(zip(*self.generators)) or ((),) * 4
+            source_names, target_names, powers = tuple(zip(*self.terms)) or ((),) * 3
+            position = dict(zip(names, range(len(names))))
+            sources = list(map(position.get, source_names, repeat(-1)))
+            targets = list(map(position.get, target_names, repeat(-1)))
+            alexander = list(map(operator.sub, j, i))
+            found = self._memo[("index",)] = Index(
+                names, i, j, maslov, source_names, target_names, powers, sources, targets,
+                (min(alexander, default=0), max(alexander, default=0)))
+        return found
 
     @property
     def max_alexander(self) -> int:
@@ -88,11 +150,56 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     checks (d^2 = 0, vertical homology) only run once the purely structural
     ones pass, since they would crash or lie on malformed input.
 
-    d^2 = 0 is checked over F2 per (end generator, total U power): each
-    generator keeps the set of such pairs reached by an odd number of
-    two-step paths, toggling a pair in or out per path, and reports what is
-    left in sorted order.
+    d^2 = 0 is checked over F2 per end generator: each generator's set of
+    ends reached by an odd number of two-step paths is the symmetric
+    difference of its targets' target sets, and what is left is reported
+    in name order with the U power its gradings fix.
     """
+    index = C.index()
+    names, I, J, M = index.names, index.i, index.j, index.maslov
+    sources, targets, powers = index.sources, index.targets, index.powers
+    clean = (len(set(names)) == len(names)
+             and min(sources, default=0) >= 0 and min(targets, default=0) >= 0
+             and min(powers, default=0) >= 0
+             and all(I[t] - n <= I[s] and J[t] - n <= J[s] and M[s] - 1 == M[t] - 2 * n
+                     for s, t, n in zip(sources, targets, powers)))
+    if clean:
+        outgoing: list[set[int]] = [set() for _ in names]
+        for s, t in zip(sources, targets):
+            outgoing[s].add(t)
+        # Every term is homogeneous, so a repeated (source, target) pair is
+        # a repeated term.
+        clean = sum(map(len, outgoing)) == len(sources)
+    if not clean:
+        return _structural_violations(C)
+    C._memo[STRUCTURE_CLEAN] = True
+
+    out: list[Violation] = []
+    for s, ends in enumerate(outgoing):
+        odd: set[int] = set()
+        for mid in ends:
+            odd ^= outgoing[mid]
+        for e in sorted(odd, key=names.__getitem__):
+            out.append(Violation(
+                D_SQUARED,
+                f"d^2({names[s]}) contains U^{(M[e] - M[s] + 2) // 2}*{names[e]}"))
+    del outgoing  # freed before the vertical homology is built: a lower peak
+    if out:
+        return out
+
+    # Vertical homology: the i-preserving slice at i = 0.
+    dims = f2.graded_homology_dims(*shifted_slice(index, I))
+    if dims != {0: 1}:
+        total = sum(dims.values())
+        out.append(Violation(
+            VERTICAL_HOMOLOGY,
+            f"vertical homology has total dimension {total} at gradings "
+            f"{sorted(dims)} (want dimension 1 at grading 0)"))
+    return out
+
+
+def _structural_violations(C: BifilteredComplex) -> list[Violation]:
+    """Every structural violation of C, by name, in declaration order."""
     out: list[Violation] = []
     seen: set[str] = set()
     for name, _i, _j, _m in C.generators:
@@ -101,25 +208,21 @@ def validate(C: BifilteredComplex) -> list[Violation]:
         seen.add(name)
 
     gens = C.by_name
-    structural_ok = not out
     term_seen: set[DiffTerm] = set()
     for term in C.terms:
         source, target, n = term
         if term in term_seen:
             out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
-            structural_ok = False
             continue
         term_seen.add(term)
         if source not in gens or target not in gens:
             missing = source if source not in gens else target
             out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
-            structural_ok = False
             continue
         _, si, sj, sm = gens[source]
         _, ti, tj, tm = gens[target]
         if n < 0:
             out.append(Violation(FILTRATION, f"negative U power on {source}->{target}"))
-            structural_ok = False
             continue
         if ti - n > si or tj - n > sj:
             out.append(Violation(
@@ -131,49 +234,21 @@ def validate(C: BifilteredComplex) -> list[Violation]:
                 GRADING,
                 f"U^{n}:{source}->{target} grading mismatch: "
                 f"M={sm} source vs M={tm}-2*{n} target"))
-
-    if out or not structural_ok:
-        return out
-
-    # outgoing holds (target, power) pairs; after a first step of power 0
-    # such a pair is already the path's (end, power).
-    outgoing: dict[str, list[tuple[str, int]]] = {}
-    for source, target, n in C.terms:
-        outgoing.setdefault(source, []).append((target, n))
-    for name, _i, _j, _m in C.generators:
-        odd: set[tuple[str, int]] = set()
-        for mid, n1 in outgoing.get(name, ()):
-            for path in outgoing.get(mid, ()):
-                if n1:
-                    path = (path[0], path[1] + n1)
-                if path in odd:
-                    odd.remove(path)
-                else:
-                    odd.add(path)
-        if odd:
-            for end, power in sorted(odd):
-                out.append(Violation(D_SQUARED, f"d^2({name}) contains U^{power}*{end}"))
-    if out:
-        return out
-
-    # Vertical homology: the i-preserving slice at i = 0.  Each generator g
-    # contributes U^{i_g} g in grading M(g) - 2 i_g; a term survives the
-    # slice exactly when its translated U power i_s - i_t + n is zero.
-    level: dict[str, int] = {}
-    grading: dict[str, int] = {}
-    for name, i, _j, m in C.generators:
-        level[name] = i
-        grading[name] = m - 2 * i
-    dims = f2.graded_homology_dims(
-        grading, ((source, target) for source, target, n in C.terms
-                  if n + level[source] - level[target] == 0))
-    if dims != {0: 1}:
-        total = sum(dims.values())
-        out.append(Violation(
-            VERTICAL_HOMOLOGY,
-            f"vertical homology has total dimension {total} at gradings "
-            f"{sorted(dims)} (want dimension 1 at grading 0)"))
     return out
+
+
+def shifted_slice(index: Index,
+                  shift: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The U = 0 slice of a complex whose generator g is moved to
+    U^{shift[g]} g: each generator's grading M(g) - 2 shift[g] by position,
+    then the source and the target positions, in term order, of the terms
+    U^n: s -> t whose translated power n + shift[s] - shift[t] is zero.
+    Two int lists make no per-term objects for the garbage collector to
+    track, as (source, target) tuples would."""
+    grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
+    keep = [n + shift[s] - shift[t] == 0
+            for s, t, n in zip(index.sources, index.targets, index.powers)]
+    return grading, list(compress(index.sources, keep)), list(compress(index.targets, keep))
 
 
 def require_valid(C: BifilteredComplex) -> BifilteredComplex:

@@ -6,7 +6,7 @@ past the sizes the invariant engines need.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 
 
 def rank(rows: list[int]) -> int:
@@ -87,28 +87,38 @@ def kernel_basis(rows: list[int], ncols: int) -> list[int]:
     return kernel
 
 
-def graded_homology_dims(grading: dict[Hashable, Hashable],
-                         edges: Iterable[tuple[Hashable, Hashable]]) -> dict[Hashable, int]:
+def places(grading: Iterable[Hashable]) -> tuple[list[int], dict[Hashable, int]]:
+    """Each basis element's place among the elements of its grading key, in
+    basis order (its row or column in that key's block of a graded matrix),
+    and the number of elements of each key."""
+    place: list[int] = []
+    sizes: dict[Hashable, int] = {}
+    for key in grading:
+        count = sizes.get(key, 0)
+        place.append(count)
+        sizes[key] = count + 1
+    return place, sizes
+
+
+def graded_homology_dims(grading: Sequence[Hashable], sources: Iterable[int],
+                         targets: Iterable[int]) -> dict[Hashable, int]:
     """Nonzero homology dimensions, by grading key, of a graded F2 complex.
 
-    The basis is the keys of grading; each edge (source, target) is one
-    entry of the differential, which must carry all of a grading key into a
-    single other key.  dim H_key = size - rank(out of key) - rank(into key).
+    Basis element p has grading key grading[p]; each pair of basis
+    positions (sources[e], targets[e]) is one entry of the differential,
+    which must carry all of a grading key into a single other key.
+    dim H_key = size - rank(out of key) - rank(into key).
     """
-    index: dict[Hashable, int] = {}
-    dims: dict[Hashable, int] = {}
-    for el, key in grading.items():
-        index[el] = dims.get(key, 0)
-        dims[key] = index[el] + 1
-    rows: dict[Hashable, int] = {}
+    place, dims = places(grading)
+    rows = [0] * len(grading)
     target_key: dict[Hashable, Hashable] = {}
-    for s, t in edges:
-        rows[s] = rows.get(s, 0) ^ (1 << index[t])
+    for s, t in zip(sources, targets):
+        rows[s] ^= 1 << place[t]
         target_key[grading[s]] = grading[t]
     blocks: dict[Hashable, list[int]] = {}
-    for el, key in grading.items():  # rows in basis order
-        if el in rows:
-            blocks.setdefault(key, []).append(rows[el])
+    for key, row in zip(grading, rows):  # rows in basis order
+        if row:
+            blocks.setdefault(key, []).append(row)
     for key, block in blocks.items():
         r = rank(block)
         dims[key] -= r

@@ -5,9 +5,10 @@ Two subquotient constructions carry everything:
 * ``a_minus(C, k)``: the F2[U]-subcomplex of elements whose position lands
   in {max(i, j - k) <= 0}.  Its homology is one free summand plus torsion;
   V_k is minus half the free grading, H_k = V_{-k}.
-* ``vertical_complex(C)``: the i-preserving slice at i = 0 over F2, whose
+* the vertical slice: the i-preserving slice at i = 0 over F2, whose
   homology is one-dimensional in grading zero on knot-type input.  tau and
-  nu locate where the generator of that class survives restriction.
+  nu locate where the generator of that class survives restriction, and
+  HFK-hat is the homology of its Alexander-graded pieces.
 
 The U-module homology engine is a persistence pairing (Zomorodian and
 Carlsson, "Computing persistent homology", 2005).  Every term's U exponent
@@ -20,16 +21,22 @@ reduction step is one bigint XOR.  Every pivot pair is checked and d^2 = 0
 is checked in full, so a broken input raises instead of returning a
 summary.
 
-Each complex is indexed once: its generator names, (i, j, M) columns and
-every term's source and target as a generator position.  ``a_minus``
-computes a level's shifts, gradings and exponents from that index by
-position, and the levels share its position lists, so ``homology_over_U``
-looks up no names.  The checks that do not depend on k (duplicate names,
-duplicate terms, homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel,
-and d^2 = 0 at U = 1) run on the first level reduced for a complex and
-are skipped once they have passed; the escape check and the pivot-pair
-checks run on every level.  A hand-built ``FreeUComplex`` is indexed by
-name on each call and runs every check.
+Everything here works from the complex's index (``C.index()``, see
+cfk.complexes) by generator position; names are read only for messages
+and for the named ``basis`` and ``terms`` that ``a_minus`` hands out.
+Every entry point first checks that no term names a missing generator and
+that no generator name or (source, target) term repeats, once per complex
+and not at all when ``validate`` has already found its structure clean.
+``a_minus`` computes a level's shifts, gradings and exponents by position,
+and the levels share the term positions, so ``homology_over_U`` looks up
+no names.  The kernel checks that do not depend on k (homogeneity, since
+M(s) - 1 = M(t) - 2n makes k cancel, and d^2 = 0 at U = 1) run on the
+first level reduced for a complex and are skipped once they have passed;
+the escape check and the pivot-pair checks run on every level.  A
+hand-built ``FreeUComplex`` is indexed by name on each call and runs every
+check.  tau, nu and HFK-hat build the vertical slice and the U = 0 slices
+of A^-_k as gradings plus the source and target positions of their terms,
+with rows and columns in basis order.
 
 Each complex object keeps a private memo of its index, V_k, tau, nu, the
 vertical class and the HFK-hat table, so every report reduces a given
@@ -40,12 +47,13 @@ check on the computed table.
 from __future__ import annotations
 
 import functools
-from collections.abc import Container, Iterable
+import operator
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import compress, repeat
 
 from . import f2
-from .complexes import BifilteredComplex, dual
+from .complexes import STRUCTURE_CLEAN, BifilteredComplex, Index, dual, shifted_slice
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -82,14 +90,6 @@ class UModuleSummary:
     torsion: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class F2Complex:
-    """Plain F2 chain complex; basis entries are (name, maslov, alexander)
-    and every term drops maslov by one."""
-    basis: tuple[tuple[str, int, int], ...]
-    terms: tuple[tuple[str, str], ...]
-
-
 def _memoized(fn):
     """Keep fn(C, *args) in C's private memo, so that each complex object
     computes it once.  A call that raises leaves nothing behind."""
@@ -103,34 +103,21 @@ def _memoized(fn):
     return cached
 
 
-class _Index(NamedTuple):
-    """A complex by generator position: the generators' columns, every
-    term's endpoint names and U power, the terms' positions, and the least
-    and greatest Alexander grading j - i (0 and 0 without generators)."""
-    names: tuple[str, ...]
-    i: tuple[int, ...]
-    j: tuple[int, ...]
-    maslov: tuple[int, ...]
-    source_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    powers: tuple[int, ...]
-    positions: _Positions
-    alexander_range: tuple[int, int]
-
-
 @_memoized
-def _index(C: BifilteredComplex) -> _Index:
-    names, i, j, maslov = tuple(zip(*C.generators)) or ((),) * 4
-    source_names, target_names, powers = tuple(zip(*C.terms)) or ((),) * 3
-    position = {name: p for p, name in enumerate(names)}
-    try:
-        positions = _Positions(list(map(position.__getitem__, source_names)),
-                               list(map(position.__getitem__, target_names)))
-    except KeyError:
-        raise _unknown_generator(C.terms, position) from None
-    alexander = [b - a for a, b in zip(i, j)]
-    return _Index(names, i, j, maslov, source_names, target_names, powers, positions,
-                  (min(alexander, default=0), max(alexander, default=0)))
+def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
+    """C's index once no term names a missing generator and no generator
+    name or term repeats, with the term positions its levels share.  A
+    complex whose structure validate has found clean is not checked again."""
+    index = C.index()
+    positions = _Positions(index.sources, index.targets)
+    if STRUCTURE_CLEAN not in C._memo:
+        _check_terms(index.names, C.terms, positions)
+    return index, positions
+
+
+def _shift(index: Index, k: int) -> list[int]:
+    """max(i, j - k) per generator: the U power that moves it into A^-_k."""
+    return [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
 
 
 def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
@@ -140,10 +127,9 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     grading M(g) - 2 c_g; a term U^n: s -> t turns into exponent
     n + c_s - c_t, nonnegative exactly because the region is a subcomplex.
     """
-    index = _index(C)
-    shift = [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
+    index, positions = _index(C)
+    shift = _shift(index, k)
     basis = tuple(zip(index.names, [m - 2 * c for m, c in zip(index.maslov, shift)]))
-    positions = index.positions
     exponents = [n + shift[s] - shift[t]
                  for s, t, n in zip(positions.sources, positions.targets, index.powers)]
     if min(exponents, default=0) < 0:
@@ -197,7 +183,7 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
                                [position.get(t, -1) for _s, t, _e in x.terms])
     grading = [m for _name, m in x.basis]
     if not positions.checked:
-        _check_terms(x, grading, positions)
+        _check_terms([name for name, _m in x.basis], x.terms, positions, grading)
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
@@ -254,12 +240,13 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     return UModuleSummary(tuple(free), tuple(torsion))
 
 
-def _check_terms(x: FreeUComplex, grading: list[int], positions: _Positions) -> None:
-    """Raise ValueError for the first duplicate basis name; else for the
-    first term that names a missing generator, unless an inhomogeneous
-    term comes before it; else for the first term that repeats an earlier
-    one or is not homogeneous of degree -1.  None of these depends on k."""
-    names = [name for name, _m in x.basis]
+def _check_terms(names: Sequence[str], terms: Sequence[tuple[str, str, int]],
+                 positions: _Positions, grading: Sequence[int] | None = None) -> None:
+    """Raise ValueError for the first duplicate name; else for the first
+    term that names a missing generator, unless an inhomogeneous term comes
+    before it; else for the first term that repeats an earlier (source,
+    target) pair or is not homogeneous of degree -1.  Homogeneity is
+    checked only when the gradings are given.  None of these depends on k."""
     if len(set(names)) != len(names):
         declared: set[str] = set()
         for name in names:
@@ -267,25 +254,28 @@ def _check_terms(x: FreeUComplex, grading: list[int], positions: _Positions) -> 
                 raise ValueError(f"duplicate basis name {name!r}")
             declared.add(name)
     sources, targets = positions.sources, positions.targets
-    for (_s, _t, e), s, t in zip(x.terms, sources, targets):
-        if s < 0 or t < 0:
-            raise _unknown_generator(x.terms, set(names))
-        if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-            break
+    stop = len(terms)  # the first term that is not homogeneous, if any
+    if grading is None:
+        if -1 in sources or -1 in targets:
+            raise _unknown_generator(terms, set(names))
     else:
-        if len(set(zip(sources, targets))) == len(sources):
-            return
-    # A term stopped the loop, or some term repeats; no term up to the
-    # first such one names a missing generator.
-    seen: set[tuple[int, int]] = set()
-    for (s_name, t_name, e), s, t in zip(x.terms, sources, targets):
-        if (s, t) in seen:
-            raise ValueError(f"duplicate term {s_name}->{t_name}")
-        if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-            raise ValueError(
-                f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
-        seen.add((s, t))
-    raise AssertionError("every term is distinct and homogeneous")
+        for p, ((_s, _t, e), s, t) in enumerate(zip(terms, sources, targets)):
+            if s < 0 or t < 0:
+                raise _unknown_generator(terms, set(names))
+            if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
+                stop = p
+                break
+    # One int per (source, target) pair; positions run from -1 to len - 1.
+    width = len(names) + 1
+    if len(set(map(operator.add, map(operator.mul, sources, repeat(width)), targets))) < len(sources):
+        seen: set[tuple[int, int]] = set()
+        for p, pair in enumerate(zip(sources[:stop + 1], targets)):
+            if pair in seen:
+                raise ValueError(f"duplicate term {terms[p][0]}->{terms[p][1]}")
+            seen.add(pair)
+    if stop < len(terms):
+        s_name, t_name, e = terms[stop]
+        raise ValueError(f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
 
 
 @_memoized
@@ -301,7 +291,7 @@ def V(C: BifilteredComplex, k: int) -> int:
     V_k = V_{A_min} + A_min - k below it, exactly, and the checks below
     see the gradings that H(A^-_k) itself has.
     """
-    lo, hi = _index(C).alexander_range
+    lo, hi = _index(C)[0].alexander_range
     move = 2 * min(k - lo, 0)
     free = [d + move for d in _free_gradings(C, min(max(k, lo), hi))]
     if len(free) != 1:
@@ -342,67 +332,43 @@ def nu_plus(C: BifilteredComplex) -> int:
     return k
 
 
-def vertical_complex(C: BifilteredComplex) -> F2Complex:
-    """The i-preserving slice at i = 0: basis U^{i_g} g in grading
-    M(g) - 2 i_g, keeping terms whose translated U power is zero."""
-    basis = tuple([(name, m - 2 * i, j - i) for name, i, j, m in C.generators])
-    level = {name: i for name, i, _j, _m in C.generators}
-    try:
-        terms = tuple([
-            (source, target) for source, target, n in C.terms
-            if n + level[source] - level[target] == 0])
-    except KeyError:
-        raise _unknown_generator(C.terms, level) from None
-    return F2Complex(basis, terms)
+def _slice(C: BifilteredComplex,
+           k: int | None = None) -> tuple[list[int], list[int], list[int]]:
+    """The vertical slice of C (each generator g moved to U^{i_g} g) when
+    k is None, else the U = 0 slice of A^-_k (g moved to U^{c_g} g with
+    c_g = max(i_g, j_g - k)): each generator's grading by position, then
+    the source and the target positions of the terms with translated U
+    power zero."""
+    index = _index(C)[0]
+    return shifted_slice(index, index.i if k is None else _shift(index, k))
 
 
-def hat_a(C: BifilteredComplex, k: int) -> F2Complex:
-    """U = 0 slice of a_minus(C, k); same basis names, terms with induced
-    exponent zero.  The alexander slot keeps the underlying generator's
-    Alexander grading so callers can tell which elements project onto the
-    vertical complex (exactly those with A(g) <= k)."""
-    shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
-    basis = tuple([
-        (name, m - 2 * shift[name], j - i) for name, i, j, m in C.generators])
-    try:
-        terms = tuple([
-            (source, target) for source, target, n in C.terms
-            if n + shift[source] - shift[target] == 0])
-    except KeyError:
-        raise _unknown_generator(C.terms, shift) from None
-    return F2Complex(basis, terms)
-
-
-def _grading_names(x: F2Complex, m: int) -> list[str]:
-    return [name for (name, g, _a) in x.basis if g == m]
-
-
-def _boundary_rows(x: F2Complex, row_names: list[str], col_names: list[str]) -> list[int]:
-    """Rows over col_names (as sources) for targets in row_names."""
-    ridx = {n: i for i, n in enumerate(row_names)}
-    cidx = {n: i for i, n in enumerate(col_names)}
-    rows = [0] * len(row_names)
-    for s, t in x.terms:
-        if s in cidx and t in ridx:
-            rows[ridx[t]] ^= 1 << cidx[s]
+def _block(grading: list[int], sources: list[int], targets: list[int], place: list[int],
+           sizes: dict[int, int], m: int) -> list[int]:
+    """The differential from grading m into grading m - 1: row place[t]
+    has bit place[s] for each term s -> t between them."""
+    rows = [0] * sizes.get(m - 1, 0)
+    for s, t in zip(sources, targets):
+        if grading[s] == m and grading[t] == m - 1:
+            rows[place[t]] ^= 1 << place[s]
     return rows
 
 
 @_memoized
-def _vertical_class(
-        C: BifilteredComplex) -> tuple[F2Complex, list[str], list[str], list[int], int]:
-    """The vertical complex, its grading-0 basis, its grading-1 basis, the
-    boundary matrix from grading 1, and a cycle representing the generator
-    of the one-dimensional homology."""
-    vert = vertical_complex(C)
-    b0 = _grading_names(vert, 0)
-    b1 = _grading_names(vert, 1)
-    bm1 = _grading_names(vert, -1)
-    down = _boundary_rows(vert, bm1, b0)
-    into = _boundary_rows(vert, b0, b1)
+def _vertical_class(C: BifilteredComplex) -> tuple[list[int], int, list[int], int]:
+    """The positions of the grading-0 elements of the vertical slice, the
+    number of grading-1 elements, the boundary rows from grading 1 into
+    grading 0, and a cycle representing the generator of the
+    one-dimensional homology."""
+    grading, sources, targets = _slice(C)
+    place, sizes = f2.places(grading)
+    b0 = [p for p, m in enumerate(grading) if m == 0]
+    n1 = sizes.get(1, 0)
+    down = _block(grading, sources, targets, place, sizes, 0)
+    into = _block(grading, sources, targets, place, sizes, 1)
     for z in f2.kernel_basis(down, len(b0)):
-        if f2.solve(into, len(b1), z) is None:
-            return vert, b0, b1, into, z
+        if f2.solve(into, n1, z) is None:
+            return b0, n1, into, z
     raise KnotTypeError(
         "vertical homology has no grading-zero generator; complex is not knot-type")
 
@@ -411,18 +377,17 @@ def _vertical_class(
 def tau(C: BifilteredComplex) -> int:
     """Least k such that the vertical homology generator is homologous to a
     cycle supported in Alexander gradings <= k."""
-    vert, b0, b1, into, z = _vertical_class(C)
-    alex = {name: a for (name, _m, a) in vert.basis}
-    alexs = [alex[n] for n in b0]
-    lo = min((a for (_n, _m, a) in vert.basis), default=0)
-    hi = max((a for (_n, _m, a) in vert.basis), default=0)
+    b0, n1, into, z = _vertical_class(C)
+    index = _index(C)[0]
+    alexs = [index.j[p] - index.i[p] for p in b0]
+    lo, hi = index.alexander_range
     for k in range(lo, hi + 1):
         keep = [i for i, a in enumerate(alexs) if a > k]
         rows = [into[i] for i in keep]
         rhs = 0
         for r, i in enumerate(keep):
             rhs |= ((z >> i) & 1) << r
-        if f2.solve(rows, len(b1), rhs) is not None:
+        if f2.solve(rows, n1, rhs) is not None:
             return k
     raise KnotTypeError("tau scan found no supporting level")
 
@@ -432,27 +397,22 @@ def nu(C: BifilteredComplex) -> int:
     """Least k >= tau such that some cycle of the U = 0 slice of A^-_k
     projects to the vertical homology generator's class."""
     t = tau(C)
-    vert, b0, b1, into, z0 = _vertical_class(C)
-    hi = max((a for (_n, _m, a) in vert.basis), default=0)
-    for k in range(t, hi + 1):
-        hat = hat_a(C, k)
-        h0 = _grading_names(hat, 0)
-        hm1 = _grading_names(hat, -1)
-        cycle_rows = _boundary_rows(hat, hm1, h0)
-        nz, nw = len(h0), len(b1)
-        h0_idx = {n: i for i, n in enumerate(h0)}
-        alex = {name: a for (name, _m, a) in hat.basis}
-        rows: list[int] = []
+    b0, n1, into, z0 = _vertical_class(C)
+    index = _index(C)[0]
+    alexs = [index.j[p] - index.i[p] for p in b0]
+    for k in range(t, index.alexander_range[1] + 1):
+        grading, sources, targets = _slice(C, k)
+        place, sizes = f2.places(grading)
+        nz = sizes.get(0, 0)
+        rows = _block(grading, sources, targets, place, sizes, 0)  # cycle rows; rhs bits stay 0
         rhs = 0
-        for r in cycle_rows:
-            rows.append(r)  # cycle condition rows; rhs bits stay 0
-        for r, name in enumerate(b0):
+        for r, (p, a) in enumerate(zip(b0, alexs)):
             row = into[r] << nz  # d(w) contribution from vertical grading 1
-            if name in h0_idx and alex[name] <= k:
-                row |= 1 << h0_idx[name]  # projection of the hat cycle
+            if grading[p] == 0 and a <= k:
+                row |= 1 << place[p]  # projection of the hat cycle
             rows.append(row)
             rhs |= ((z0 >> r) & 1) << (len(rows) - 1)
-        if f2.solve(rows, nz + nw, rhs) is not None:
+        if f2.solve(rows, nz + n1, rhs) is not None:
             return k
     raise KnotTypeError("nu scan found no supporting level")
 
@@ -482,10 +442,12 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
 
 @_memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
-    vert = vertical_complex(C)
-    grading = {name: (a, m) for (name, m, a) in vert.basis}
-    return f2.graded_homology_dims(
-        grading, ((s, t) for (s, t) in vert.terms if grading[s][0] == grading[t][0]))
+    index = _index(C)[0]
+    grading, sources, targets = _slice(C)
+    alexander = [j - i for i, j in zip(index.i, index.j)]
+    keep = [alexander[s] == alexander[t] for s, t in zip(sources, targets)]
+    return f2.graded_homology_dims(list(zip(alexander, grading)),
+                                   compress(sources, keep), compress(targets, keep))
 
 
 def seifert_genus(C: BifilteredComplex) -> int:

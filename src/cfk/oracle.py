@@ -38,9 +38,15 @@ def truncated_dimensions(x: FreeUComplex, cutoff: int) -> dict[int, int]:
     outgoing: dict[str, list[tuple[str, int]]] = {}
     for s_, t_, e in x.terms:
         outgoing.setdefault(s_, []).append((t_, e))
-    edges = (((name, s), (t_, s + e)) for (name, s) in grading
-             for (t_, e) in outgoing.get(name, ()) if (t_, s + e) in grading)
-    nonzero = f2.graded_homology_dims(grading, edges)
+    position = {el: p for p, el in enumerate(grading)}
+    sources: list[int] = []
+    targets: list[int] = []
+    for (name, s) in grading:
+        for (t_, e) in outgoing.get(name, ()):
+            if (t_, s + e) in position:
+                sources.append(position[(name, s)])
+                targets.append(position[(t_, s + e)])
+    nonzero = f2.graded_homology_dims(list(grading.values()), sources, targets)
     return {m: nonzero.get(m, 0) for m in set(grading.values()) if m > cutoff}
 
 

@@ -1,0 +1,215 @@
+"""Name-keyed references for validate, tau, nu and HFK-hat.
+
+These are the algorithms cfk ran before its complexes were indexed by
+generator position: every lookup goes through a name-keyed dict, the d^2
+check keeps (end name, U power) pairs, and the vertical and U = 0 slices
+are named complexes whose boundary matrices are built from name -> row
+maps.  The tests compare the position-based library against them, result
+for result and message for message.  Only f2.rank, f2.solve and
+f2.kernel_basis are shared.
+"""
+from __future__ import annotations
+
+from cfk import f2
+from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
+                           GRADING, UNDECLARED_NAME, VERTICAL_HOMOLOGY,
+                           BifilteredComplex, DiffTerm, Violation)
+from cfk.errors import KnotTypeError
+
+
+def graded_homology_dims(grading, edges):
+    """Nonzero homology dimensions, by grading key, of a graded F2 complex
+    whose basis is the keys of grading and whose edges are name pairs."""
+    index = {}
+    dims = {}
+    for el, key in grading.items():
+        index[el] = dims.get(key, 0)
+        dims[key] = index[el] + 1
+    rows = {}
+    target_key = {}
+    for s, t in edges:
+        rows[s] = rows.get(s, 0) ^ (1 << index[t])
+        target_key[grading[s]] = grading[t]
+    blocks = {}
+    for el, key in grading.items():
+        if el in rows:
+            blocks.setdefault(key, []).append(rows[el])
+    for key, block in blocks.items():
+        r = f2.rank(block)
+        dims[key] -= r
+        dims[target_key[key]] -= r
+    return {key: h for key, h in dims.items() if h}
+
+
+def validate(C: BifilteredComplex) -> list[Violation]:
+    out: list[Violation] = []
+    seen: set[str] = set()
+    for name, _i, _j, _m in C.generators:
+        if name in seen:
+            out.append(Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice"))
+        seen.add(name)
+
+    gens = C.by_name
+    structural_ok = not out
+    term_seen: set[DiffTerm] = set()
+    for term in C.terms:
+        source, target, n = term
+        if term in term_seen:
+            out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
+            structural_ok = False
+            continue
+        term_seen.add(term)
+        if source not in gens or target not in gens:
+            missing = source if source not in gens else target
+            out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
+            structural_ok = False
+            continue
+        _, si, sj, sm = gens[source]
+        _, ti, tj, tm = gens[target]
+        if n < 0:
+            out.append(Violation(FILTRATION, f"negative U power on {source}->{target}"))
+            structural_ok = False
+            continue
+        if ti - n > si or tj - n > sj:
+            out.append(Violation(
+                FILTRATION,
+                f"U^{n}:{source}->{target} raises filtration: "
+                f"({ti - n},{tj - n}) from ({si},{sj})"))
+        if sm - 1 != tm - 2 * n:
+            out.append(Violation(
+                GRADING,
+                f"U^{n}:{source}->{target} grading mismatch: "
+                f"M={sm} source vs M={tm}-2*{n} target"))
+
+    if out or not structural_ok:
+        return out
+
+    outgoing: dict[str, list[tuple[str, int]]] = {}
+    for source, target, n in C.terms:
+        outgoing.setdefault(source, []).append((target, n))
+    for name, _i, _j, _m in C.generators:
+        odd: set[tuple[str, int]] = set()
+        for mid, n1 in outgoing.get(name, ()):
+            for path in outgoing.get(mid, ()):
+                if n1:
+                    path = (path[0], path[1] + n1)
+                if path in odd:
+                    odd.remove(path)
+                else:
+                    odd.add(path)
+        if odd:
+            for end, power in sorted(odd):
+                out.append(Violation(D_SQUARED, f"d^2({name}) contains U^{power}*{end}"))
+    if out:
+        return out
+
+    level: dict[str, int] = {}
+    grading: dict[str, int] = {}
+    for name, i, _j, m in C.generators:
+        level[name] = i
+        grading[name] = m - 2 * i
+    dims = graded_homology_dims(
+        grading, ((source, target) for source, target, n in C.terms
+                  if n + level[source] - level[target] == 0))
+    if dims != {0: 1}:
+        total = sum(dims.values())
+        out.append(Violation(
+            VERTICAL_HOMOLOGY,
+            f"vertical homology has total dimension {total} at gradings "
+            f"{sorted(dims)} (want dimension 1 at grading 0)"))
+    return out
+
+
+def vertical_complex(C):
+    """(basis, terms): basis entries (name, grading M - 2i, alexander),
+    terms the (source, target) names whose translated U power is zero."""
+    basis = tuple((name, m - 2 * i, j - i) for name, i, j, m in C.generators)
+    level = {name: i for name, i, _j, _m in C.generators}
+    terms = tuple((source, target) for source, target, n in C.terms
+                  if n + level[source] - level[target] == 0)
+    return basis, terms
+
+
+def hat_a(C, k):
+    """The U = 0 slice of A^-_k, as vertical_complex."""
+    shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
+    basis = tuple((name, m - 2 * shift[name], j - i) for name, i, j, m in C.generators)
+    terms = tuple((source, target) for source, target, n in C.terms
+                  if n + shift[source] - shift[target] == 0)
+    return basis, terms
+
+
+def _grading_names(basis, m):
+    return [name for (name, g, _a) in basis if g == m]
+
+
+def _boundary_rows(terms, row_names, col_names):
+    ridx = {n: i for i, n in enumerate(row_names)}
+    cidx = {n: i for i, n in enumerate(col_names)}
+    rows = [0] * len(row_names)
+    for s, t in terms:
+        if s in cidx and t in ridx:
+            rows[ridx[t]] ^= 1 << cidx[s]
+    return rows
+
+
+def _vertical_class(C):
+    basis, terms = vertical_complex(C)
+    b0 = _grading_names(basis, 0)
+    b1 = _grading_names(basis, 1)
+    bm1 = _grading_names(basis, -1)
+    down = _boundary_rows(terms, bm1, b0)
+    into = _boundary_rows(terms, b0, b1)
+    for z in f2.kernel_basis(down, len(b0)):
+        if f2.solve(into, len(b1), z) is None:
+            return basis, b0, b1, into, z
+    raise KnotTypeError(
+        "vertical homology has no grading-zero generator; complex is not knot-type")
+
+
+def tau(C):
+    basis, b0, b1, into, z = _vertical_class(C)
+    alex = {name: a for (name, _m, a) in basis}
+    alexs = [alex[n] for n in b0]
+    lo = min((a for (_n, _m, a) in basis), default=0)
+    hi = max((a for (_n, _m, a) in basis), default=0)
+    for k in range(lo, hi + 1):
+        keep = [i for i, a in enumerate(alexs) if a > k]
+        rows = [into[i] for i in keep]
+        rhs = 0
+        for r, i in enumerate(keep):
+            rhs |= ((z >> i) & 1) << r
+        if f2.solve(rows, len(b1), rhs) is not None:
+            return k
+    raise KnotTypeError("tau scan found no supporting level")
+
+
+def nu(C):
+    t = tau(C)
+    basis, b0, b1, into, z0 = _vertical_class(C)
+    hi = max((a for (_n, _m, a) in basis), default=0)
+    for k in range(t, hi + 1):
+        hat_basis, hat_terms = hat_a(C, k)
+        h0 = _grading_names(hat_basis, 0)
+        hm1 = _grading_names(hat_basis, -1)
+        rows = _boundary_rows(hat_terms, hm1, h0)
+        nz, nw = len(h0), len(b1)
+        h0_idx = {n: i for i, n in enumerate(h0)}
+        alex = {name: a for (name, _m, a) in hat_basis}
+        rhs = 0
+        for r, name in enumerate(b0):
+            row = into[r] << nz
+            if name in h0_idx and alex[name] <= k:
+                row |= 1 << h0_idx[name]
+            rows.append(row)
+            rhs |= ((z0 >> r) & 1) << (len(rows) - 1)
+        if f2.solve(rows, nz + nw, rhs) is not None:
+            return k
+    raise KnotTypeError("nu scan found no supporting level")
+
+
+def hfk_hat(C):
+    basis, terms = vertical_complex(C)
+    grading = {name: (a, m) for (name, m, a) in basis}
+    return graded_homology_dims(
+        grading, ((s, t) for (s, t) in terms if grading[s][0] == grading[t][0]))

@@ -170,6 +170,11 @@ def malformed_complexes():
             D("a", "c", 0), D("a", "b", 0), D("a", "h", 1), D("z", "c", 0),
             D("z", "b", 0), D("c", "e", 0), D("c", "f", 0), D("b", "d", 0),
             D("b", "e", 0), D("h", "k", 0)]),
+        # d^2(a) = U^2 c + U g: the residue's power is read off the gradings
+        "d^2 with U powers": BifilteredComplex(
+            [G("a", 0, 0, 0), G("b", 1, 1, 1), G("c", 2, 2, 2), G("f", 0, 0, -1),
+             G("g", 1, 1, 0)],
+            [D("a", "b", 1), D("b", "c", 1), D("a", "f", 0), D("f", "g", 1)]),
         "vertical homology": BifilteredComplex(
             T29.generators, [t for t in T29.terms if (t.source, t.target) != ("x1", "x2")]),
         "box next to a dot": BifilteredComplex(
@@ -178,7 +183,8 @@ def malformed_complexes():
 
 
 # (kind, message) lists recorded from validate() before its d^2 check used
-# a parity set; kinds and messages must stay exactly these, in this order.
+# a parity set, and "d^2 with U powers" from the name-keyed reference in
+# references.py; kinds and messages must stay exactly these, in this order.
 FROZEN_VIOLATIONS = {
     "duplicate name": [
         ("duplicate-name", "generator name 'x0' declared twice"),
@@ -221,6 +227,10 @@ FROZEN_VIOLATIONS = {
         ("d-squared", "d^2(a) contains U^0*d"),
         ("d-squared", "d^2(a) contains U^0*f"),
         ("d-squared", "d^2(a) contains U^1*k"),
+    ],
+    "d^2 with U powers": [
+        ("d-squared", "d^2(a) contains U^2*c"),
+        ("d-squared", "d^2(a) contains U^1*g"),
     ],
     "vertical homology": [
         ("vertical-homology",

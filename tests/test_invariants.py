@@ -8,12 +8,12 @@ import pytest
 from conftest import cable_staircase, torus_staircase
 from cfk import invariants, selftest
 from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor,
-                           unknot_complex)
+                           unknot_complex, validate)
 from cfk.errors import KnotTypeError
 from cfk.expr import build_complex, parse
 from cfk.invariants import (FreeUComplex, H, UModuleSummary, V, a_minus,
-                            epsilon, hat_a, hfk_hat, homology_over_U, nu,
-                            nu_plus, seifert_genus, tau, vertical_complex)
+                            epsilon, hfk_hat, homology_over_U, nu, nu_plus,
+                            seifert_genus, tau)
 from cfk.surgery import SurgerySpec, d_invariants, lens_d
 
 
@@ -77,7 +77,7 @@ def test_homology_over_u_rejects_bad_input(x, message):
 
 @pytest.mark.parametrize("ghost", ["source", "target"])
 @pytest.mark.parametrize("entry", [
-    lambda C: a_minus(C, 0), lambda C: hat_a(C, 0), vertical_complex,
+    lambda C: a_minus(C, 0), lambda C: invariants._slice(C, 0), invariants._slice,
     lambda C: homology_over_U(FreeUComplex((("a", 0),), tuple(C.terms))),
     lambda C: V(C, 0), tau, nu, hfk_hat,
 ], ids=["a_minus", "hat_a", "vertical_complex", "homology_over_U", "V", "tau",
@@ -89,6 +89,28 @@ def test_term_with_unknown_generator_is_named(entry, ghost):
                "references unknown generator 'ghost'")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(C)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("name", "duplicate basis name 'x0'"),
+    ("term", "duplicate term x1->x0"),
+])
+@pytest.mark.parametrize("entry", [
+    lambda C: a_minus(C, 0), lambda C: V(C, 0), nu_plus, tau, nu, epsilon, hfk_hat,
+    seifert_genus,
+], ids=["a_minus", "V", "nu_plus", "tau", "nu", "epsilon", "hfk_hat", "seifert_genus"])
+def test_repeated_name_or_term_is_refused(entry, defect, message):
+    # Unrefused, the redeclared x0 yields tau 0 and a wrong HFK-hat table,
+    # and V fails on an escaping term instead.
+    T = torus_staircase(2, 3)
+    if defect == "name":
+        C = BifilteredComplex(list(T.generators) + [Generator("x0", 7, 7, 0)], T.terms)
+    else:
+        C = BifilteredComplex(T.generators, list(T.terms) + [DiffTerm("x1", "x0", 0)])
+    assert validate(C)  # a complex validate rejects is still checked
+    for _ in range(2):  # a refusal leaves nothing in the memo
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(C)
 
 
 def test_missing_generator_is_reported_before_an_escaping_term():
@@ -398,16 +420,14 @@ def test_hfk_hat_hands_out_a_copy(trefoil):
 
 
 def test_vertical_and_hat_complexes(trefoil):
-    Vc = vertical_complex(torus_staircase(2, 9))
-    assert len(Vc.basis) == 9
-    # only the downward (i-preserving) arrows survive
-    assert sorted(Vc.terms) == [
-        ("x1", "x2"), ("x3", "x4"), ("x5", "x6"), ("x7", "x8")]
-    Ha = hat_a(trefoil, 0)
-    # both trefoil arrows have induced exponent 0 at k = 0
-    assert sorted(Ha.terms) == [("x1", "x0"), ("x1", "x2")]
-    Ha1 = hat_a(trefoil, 1)
-    assert sorted(Ha1.terms) == [("x1", "x2")]
+    # the vertical slice and the U = 0 slices of A^-_k, by generator position
+    grading, sources, targets = invariants._slice(torus_staircase(2, 9))
+    assert len(grading) == 9
+    # only the downward (i-preserving) arrows survive: x1->x2, x3->x4, ...
+    assert sorted(zip(sources, targets)) == [(1, 2), (3, 4), (5, 6), (7, 8)]
+    # both trefoil arrows (x1->x0, x1->x2) have induced exponent 0 at k = 0
+    assert sorted(zip(*invariants._slice(trefoil, 0)[1:])) == [(1, 0), (1, 2)]
+    assert sorted(zip(*invariants._slice(trefoil, 1)[1:])) == [(1, 2)]
 
 
 def test_tau_nu_epsilon_small_cases(trefoil):
