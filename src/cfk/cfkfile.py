@@ -17,21 +17,34 @@ order, dif lines sorted by source, targets sorted by (U power, name);
 reading a canonical file back is byte-identical under dumps().  dumps()
 refuses a term whose source or target is not a generator, whose U power is
 negative, or that is repeated, since loads() would reject the file.
+
+loads() fills the columns of the complex's index (see cfk.complexes)
+directly, and makes no Generator or DiffTerm record: those are made from
+the columns when a caller reads C.generators or C.terms.  dumps() reads
+the columns too.
 """
 from __future__ import annotations
 
+import operator
 import re
-from itertools import repeat
+from collections.abc import Sequence
+from itertools import chain, compress, repeat
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import NoReturn
 
-from .complexes import BifilteredComplex, DiffTerm, Generator
+from .complexes import STRUCTURE_CLEAN, BifilteredComplex, DiffTerm
 from .errors import FormatError
 
 HEADER = "cfk v1"
 _HEADER_FIELDS = HEADER.split()
 # int() alone would also take "+1", "1_0" and non-ASCII digits.
 _GEN_INTS = re.compile(r"-?[0-9]+ -?[0-9]+ -?[0-9]+")
+_INTS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+# Lines split at a time by _read_columns.
+_CHUNK = 1024
+_HEADER, _GEN, _DIF = 0, 1, 2
+_DIRECTIVES = {_HEADER_FIELDS[0]: _HEADER, "gen": _GEN, "dif": _DIF}
 _TERM = re.compile(r"U\^([0-9]+)\.(.+)")
 
 
@@ -48,17 +61,101 @@ def _name_problem(name: str) -> str | None:
 
 
 def loads(text: str, label: str = "") -> BifilteredComplex:
-    """Read a complex from the text of a cfk v1 file, in one pass.
+    """Read a complex from the text of a cfk v1 file.
 
-    Records are collected as plain tuples and made Generator and DiffTerm
-    records in bulk at the end with tuple.__new__, which is what
-    NamedTuple's own _make runs: calling the class once per record would
-    go through its Python-level __new__ and cost about twice as much.
+    A text with no error, every generator declared before the first dif
+    line and no name or (source, target) pair repeated, as dumps() writes,
+    is read by whole columns (_read_columns), and STRUCTURE_CLEAN is
+    recorded for it.  Any other text, including every text with an error,
+    is read line by line (_read_lines), which raises the first error.
     """
+    columns = _read_columns(text)
+    if columns is None:
+        return BifilteredComplex.from_columns(*_read_lines(text), label=label)
+    return BifilteredComplex.from_columns(*columns, label=label, clean=True)
+
+
+_Columns = tuple[Sequence[str], list[int], list[int], list[int], list[int], list[int], list[int]]
+
+
+def _read_columns(text: str) -> _Columns | None:
+    """The columns (names, i, j, M, term powers, source and target
+    positions) of a text with no error, every generator declared before
+    the first dif line and no name or (source, target) pair repeated, or
+    None for any other text.  Whenever this returns columns, _read_lines
+    returns the same ones."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # Per nonempty line: its directive as a number, its field count and its
+    # second field, and the fields after the second in one flat list.  The
+    # lines are split a chunk at a time: all of a file's lines held as
+    # field lists at once would take about six times the text's size.
+    directives: list[int | None] = []
+    widths: list[int] = []
+    seconds: list[str] = []
+    rest: list[str] = []
+    rows: list[list[str]] = []
+    for start in range(0, len(lines), _CHUNK):
+        rows = list(filter(None, map(str.split, lines[start:start + _CHUNK])))
+        if min(map(len, rows), default=2) < 2:
+            return None
+        directives += map(_DIRECTIVES.get, map(itemgetter(0), rows))
+        widths += map(len, rows)
+        seconds += map(itemgetter(1), rows)
+        rest += chain.from_iterable(map(itemgetter(slice(2, None)), rows))
+    del lines, rows
+    n = directives.count(_GEN)
+    if (directives[:1] != [_HEADER] or widths[0] != 2 or seconds[0] != _HEADER_FIELDS[1]
+            or directives.count(_DIF) != len(directives) - 1 - n or _GEN in directives[n + 1:]
+            or set(widths[1:n + 1]) != {5}):
+        return None
+    names = seconds[1:n + 1]
+    if len(set(names)) < n or "\nU^" in "\n" + "\n".join(names):
+        return None
+    ints = rest[:3 * n]
+    if _INTS.fullmatch(" ".join(ints)) is None:
+        return None
+    try:
+        ints = list(map(int, ints))
+    except ValueError:  # past int()'s digit limit
+        return None
+    i, j, maslov = ints[0::3], ints[1::3], ints[2::3]
+    widths = widths[n + 1:]
+    if min(widths, default=3) < 3:
+        return None
+    position = dict(zip(names, range(n)))
+    starts = list(map(position.get, seconds[n + 1:]))
+    if None in starts:
+        return None
+    tokens = rest[3 * n:]
+    del ints, seconds, rest
+    # No name starts with "U^", so the lookup misses exactly the U^n terms
+    # and the undeclared names.
+    targets = list(map(position.get, tokens))
+    powers = [0] * len(tokens)
+    for p in compress(range(len(tokens)), map(operator.is_, targets, repeat(None))):
+        m = _TERM.fullmatch(tokens[p])
+        if m is None or m.group(2) not in position:
+            return None
+        try:
+            powers[p] = int(m.group(1))
+        except ValueError:  # past int()'s digit limit
+            return None
+        targets[p] = position[m.group(2)]
+    del tokens
+    sources = list(chain.from_iterable(map(repeat, starts, map(operator.sub, widths, repeat(2)))))
+    # One int per (source, target) pair: no pair repeats, so no term does.
+    if len(set(map(operator.add, map(operator.mul, sources, repeat(n)), targets))) < len(sources):
+        return None
+    return names, i, j, maslov, powers, sources, targets
+
+
+def _read_lines(text: str) -> _Columns:
+    """The columns of a cfk v1 text, read line by line; raises FormatError
+    for the first error, with its line number."""
     generators: list[tuple[str, int, int, int]] = []
-    # Each declared name to its generator's own str, which the terms share:
-    # a complex's index then finds their names by identity.
-    declared: dict[str, str] = {}
+    declared: set[str] = set()
     terms: list[tuple[str, str, int]] = []
     seen_terms: set[tuple[str, str, int]] = set()
     header = False
@@ -88,29 +185,28 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
                 generators.append((name, int(i), int(j), int(maslov)))
             except ValueError:  # not ASCII decimal, or past int()'s digit limit
                 raise FormatError(f"line {lineno}: gen positions must be integers") from None
-            declared[name] = name
+            declared.add(name)
         elif directive == "dif":
             if len(fields) < 3:
                 raise FormatError(f"line {lineno}: dif needs a source and at least one target")
-            source = declared.get(fields[1])
-            if source is None:
+            source = fields[1]
+            if source not in declared:
                 raise FormatError(
-                    f"line {lineno}: dif references undeclared generator {fields[1]!r}")
+                    f"line {lineno}: dif references undeclared generator {source!r}")
             for token in fields[2:]:
                 if token.startswith("U^"):
                     m = _TERM.fullmatch(token)
                     try:
                         if m is None:
                             raise ValueError(token)
-                        upower, name = int(m.group(1)), m.group(2)
+                        upower, target = int(m.group(1)), m.group(2)
                     except ValueError:
                         raise FormatError(f"line {lineno}: malformed term {token!r}") from None
                 else:
-                    upower, name = 0, token
-                target = declared.get(name)
-                if target is None:
+                    upower, target = 0, token
+                if target not in declared:
                     raise FormatError(
-                        f"line {lineno}: dif references undeclared generator {name!r}")
+                        f"line {lineno}: dif references undeclared generator {target!r}")
                 term = (source, target, upower)
                 if term in seen_terms:
                     raise FormatError(
@@ -121,25 +217,35 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
     if not header:
         raise FormatError(f"missing '{HEADER}' header (found 'empty file')")
-    return BifilteredComplex(map(tuple.__new__, repeat(Generator), generators),
-                             map(tuple.__new__, repeat(DiffTerm), terms), label)
+    names, i, j, maslov = map(list, zip(*generators)) if generators else ([],) * 4
+    # A repeated name stands for its last declaration, as in an index.
+    position = dict(zip(names, range(len(names))))
+    return (names, i, j, maslov, [n for _s, _t, n in terms],
+            [position[s] for s, _t, _n in terms], [position[t] for _s, t, _n in terms])
 
 
 def dumps(C: BifilteredComplex) -> str:
-    lines = [HEADER]
-    for name, i, j, maslov in C.generators:
-        problem = _name_problem(name)
-        if problem is not None:
-            raise FormatError(f"cannot write generator {name!r}: name {problem}")
-        lines.append(f"gen {name} {i} {j} {maslov}")
-    names = C.by_name
-    by_source: dict[str, list[tuple[int, str]]] = {}
-    for source, target, n in C.terms:
-        if n < 0 or target not in names:
-            _refuse_terms(C)
-        by_source.setdefault(source, []).append((n, target))
-    if not by_source.keys() <= names.keys() or len(set(C.terms)) < len(C.terms):
+    index = C.index()
+    names, sources, targets, powers = index.names, index.sources, index.targets, index.powers
+    joined = "".join(names)
+    if "#" in joined or joined.split() != [joined] or not all(names) or any(
+            map(methodcaller("startswith", "U^"), names)):
+        for name in names:
+            problem = _name_problem(name)
+            if problem is not None:
+                raise FormatError(f"cannot write generator {name!r}: name {problem}")
+    if min(chain(sources, targets, powers), default=0) < 0:
         _refuse_terms(C)
+    name = names.__getitem__
+    source_names, target_names = list(map(name, sources)), list(map(name, targets))
+    if (STRUCTURE_CLEAN not in C._memo
+            and len(set(zip(source_names, target_names, powers))) < len(powers)):
+        _refuse_terms(C)
+    lines = [HEADER]
+    lines += map("gen {} {} {} {}".format, names, index.i, index.j, index.maslov)
+    by_source: dict[str, list[tuple[int, str]]] = {}
+    for source, target, n in zip(source_names, target_names, powers):
+        by_source.setdefault(source, []).append((n, target))
     for source in sorted(by_source):
         parts = [target if n == 0 else f"U^{n}.{target}"
                  for n, target in sorted(by_source[source])]

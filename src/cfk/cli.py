@@ -99,7 +99,7 @@ def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
             warnings.append(f"V table violates V(-k) = V(k) + k at k={k}")
     return {
         "expression": to_text(e),
-        "generators": len(C.generators),
+        "generators": len(C.index().names),
         "tau": rep.tau,
         "nu": rep.nu,
         "nu_plus": rep.nu_plus,
@@ -285,6 +285,7 @@ def _build_argparser() -> _Parser:
 def _run_validate(path: str, as_json: bool) -> int:
     C = cfkfile.read_complex(path)
     violations = validate(C)
+    index = C.index()
     if as_json:
         print(json.dumps({
             "file": path,
@@ -295,7 +296,7 @@ def _run_validate(path: str, as_json: bool) -> int:
         for v in violations:
             print(f"[{v.kind}] {v.message}")
         print(f"{path}: {'INVALID' if violations else 'OK'} "
-              f"({len(C.generators)} generators, {len(C.terms)} terms)")
+              f"({len(index.names)} generators, {len(index.powers)} terms)")
     return 2 if violations else 0
 
 

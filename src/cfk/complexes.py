@@ -7,27 +7,30 @@ by two, which forces M(source) - 1 = M(target) - 2n on every term.  The
 knot-type condition (vertical homology one-dimensional, in grading zero)
 is part of validation because every invariant downstream assumes it.
 
-Generator and DiffTerm are NamedTuples, not dataclasses: a file of a few
-thousand generators makes tens of thousands of them on each load, and a
-tuple is about three times cheaper to build and to hash.  Attribute access
-on a NamedTuple is slower than on a dataclass, so the loops that walk every
-generator or term unpack the records (``for name, i, j, m in
-C.generators``) instead of reading their fields.
+A complex is stored as its index (``C.index()``): the generator names and
+(i, j, M) columns, every term's U power, each term's source and target as
+a generator position, and the Alexander range.  ``staircase``, ``dual``,
+``tensor`` and cfk.cfkfile's ``loads`` build those columns directly
+(``BifilteredComplex.from_columns``), so the only per-generator objects
+they make are the names.  ``validate``, every invariant in cfk.invariants
+and ``dumps`` work from the positions.
 
-Names matter only at the boundary.  ``C.index()`` numbers the generators
-once per complex object and keeps the result in its memo: the generator
-names and (i, j, M) columns, every term's endpoint names and U power, each
-term's source and target as a generator position, and the Alexander range.
-``validate`` and every invariant in cfk.invariants work from those
-positions.  Building the index never fails: a name that is not a generator
-gets position -1 and a repeated name maps to its last declaration, as
-``by_name`` does, so each caller decides how to report them.
+The named records are made on demand.  ``C.generators`` and ``C.terms``
+are tuples of Generator and DiffTerm NamedTuples, and ``C.by_name`` maps
+each name to its generator; a complex built from columns makes them from
+the columns the first time one is read.  A complex built from records
+(``BifilteredComplex(generators, terms)``) keeps them and indexes them on
+the first call of ``index()``.  That never fails: a name that is not a
+generator gets position -1 and a repeated name maps to its last
+declaration, as ``by_name`` does, so each caller decides how to report
+them.  Only records can carry a term whose name is not a generator.
 
 ``validate`` first runs one pass over the positions that holds exactly when
 no structural violation exists, and runs the itemized loop for the messages
 only when it fails.  A clean pass is recorded in the memo
 (``STRUCTURE_CLEAN``), so the invariants do not check the same facts
-again.  d^2 = 0 is then checked per end generator alone: once every term
+again; ``loads`` records it too when no name and no (source, target) pair
+repeats.  d^2 = 0 is then checked per end generator alone: once every term
 is homogeneous (M(s) - 1 = M(t) - 2n), a two-step path s -> e has total
 U power (M(e) - M(s) + 2) / 2, so the end fixes the power.  Each
 generator keeps a set of ends as plain ints, not a bitmask column: in
@@ -88,49 +91,88 @@ class Violation:
 
 class Index(NamedTuple):
     """A complex by generator position: the generators' columns, every
-    term's endpoint names and U power, each term's source and target
-    position (-1 for a name that is not a generator), and the least and
-    greatest Alexander grading j - i (0 and 0 without generators)."""
-    names: tuple[str, ...]
-    i: tuple[int, ...]
-    j: tuple[int, ...]
-    maslov: tuple[int, ...]
-    source_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    powers: tuple[int, ...]
+    term's U power, each term's source and target position (-1 for a name
+    that is not a generator), and the least and greatest Alexander grading
+    j - i (0 and 0 without generators)."""
+    names: Sequence[str]
+    i: Sequence[int]
+    j: Sequence[int]
+    maslov: Sequence[int]
+    powers: Sequence[int]
     sources: list[int]
     targets: list[int]
     alexander_range: tuple[int, int]
 
 
+def _make_index(names, i, j, maslov, powers, sources, targets) -> Index:
+    alexander = list(map(operator.sub, j, i))
+    return Index(names, i, j, maslov, powers, sources, targets,
+                 (min(alexander, default=0), max(alexander, default=0)))
+
+
 class BifilteredComplex:
     def __init__(self, generators, terms, label: str = ""):
-        self.generators: tuple[Generator, ...] = tuple(generators)
-        self.terms: tuple[DiffTerm, ...] = tuple(terms)
+        self._generators: tuple[Generator, ...] | None = tuple(generators)
+        self._terms: tuple[DiffTerm, ...] | None = tuple(terms)
+        self._by_name: dict[str, Generator] | None = None
+        self._index: Index | None = None
         self.label = label
-        self.by_name: dict[str, Generator] = {g.name: g for g in self.generators}
-        # The index, validate's STRUCTURE_CLEAN and the results of
-        # cfk.invariants for this complex, keyed by (function, args).
+        # validate's STRUCTURE_CLEAN and the results of cfk.invariants for
+        # this complex, keyed by (function, args).
         self._memo: dict[tuple, object] = {}
+
+    @classmethod
+    def from_columns(cls, names: Sequence[str], i: Sequence[int], j: Sequence[int],
+                     maslov: Sequence[int], powers: Sequence[int], sources: list[int],
+                     targets: list[int], label: str = "",
+                     clean: bool = False) -> BifilteredComplex:
+        """A complex stored as its index alone.  Every source and target
+        must be a generator position; clean records STRUCTURE_CLEAN, which
+        the caller asserts: no name and no (source, target) pair repeats."""
+        C = cls.__new__(cls)
+        C._generators = C._terms = C._by_name = None
+        C._index = _make_index(names, i, j, maslov, powers, sources, targets)
+        C.label = label
+        C._memo = {STRUCTURE_CLEAN: True} if clean else {}
+        return C
+
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        if self._generators is None:
+            x = self._index
+            self._generators = tuple(map(tuple.__new__, repeat(Generator),
+                                         zip(x.names, x.i, x.j, x.maslov)))
+        return self._generators
+
+    @property
+    def terms(self) -> tuple[DiffTerm, ...]:
+        if self._terms is None:
+            x = self._index
+            name = x.names.__getitem__
+            self._terms = tuple(map(tuple.__new__, repeat(DiffTerm),
+                                    zip(map(name, x.sources), map(name, x.targets), x.powers)))
+        return self._terms
+
+    @property
+    def by_name(self) -> dict[str, Generator]:
+        if self._by_name is None:
+            self._by_name = {g.name: g for g in self.generators}
+        return self._by_name
 
     def index(self) -> Index:
         """This complex by generator position, built on the first call."""
-        found = self._memo.get(("index",))
-        if found is None:
-            names, i, j, maslov = tuple(zip(*self.generators)) or ((),) * 4
-            source_names, target_names, powers = tuple(zip(*self.terms)) or ((),) * 3
+        if self._index is None:
+            names, i, j, maslov = tuple(zip(*self._generators)) or ((),) * 4
+            source_names, target_names, powers = tuple(zip(*self._terms)) or ((),) * 3
             position = dict(zip(names, range(len(names))))
-            sources = list(map(position.get, source_names, repeat(-1)))
-            targets = list(map(position.get, target_names, repeat(-1)))
-            alexander = list(map(operator.sub, j, i))
-            found = self._memo[("index",)] = Index(
-                names, i, j, maslov, source_names, target_names, powers, sources, targets,
-                (min(alexander, default=0), max(alexander, default=0)))
-        return found
+            self._index = _make_index(names, i, j, maslov, powers,
+                                 list(map(position.get, source_names, repeat(-1))),
+                                 list(map(position.get, target_names, repeat(-1))))
+        return self._index
 
     @property
     def max_alexander(self) -> int:
-        return max((g.alexander for g in self.generators), default=0)
+        return self.index().alexander_range[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifilteredComplex):
@@ -139,8 +181,9 @@ class BifilteredComplex:
                 and frozenset(self.terms) == frozenset(other.terms))
 
     def __repr__(self) -> str:
-        return (f"BifilteredComplex({len(self.generators)} generators, "
-                f"{len(self.terms)} terms, label={self.label!r})")
+        index = self.index()
+        return (f"BifilteredComplex({len(index.names)} generators, "
+                f"{len(index.powers)} terms, label={self.label!r})")
 
 
 def validate(C: BifilteredComplex) -> list[Violation]:
@@ -271,49 +314,73 @@ def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -
         raise ValueError(f"polynomial is not in L-space staircase form: {delta!r}")
     if label is None:
         label = f"staircase({delta!r})"
-    gens: list[Generator] = []
-    i, j, m = 0, exps[0], 0
-    gens.append(Generator(f"{prefix}0", i, j, m))
+    walk = [(0, exps[0], 0)]
     for idx in range(1, len(exps)):
+        i, j, m = walk[-1]
         step = exps[idx - 1] - exps[idx]
-        if idx % 2 == 1:
-            i += step
-            m += 1
-        else:
-            j -= step
-            m -= 1
-        gens.append(Generator(f"{prefix}{idx}", i, j, m))
-    terms = []
-    for idx in range(1, len(exps), 2):
-        terms.append(DiffTerm(f"{prefix}{idx}", f"{prefix}{idx - 1}", 0))
-        terms.append(DiffTerm(f"{prefix}{idx}", f"{prefix}{idx + 1}", 0))
-    return BifilteredComplex(gens, terms, label)
+        walk.append((i + step, j, m + 1) if idx % 2 == 1 else (i, j - step, m - 1))
+    i, j, m = map(list, zip(*walk))
+    odd = range(1, len(exps), 2)
+    sources = [s for s in odd for _ in (0, 1)]
+    targets = [t for s in odd for t in (s - 1, s + 1)]
+    return BifilteredComplex.from_columns(
+        [f"{prefix}{idx}" for idx in range(len(exps))], i, j, m, [0] * len(sources),
+        sources, targets, label)
 
 
 def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
+def _names_generators(index: Index) -> bool:
+    """Whether every term of an index names a generator."""
+    return min(index.sources, default=0) >= 0 and min(index.targets, default=0) >= 0
+
+
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
-    gens = [Generator(name, -i, -j, -m) for name, i, j, m in C.generators]
-    terms = [DiffTerm(t, s, n) for s, t, n in C.terms]
-    return BifilteredComplex(gens, terms, f"dual({C.label})")
+    label = f"dual({C.label})"
+    x = C.index()
+    if not _names_generators(x):  # only records can carry such a term
+        return BifilteredComplex([Generator(name, -i, -j, -m) for name, i, j, m in C.generators],
+                                 [DiffTerm(t, s, n) for s, t, n in C.terms], label)
+    neg = operator.neg
+    return BifilteredComplex.from_columns(
+        x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
+        x.powers, x.targets, x.sources, label)
 
 
 def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over F2[U] with the Leibniz differential.
 
     Generator g*h sits at the componentwise sum of positions and gradings;
-    ordering is by factor index pairs, so the result is deterministic.
+    ordering is by factor index pairs, so the result is deterministic:
+    g*h is at position p1 * n2 + p2, and the terms of C1 (each with every
+    h in turn) come before those of C2 (for each g in turn).
     """
-    gens = [
-        Generator(f"{a}*{b}", i1 + i2, j1 + j2, m1 + m2)
-        for a, i1, j1, m1 in C1.generators
-        for b, i2, j2, m2 in C2.generators
-    ]
-    names1 = [g.name for g in C1.generators]
-    names2 = [h.name for h in C2.generators]
-    terms = [DiffTerm(f"{s}*{b}", f"{t}*{b}", n) for s, t, n in C1.terms for b in names2]
-    terms += [DiffTerm(f"{a}*{s}", f"{a}*{t}", n) for a in names1 for s, t, n in C2.terms]
-    return BifilteredComplex(gens, terms, f"tensor({C1.label}, {C2.label})")
+    label = f"tensor({C1.label}, {C2.label})"
+    x1, x2 = C1.index(), C2.index()
+    if not (_names_generators(x1) and _names_generators(x2)):  # records only
+        names1 = [g.name for g in C1.generators]
+        names2 = [h.name for h in C2.generators]
+        return BifilteredComplex(
+            [Generator(f"{a}*{b}", i1 + i2, j1 + j2, m1 + m2)
+             for a, i1, j1, m1 in C1.generators for b, i2, j2, m2 in C2.generators],
+            [DiffTerm(f"{s}*{b}", f"{t}*{b}", n) for s, t, n in C1.terms for b in names2]
+            + [DiffTerm(f"{a}*{s}", f"{a}*{t}", n) for a in names1 for s, t, n in C2.terms],
+            label)
+    n2 = len(x2.names)
+    right = range(n2)
+    bases = range(0, len(x1.names) * n2, n2)
+
+    def ends(first: list[int], second: list[int]) -> list[int]:
+        return ([p * n2 + q for p in first for q in right]
+                + [base + q for base in bases for q in second])
+
+    return BifilteredComplex.from_columns(
+        [f"{a}*{b}" for a in x1.names for b in x2.names],
+        [a + b for a in x1.i for b in x2.i],
+        [a + b for a in x1.j for b in x2.j],
+        [a + b for a in x1.maslov for b in x2.maslov],
+        [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
+        ends(x1.sources, x2.sources), ends(x1.targets, x2.targets), label)

@@ -304,10 +304,13 @@ def build_complex(e: KnotExpr) -> BifilteredComplex:
 
     Cables demand an L-space companion with q >= p*(2g - 1); everything
     else composes structurally (mirror -> dual, sum -> tensor).  Complexes
-    loaded from files are validated before use.
+    loaded from files are validated before use.  Every complex _build
+    returns is new, so it is relabelled in place and keeps its index and
+    memo, including what validation recorded.
     """
     built = _build(e)
-    return BifilteredComplex(built.generators, built.terms, to_text(e))
+    built.label = to_text(e)
+    return built
 
 
 def _build(e: KnotExpr) -> BifilteredComplex:

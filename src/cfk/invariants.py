@@ -26,20 +26,21 @@ cfk.complexes) by generator position; names are read only for messages
 and for the named ``basis`` and ``terms`` that ``a_minus`` hands out.
 Every entry point first checks that no term names a missing generator and
 that no generator name or (source, target) term repeats, once per complex
-and not at all when ``validate`` has already found its structure clean.
-``a_minus`` computes a level's shifts, gradings and exponents by position,
-and the levels share the term positions, so ``homology_over_U`` looks up
-no names.  The kernel checks that do not depend on k (homogeneity, since
-M(s) - 1 = M(t) - 2n makes k cancel, and d^2 = 0 at U = 1) run on the
-first level reduced for a complex and are skipped once they have passed;
-the escape check and the pivot-pair checks run on every level.  A
+and not at all when ``validate`` or ``loads`` has already found its
+structure clean.  ``a_minus`` computes a level's shifts, gradings and
+exponents by position, and the levels share the term positions, so
+``homology_over_U`` looks up no names.  The kernel checks that do not
+depend on k (homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel, and
+d^2 = 0 at U = 1) run on the first level reduced for a complex and are
+skipped once they have passed; the escape check and the pivot-pair checks
+run on every level.  A
 hand-built ``FreeUComplex`` is indexed by name on each call and runs every
 check.  tau, nu and HFK-hat build the vertical slice and the U = 0 slices
 of A^-_k as gradings plus the source and target positions of their terms,
 with rows and columns in basis order.
 
-Each complex object keeps a private memo of its index, V_k, tau, nu, the
-vertical class and the HFK-hat table, so every report reduces a given
+Each complex object keeps a private memo of its checked index, its term
+names, V_k, tau, nu, the vertical class and the HFK-hat table, so every report reduces a given
 (complex, k) once, and V outside the Alexander range reads the boundary
 level (see ``V``).  V_{-k} = V_k + k is not used as a shortcut: it stays a
 check on the computed table.
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
@@ -59,13 +60,16 @@ from .errors import KnotTypeError, PreconditionError
 
 class _Positions:
     """Each term's source and target as a basis position.  One object is
-    shared by every level of a complex; checked is set once the checks
-    that do not depend on k have passed on one of them."""
-    __slots__ = ("sources", "targets", "checked")
+    shared by every level of a complex; indexed says that its complex's
+    index has been checked for repeated names, missing generators and
+    repeated (source, target) pairs, and checked is set once the checks
+    that do not depend on k have passed on one level."""
+    __slots__ = ("sources", "targets", "indexed", "checked")
 
     def __init__(self, sources: list[int], targets: list[int]):
         self.sources = sources
         self.targets = targets
+        self.indexed = False
         self.checked = False
 
 
@@ -111,8 +115,17 @@ def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
     index = C.index()
     positions = _Positions(index.sources, index.targets)
     if STRUCTURE_CLEAN not in C._memo:
-        _check_terms(index.names, C.terms, positions)
+        _check_terms(index.names, positions, lambda p: C.terms[p])
+    positions.indexed = True
     return index, positions
+
+
+@_memoized
+def _term_names(C: BifilteredComplex) -> tuple[list[str], list[str]]:
+    """The source and the target name of each term of C, by position."""
+    index, positions = _index(C)
+    name = index.names.__getitem__
+    return list(map(name, positions.sources)), list(map(name, positions.targets))
 
 
 def _shift(index: Index, k: int) -> list[int]:
@@ -132,25 +145,25 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     basis = tuple(zip(index.names, [m - 2 * c for m, c in zip(index.maslov, shift)]))
     exponents = [n + shift[s] - shift[t]
                  for s, t, n in zip(positions.sources, positions.targets, index.powers)]
+    source_names, target_names = _term_names(C)
     if min(exponents, default=0) < 0:
         p = next(p for p, e in enumerate(exponents) if e < 0)
         raise ValueError(
-            f"term {index.source_names[p]}->{index.target_names[p]} escapes the "
+            f"term {source_names[p]}->{target_names[p]} escapes the "
             "subcomplex; input complex violates its filtration invariants")
-    terms = tuple(zip(index.source_names, index.target_names, exponents))
+    terms = tuple(zip(source_names, target_names, exponents))
     return FreeUComplex(basis, terms, positions)
 
 
-def _unknown_generator(terms: Iterable[tuple[str, str, int]],
-                       known: Container[str]) -> ValueError:
-    """The error for the first of terms (source, target, power) whose
-    source or target is not in known."""
-    for source, target, n in terms:
-        for name in (source, target):
-            if name not in known:
-                return ValueError(f"term U^{n} {source!r}->{target!r} "
-                                  f"references unknown generator {name!r}")
-    raise AssertionError("every term names known generators")
+def _unknown_generator(positions: _Positions,
+                       term: Callable[[int], tuple[str, str, int]]) -> ValueError:
+    """The error for the first term whose source or target position is -1;
+    term(p) gives the p-th term as (source name, target name, power)."""
+    p = next(p for p, ends in enumerate(zip(positions.sources, positions.targets))
+             if min(ends) < 0)
+    source, target, n = term(p)
+    name = source if positions.sources[p] < 0 else target
+    return ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
 
 
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
@@ -183,7 +196,8 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
                                [position.get(t, -1) for _s, t, _e in x.terms])
     grading = [m for _name, m in x.basis]
     if not positions.checked:
-        _check_terms([name for name, _m in x.basis], x.terms, positions, grading)
+        _check_terms([name for name, _m in x.basis], positions, x.terms.__getitem__,
+                     grading, [e for _s, _t, e in x.terms])
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
@@ -240,42 +254,48 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     return UModuleSummary(tuple(free), tuple(torsion))
 
 
-def _check_terms(names: Sequence[str], terms: Sequence[tuple[str, str, int]],
-                 positions: _Positions, grading: Sequence[int] | None = None) -> None:
+def _check_terms(names: Sequence[str], positions: _Positions,
+                 term: Callable[[int], tuple[str, str, int]],
+                 grading: Sequence[int] | None = None,
+                 exponents: Sequence[int] | None = None) -> None:
     """Raise ValueError for the first duplicate name; else for the first
     term that names a missing generator, unless an inhomogeneous term comes
     before it; else for the first term that repeats an earlier (source,
     target) pair or is not homogeneous of degree -1.  Homogeneity is
-    checked only when the gradings are given.  None of these depends on k."""
-    if len(set(names)) != len(names):
+    checked only when the gradings and exponents are given, and it is all
+    that is checked on positions that an index has checked.  term(p) gives
+    the p-th term, for the message about a missing generator; the other
+    messages name the terms by position.  None of these depends on k."""
+    sources, targets = positions.sources, positions.targets
+    if not positions.indexed and len(set(names)) != len(names):
         declared: set[str] = set()
         for name in names:
             if name in declared:
                 raise ValueError(f"duplicate basis name {name!r}")
             declared.add(name)
-    sources, targets = positions.sources, positions.targets
-    stop = len(terms)  # the first term that is not homogeneous, if any
+    stop = len(sources)  # the first term that is not homogeneous, if any
     if grading is None:
         if -1 in sources or -1 in targets:
-            raise _unknown_generator(terms, set(names))
+            raise _unknown_generator(positions, term)
     else:
-        for p, ((_s, _t, e), s, t) in enumerate(zip(terms, sources, targets)):
+        for p, (s, t, e) in enumerate(zip(sources, targets, exponents)):
             if s < 0 or t < 0:
-                raise _unknown_generator(terms, set(names))
+                raise _unknown_generator(positions, term)
             if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
                 stop = p
                 break
     # One int per (source, target) pair; positions run from -1 to len - 1.
     width = len(names) + 1
-    if len(set(map(operator.add, map(operator.mul, sources, repeat(width)), targets))) < len(sources):
+    if not positions.indexed and len(set(map(
+            operator.add, map(operator.mul, sources, repeat(width)), targets))) < len(sources):
         seen: set[tuple[int, int]] = set()
         for p, pair in enumerate(zip(sources[:stop + 1], targets)):
             if pair in seen:
-                raise ValueError(f"duplicate term {terms[p][0]}->{terms[p][1]}")
+                raise ValueError(f"duplicate term {names[pair[0]]}->{names[pair[1]]}")
             seen.add(pair)
-    if stop < len(terms):
-        s_name, t_name, e = terms[stop]
-        raise ValueError(f"term U^{e}:{s_name}->{t_name} is not homogeneous of degree -1")
+    if stop < len(sources):
+        raise ValueError(f"term U^{exponents[stop]}:{names[sources[stop]]}->"
+                         f"{names[targets[stop]]} is not homogeneous of degree -1")
 
 
 @_memoized

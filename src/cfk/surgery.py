@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, gcd
 from typing import Optional
 
@@ -18,26 +17,26 @@ from . import expr as kx
 from .invariants import H, V, nu, nu_plus, seifert_genus, tau
 
 
-@lru_cache(maxsize=None)
-def _lens_d(p: int, q: int, i: int) -> Fraction:
-    if p == 1:
-        return Fraction(0)
-    num = (2 * i + 1 - p - q) ** 2 - p * q
-    return Fraction(num, 4 * p * q) - _lens_d(q, p % q, i % q)
-
-
 def lens_d(p: int, q: int, i: int) -> Fraction:
     """Correction term of the lens space L(p, q) in spin-c slot i.
 
-    Recursion descends through the Euclidean algorithm with base
-    d(L(1, q)) = 0; the orientation is the one matching p/q surgery on the
+    The recursion d(L(p, q), i) = ((2i + 1 - p - q)^2 - pq) / 4pq
+    - d(L(q, p mod q), i mod q) descends through the Euclidean algorithm
+    to d(L(1, q)) = 0.  It runs as a loop that sums the terms with
+    alternating signs over one integer denominator, and keeps nothing
+    between calls.  The orientation is the one matching p/q surgery on the
     unknot, so e.g. lens_d(2, 1, 0) = 1/4.
     """
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError(f"lens space parameters must be coprime and >= 1, got ({p},{q})")
     if not 0 <= i < p:
         raise ValueError(f"spin-c slot {i} out of range for p={p}")
-    return _lens_d(p, q, i)
+    num, den, sign = 0, 1, 1
+    while p != 1:
+        scale = 4 * p * q
+        num, den = num * scale + sign * ((2 * i + 1 - p - q) ** 2 - p * q) * den, den * scale
+        p, q, i, sign = q, p % q, i % q, -sign
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,167 @@
-"""Name-keyed references for validate, tau, nu and HFK-hat.
+"""Name-keyed references for validate, tau, nu and HFK-hat, and
+record-based references for loads, staircase, dual and tensor.
 
-These are the algorithms cfk ran before its complexes were indexed by
+The first are the algorithms cfk ran before its complexes were indexed by
 generator position: every lookup goes through a name-keyed dict, the d^2
 check keeps (end name, U power) pairs, and the vertical and U = 0 slices
 are named complexes whose boundary matrices are built from name -> row
-maps.  The tests compare the position-based library against them, result
-for result and message for message.  Only f2.rank, f2.solve and
-f2.kernel_basis are shared.
+maps.  The second build complexes the way cfk did before it stored them as
+columns: one Generator or DiffTerm record at a time, passed to the public
+constructor, and a file read line by line.  The tests compare the library
+against them, result for result and message for message.  Only f2.rank,
+f2.solve, f2.kernel_basis, the expression parser and the Alexander
+polynomials are shared.
 """
 from __future__ import annotations
 
+import re
+
+from cfk import expr as kx
 from cfk import f2
 from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
                            GRADING, UNDECLARED_NAME, VERTICAL_HOMOLOGY,
-                           BifilteredComplex, DiffTerm, Violation)
-from cfk.errors import KnotTypeError
+                           BifilteredComplex, DiffTerm, Generator, Violation)
+from cfk.errors import FormatError, KnotTypeError, ValidationError
+from cfk.laurent import LaurentPoly, is_lspace_form, torus_alexander
+
+
+def loads(text, label=""):
+    """A cfk v1 text read line by line into records."""
+    generators = []
+    declared = set()
+    terms = []
+    seen_terms = set()
+    header = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
+            continue
+        if not header:
+            if fields != ["cfk", "v1"]:
+                raise FormatError(f"missing 'cfk v1' header (found {' '.join(fields)!r})")
+            header = True
+            continue
+        directive = fields[0]
+        if directive == "gen":
+            if len(fields) != 5:
+                raise FormatError(
+                    f"line {lineno}: gen needs name, i, j, maslov ({len(fields) - 1} fields given)")
+            _, name, i, j, maslov = fields
+            if name.startswith("U^"):
+                raise FormatError(f"line {lineno}: name {name!r} collides with term syntax")
+            try:
+                if re.fullmatch(r"-?[0-9]+ -?[0-9]+ -?[0-9]+", f"{i} {j} {maslov}") is None:
+                    raise ValueError(maslov)
+                generators.append(Generator(name, int(i), int(j), int(maslov)))
+            except ValueError:
+                raise FormatError(f"line {lineno}: gen positions must be integers") from None
+            declared.add(name)
+        elif directive == "dif":
+            if len(fields) < 3:
+                raise FormatError(f"line {lineno}: dif needs a source and at least one target")
+            source = fields[1]
+            if source not in declared:
+                raise FormatError(
+                    f"line {lineno}: dif references undeclared generator {source!r}")
+            for token in fields[2:]:
+                upower, target = 0, token
+                if token.startswith("U^"):
+                    m = re.fullmatch(r"U\^([0-9]+)\.(.+)", token)
+                    try:
+                        if m is None:
+                            raise ValueError(token)
+                        upower, target = int(m.group(1)), m.group(2)
+                    except ValueError:
+                        raise FormatError(f"line {lineno}: malformed term {token!r}") from None
+                if target not in declared:
+                    raise FormatError(
+                        f"line {lineno}: dif references undeclared generator {target!r}")
+                term = DiffTerm(source, target, upower)
+                if term in seen_terms:
+                    raise FormatError(
+                        f"line {lineno}: term {token!r} repeated for source {source!r}")
+                seen_terms.add(term)
+                terms.append(term)
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {directive!r}")
+    if not header:
+        raise FormatError("missing 'cfk v1' header (found 'empty file')")
+    return BifilteredComplex(generators, terms, label)
+
+
+def staircase(delta, prefix="x", label=None):
+    ok, exps = is_lspace_form(delta)
+    if not ok:
+        raise ValueError(f"polynomial is not in L-space staircase form: {delta!r}")
+    if label is None:
+        label = f"staircase({delta!r})"
+    gens = []
+    i, j, m = 0, exps[0], 0
+    gens.append(Generator(f"{prefix}0", i, j, m))
+    for idx in range(1, len(exps)):
+        step = exps[idx - 1] - exps[idx]
+        if idx % 2 == 1:
+            i += step
+            m += 1
+        else:
+            j -= step
+            m -= 1
+        gens.append(Generator(f"{prefix}{idx}", i, j, m))
+    terms = []
+    for idx in range(1, len(exps), 2):
+        terms.append(DiffTerm(f"{prefix}{idx}", f"{prefix}{idx - 1}", 0))
+        terms.append(DiffTerm(f"{prefix}{idx}", f"{prefix}{idx + 1}", 0))
+    return BifilteredComplex(gens, terms, label)
+
+
+def dual(C):
+    gens = [Generator(name, -i, -j, -m) for name, i, j, m in C.generators]
+    terms = [DiffTerm(t, s, n) for s, t, n in C.terms]
+    return BifilteredComplex(gens, terms, f"dual({C.label})")
+
+
+def tensor(C1, C2):
+    gens = [
+        Generator(f"{a}*{b}", i1 + i2, j1 + j2, m1 + m2)
+        for a, i1, j1, m1 in C1.generators
+        for b, i2, j2, m2 in C2.generators
+    ]
+    names1 = [g.name for g in C1.generators]
+    names2 = [h.name for h in C2.generators]
+    terms = [DiffTerm(f"{s}*{b}", f"{t}*{b}", n) for s, t, n in C1.terms for b in names2]
+    terms += [DiffTerm(f"{a}*{s}", f"{a}*{t}", n) for a in names1 for s, t, n in C2.terms]
+    return BifilteredComplex(gens, terms, f"tensor({C1.label}, {C2.label})")
+
+
+def build_complex(e):
+    """The complex of an expression, built from records and relabelled by
+    copying them into a new complex."""
+    built = _build(e)
+    return BifilteredComplex(built.generators, built.terms, kx.to_text(e))
+
+
+def _build(e):
+    if isinstance(e, kx.Annotated):
+        return _build(e.child)
+    if isinstance(e, kx.Unknot):
+        return staircase(LaurentPoly.one(), label="unknot")
+    if isinstance(e, kx.Torus):
+        return staircase(torus_alexander(e.p, e.q), label=kx.to_text(e))
+    if isinstance(e, kx.Cable):
+        return staircase(kx.lspace_alexander(e), label=kx.to_text(e))
+    if isinstance(e, kx.Mirror):
+        return dual(_build(e.child))
+    if isinstance(e, kx.Sum):
+        return tensor(_build(e.left), _build(e.right))
+    if isinstance(e, kx.FromFile):
+        with open(e.path) as fh:
+            C = loads(fh.read(), label=e.path)
+        violations = validate(C)
+        if violations:
+            raise ValidationError(violations)
+        return C
+    raise TypeError(f"unexpected expression node {e!r}")
 
 
 def graded_homology_dims(grading, edges):

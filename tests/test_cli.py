@@ -136,6 +136,27 @@ def test_validate_ok(capsys):
     assert rep == {"file": str(DATA), "valid": True, "violations": []}
 
 
+def test_file_commands_make_no_records(tmp_path, capsys, monkeypatch):
+    """validate, and every report on file("...") alone or in a sum, runs
+    from the columns: reading a complex's records here would raise."""
+    path = tmp_path / "k.cfk"
+    cfk.write_complex(cfk.build_complex(cfk.parse("torus(2,5) # mirror(torus(2,3))")), path)
+
+    def refuse(C):
+        raise AssertionError("records were made")
+
+    for attribute in ("generators", "terms", "by_name"):
+        monkeypatch.setattr(cfk.BifilteredComplex, attribute, property(refuse))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: OK (15 generators, 22 terms)\n"
+    file_expr = f'file("{path}")'
+    for argv in (["hfk", file_expr], ["invariants", file_expr], ["genus", file_expr],
+                 ["invariants", f"{file_expr} # torus(2,3)"], ["dinv", file_expr, "--surgery", "5"],
+                 ["cable-bounds", file_expr, "2", "1"]):
+        assert main(argv) == 0, argv
+    assert "generators: 45" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("body,kind", [
     ("gen a 0 0 0\ngen a 0 0 0\n", "duplicate-name"),
     ("gen a 0 0 1\ngen b 1 0 0\ndif a b\n", "filtration"),

@@ -1,5 +1,7 @@
+import gc
+import tracemalloc
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 import pytest
 
@@ -36,6 +38,36 @@ def test_lens_d_hand_recursion():
     got = [lens_d(5, 4, i) for i in range(5)]
     assert got == expect
     assert got == [F(-1, 5), F(1, 5), F(1, 5), F(-1, 5), F(-1)]
+
+
+def test_lens_d_matches_its_recursion():
+    def recursive(p, q, i):
+        if p == 1:
+            return Fraction(0)
+        return (Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q)
+                - recursive(q, p % q, i % q))
+
+    for p in range(1, 25):
+        for q in range(1, 2 * p):
+            if gcd(p, q) == 1:
+                assert [lens_d(p, q, i) for i in range(p)] == [recursive(p, q, i) for i in range(p)]
+
+
+def test_large_surgery_keeps_nothing_once_its_complex_is_gone():
+    """d-invariants at p = 20,000 compute 20,000 lens-space terms; none
+    outlives the complex (an unbounded cache of them held about 5 MB)."""
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        C = torus_staircase(2, 3)
+        assert len(d_invariants(C, SurgerySpec(20_000, 1))) == 20_000
+        del C
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000, kept
 
 
 def test_lens_d_parameter_checks():
