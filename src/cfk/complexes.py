@@ -23,7 +23,9 @@ the columns the first time one is read.  A complex built from records
 the first call of ``index()``.  That never fails: a name that is not a
 generator gets position -1 and a repeated name maps to its last
 declaration, as ``by_name`` does, so each caller decides how to report
-them.  Only records can carry a term whose name is not a generator.
+them.  Only records can carry a term whose name is not a generator;
+``dual``, ``tensor`` and every invariant refuse it with the same
+ValueError.
 
 ``validate`` first runs one pass over the positions that holds exactly when
 no structural violation exists, and runs the itemized loop for the messages
@@ -40,7 +42,7 @@ would cost about n^2/16 bytes over all n generators.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -332,22 +334,32 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
-def _names_generators(index: Index) -> bool:
-    """Whether every term of an index names a generator."""
-    return min(index.sources, default=0) >= 0 and min(index.targets, default=0) >= 0
+def unknown_generator(sources: list[int], targets: list[int],
+                      term: Callable[[int], tuple[str, str, int]]) -> ValueError:
+    """The error for the first term whose source or target position is -1;
+    term(p) gives the p-th term as (source name, target name, power)."""
+    p = next(p for p, ends in enumerate(zip(sources, targets)) if min(ends) < 0)
+    source, target, n = term(p)
+    name = source if sources[p] < 0 else target
+    return ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
+
+
+def _named_index(C: BifilteredComplex) -> Index:
+    """C's index, refusing a term that names no generator (only records can
+    carry one) with the ValueError that every invariant raises for it."""
+    x = C.index()
+    if -1 in x.sources or -1 in x.targets:
+        raise unknown_generator(x.sources, x.targets, C.terms.__getitem__)
+    return x
 
 
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
-    label = f"dual({C.label})"
-    x = C.index()
-    if not _names_generators(x):  # only records can carry such a term
-        return BifilteredComplex([Generator(name, -i, -j, -m) for name, i, j, m in C.generators],
-                                 [DiffTerm(t, s, n) for s, t, n in C.terms], label)
+    x = _named_index(C)
     neg = operator.neg
     return BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
-        x.powers, x.targets, x.sources, label)
+        x.powers, x.targets, x.sources, f"dual({C.label})")
 
 
 def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
@@ -358,17 +370,7 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     g*h is at position p1 * n2 + p2, and the terms of C1 (each with every
     h in turn) come before those of C2 (for each g in turn).
     """
-    label = f"tensor({C1.label}, {C2.label})"
-    x1, x2 = C1.index(), C2.index()
-    if not (_names_generators(x1) and _names_generators(x2)):  # records only
-        names1 = [g.name for g in C1.generators]
-        names2 = [h.name for h in C2.generators]
-        return BifilteredComplex(
-            [Generator(f"{a}*{b}", i1 + i2, j1 + j2, m1 + m2)
-             for a, i1, j1, m1 in C1.generators for b, i2, j2, m2 in C2.generators],
-            [DiffTerm(f"{s}*{b}", f"{t}*{b}", n) for s, t, n in C1.terms for b in names2]
-            + [DiffTerm(f"{a}*{s}", f"{a}*{t}", n) for a in names1 for s, t, n in C2.terms],
-            label)
+    x1, x2 = _named_index(C1), _named_index(C2)
     n2 = len(x2.names)
     right = range(n2)
     bases = range(0, len(x1.names) * n2, n2)
@@ -383,4 +385,5 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         [a + b for a in x1.j for b in x2.j],
         [a + b for a in x1.maslov for b in x2.maslov],
         [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
-        ends(x1.sources, x2.sources), ends(x1.targets, x2.targets), label)
+        ends(x1.sources, x2.sources), ends(x1.targets, x2.targets),
+        f"tensor({C1.label}, {C2.label})")

@@ -1,103 +1,86 @@
-"""Dense GF(2) linear algebra on Python-int bitmask rows.
+"""GF(2) linear algebra on Python-int bitmasks, over one reduction kernel.
 
-A matrix is a list of ints; bit j of rows[i] is the (i, j) entry.  Vectors
-over the column space are single ints.  XOR on bigints keeps this fast well
-past the sizes the invariant engines need.
+A vector is one int: bit i is its i-th entry.  ``pairs`` is the only
+elimination loop in cfk.  It reduces a list of columns in order: while an
+earlier column owns a column's highest set bit, that column is XORed in.
+With the bits ordered by a filtration this is the persistence reduction
+(Zomorodian and Carlsson, "Computing persistent homology", 2005), and
+cfk.invariants reads the graded Smith form over F2[U] and tau off it.
+Everything else here is a few lines over ``pairs``:
+
+* ``rank`` counts the owners.  A matrix and its transpose have the same
+  rank, so the rows may be reduced as the columns.
+* ``kernel_basis`` and ``solve`` reduce the matrix's columns with identity
+  bits below the matrix bits.  The identity bits record which original
+  columns each reduced column sums, so a column whose matrix bits vanish
+  is a kernel vector, and a right-hand side whose matrix bits vanish is a
+  solution.
+
+XOR on bigints keeps this fast well past the sizes the invariants need.
 """
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
 
-def rank(rows: list[int]) -> int:
-    """Rank of the matrix with the given rows.
+def pairs(cols: list[int]) -> dict[int, int]:
+    """Reduce cols in place, in order, and return each pivot's owner.
 
-    Pivots are kept in a dict keyed by their lowest set bit.  A row is
-    reduced by XORing in the pivot that owns its current lowest bit, which
-    clears that bit and raises the lowest bit, until the row vanishes or
-    its lowest bit is new and the row becomes a pivot.  A row thus meets
-    only the pivots it hits, not every earlier pivot.
+    While an earlier column owns the highest set bit of column s, it is
+    XORed into column s, which ends at zero or owning its new highest bit.
+    Each reduced column is its original plus a sum of earlier originals.
+    The map sends each pivot, as a bit length (the pivot bit + 1), to the
+    column that owns it.
     """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = row
+    owner: dict[int, int] = {}
+    for s, c in enumerate(cols):
+        while c:
+            lead = c.bit_length()
+            o = owner.get(lead)
+            if o is None:
+                owner[lead] = s
                 break
-            row ^= piv
-    return len(pivots)
+            c ^= cols[o]
+        cols[s] = c
+    return owner
+
+
+def rank(rows: Iterable[int]) -> int:
+    """Rank of the matrix with the given rows."""
+    return len(pairs(list(rows)))
+
+
+def _augmented(rows: list[int], ncols: int) -> list[int]:
+    """Column j of the matrix over its first ncols columns: bit ncols + i
+    is the entry of row i, and bit j is set below the matrix bits."""
+    cols = [1 << j for j in range(ncols)]
+    for i, row in enumerate(rows):
+        bit = 1 << (ncols + i)
+        row &= (1 << ncols) - 1
+        while row:
+            j = row.bit_length() - 1
+            cols[j] |= bit
+            row ^= 1 << j
+    return cols
+
+
+def kernel_basis(rows: list[int], ncols: int) -> list[int]:
+    """Basis of the null space of A, as column bitmasks."""
+    cols = _augmented(rows, ncols)
+    pairs(cols)
+    return [c for c in cols if c.bit_length() <= ncols]
 
 
 def solve(rows: list[int], ncols: int, rhs: int) -> int | None:
     """One solution x (bitmask over columns) of A x = b, or None.
 
     rows[i] is row i of A over the first ncols bits; bit i of rhs is b[i].
-    Free variables are set to zero.
     """
-    mat_mask = (1 << ncols) - 1
-    reduced: list[int] = []  # rows with distinct leading bits, rhs in bit ncols+
-    for i, row in enumerate(rows):
-        aug = (row & mat_mask) | (((rhs >> i) & 1) << ncols)
-        for piv in reduced:
-            lead = piv & -piv
-            if aug & lead:
-                aug ^= piv
-        if aug & mat_mask:
-            reduced.append(aug)
-        elif aug:
-            return None  # 0 = 1 row
-    # back-substitute: make each pivot column appear in exactly one row
-    reduced.sort(key=lambda r: r & -r)
-    for idx in range(len(reduced) - 1, -1, -1):
-        lead = reduced[idx] & -reduced[idx]
-        for j in range(idx):
-            if reduced[j] & lead:
-                reduced[j] ^= reduced[idx]
-    x = 0
-    for row in reduced:
-        if row >> ncols:
-            x |= row & -row
-    return x
-
-
-def kernel_basis(rows: list[int], ncols: int) -> list[int]:
-    """Basis of the null space of A, as column bitmasks."""
-    cols = [0] * ncols
-    for i, row in enumerate(rows):
-        r = row
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    reduced: list[tuple[int, int]] = []  # (column vector, combination record)
-    kernel: list[int] = []
-    for j in range(ncols):
-        v = cols[j]
-        comb = 1 << j
-        for vec, c in reduced:
-            if v & (vec & -vec):
-                v ^= vec
-                comb ^= c
-        if v:
-            reduced.append((v, comb))
-        else:
-            kernel.append(comb)
-    return kernel
-
-
-def places(grading: Iterable[Hashable]) -> tuple[list[int], dict[Hashable, int]]:
-    """Each basis element's place among the elements of its grading key, in
-    basis order (its row or column in that key's block of a graded matrix),
-    and the number of elements of each key."""
-    place: list[int] = []
-    sizes: dict[Hashable, int] = {}
-    for key in grading:
-        count = sizes.get(key, 0)
-        place.append(count)
-        sizes[key] = count + 1
-    return place, sizes
+    cols = _augmented(rows, ncols)
+    cols.append((rhs & ((1 << len(rows)) - 1)) << ncols)
+    pairs(cols)
+    x = cols[-1]
+    return None if x >> ncols else x
 
 
 def graded_homology_dims(grading: Sequence[Hashable], sources: Iterable[int],
@@ -109,7 +92,12 @@ def graded_homology_dims(grading: Sequence[Hashable], sources: Iterable[int],
     which must carry all of a grading key into a single other key.
     dim H_key = size - rank(out of key) - rank(into key).
     """
-    place, dims = places(grading)
+    place: list[int] = []  # each element's row in its key's block
+    dims: dict[Hashable, int] = {}
+    for key in grading:
+        count = dims.get(key, 0)
+        place.append(count)
+        dims[key] = count + 1
     rows = [0] * len(grading)
     target_key: dict[Hashable, Hashable] = {}
     for s, t in zip(sources, targets):

@@ -10,16 +10,20 @@ Two subquotient constructions carry everything:
   nu locate where the generator of that class survives restriction, and
   HFK-hat is the homology of its Alexander-graded pieces.
 
-The U-module homology engine is a persistence pairing (Zomorodian and
-Carlsson, "Computing persistent homology", 2005).  Every term's U exponent
-is pinned by the endpoint gradings
-(exponent = (grading(target) - grading(source) + 1) / 2), so a complex is
-its U = 1 matrix over F2 together with the gradings, and the graded Smith
-form over the PID F2[U] is the pairing of that matrix with rows and
-columns ordered by grading.  Each column is one int bitmask, so a
-reduction step is one bigint XOR.  Every pivot pair is checked and d^2 = 0
-is checked in full, so a broken input raises instead of returning a
-summary.
+All of it runs on one reduction kernel, ``f2.pairs`` (int bitmask columns
+reduced in order, pivot at the highest set bit):
+
+* ``homology_over_U`` is a persistence pairing (Zomorodian and Carlsson,
+  "Computing persistent homology", 2005).  Every term's U exponent is
+  pinned by the endpoint gradings
+  (exponent = (grading(target) - grading(source) + 1) / 2), so the graded
+  Smith form over the PID F2[U] is the pairing of the U = 1 matrix over F2
+  with rows and columns ordered by grading.  Every pivot pair is checked
+  and d^2 = 0 is checked in full, so a broken input raises.
+* tau is one pairing of the vertical slice, grading 0 ordered by
+  Alexander grading (the elder rule, see ``_vertical_pairing``).
+* nu compares ranks level by level, with no representative cycle (``nu``).
+* HFK-hat is ranks of the Alexander-graded pieces.
 
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
@@ -33,17 +37,17 @@ exponents by position, and the levels share the term positions, so
 depend on k (homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel, and
 d^2 = 0 at U = 1) run on the first level reduced for a complex and are
 skipped once they have passed; the escape check and the pivot-pair checks
-run on every level.  A
-hand-built ``FreeUComplex`` is indexed by name on each call and runs every
-check.  tau, nu and HFK-hat build the vertical slice and the U = 0 slices
-of A^-_k as gradings plus the source and target positions of their terms,
-with rows and columns in basis order.
+run on every level.  A hand-built ``FreeUComplex`` is indexed by name on
+each call and runs every check.  tau, nu and HFK-hat build the vertical
+slice and the U = 0 slices of A^-_k as gradings plus the source and
+target positions of their terms.
 
 Each complex object keeps a private memo of its checked index, its term
-names, V_k, tau, nu, the vertical class and the HFK-hat table, so every report reduces a given
-(complex, k) once, and V outside the Alexander range reads the boundary
-level (see ``V``).  V_{-k} = V_k + k is not used as a shortcut: it stays a
-check on the computed table.
+names, the free gradings of each level, the vertical pairing, tau, nu and
+the HFK-hat table, so every report reduces a given (complex, k) once.  V
+outside the Alexander range reads the boundary level (see ``V``).
+V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
+computed table.
 """
 from __future__ import annotations
 
@@ -54,7 +58,8 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 
 from . import f2
-from .complexes import STRUCTURE_CLEAN, BifilteredComplex, Index, dual, shifted_slice
+from .complexes import (STRUCTURE_CLEAN, BifilteredComplex, Index, dual, shifted_slice,
+                        unknown_generator)
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -155,17 +160,6 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     return FreeUComplex(basis, terms, positions)
 
 
-def _unknown_generator(positions: _Positions,
-                       term: Callable[[int], tuple[str, str, int]]) -> ValueError:
-    """The error for the first term whose source or target position is -1;
-    term(p) gives the p-th term as (source name, target name, power)."""
-    p = next(p for p, ends in enumerate(zip(positions.sources, positions.targets))
-             if min(ends) < 0)
-    source, target, n = term(p)
-    name = source if positions.sources[p] < 0 else target
-    return ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
-
-
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     """Graded module structure of H_*(x) over F2[U].
 
@@ -175,9 +169,9 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     homology", 2005).  Basis element r is the r-th in descending grading,
     ties in basis order, and column s is an int whose bit t is the entry
     d(s) -> t, so the highest set bit is the lowest-grading,
-    minimal-exponent target.  Columns are reduced in order: while an
-    earlier column owns the pivot bit, it is XORed in, which is the basis
-    change s -> s + U^f s' with f >= 0.
+    minimal-exponent target.  f2.pairs reduces the columns in order: while
+    an earlier column owns the pivot bit, it is XORed in, which is the
+    basis change s -> s + U^f s' with f >= 0.
 
     A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
     grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
@@ -211,19 +205,7 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
         cols[s] |= 1 << t
 
     reduced = cols[:]
-    owner: dict[int, int] = {}  # pivot target + 1 -> the column that owns it
-    for s in range(n):
-        c = reduced[s]
-        while c:
-            lead = c.bit_length()
-            o = owner.get(lead)
-            if o is None:
-                owner[lead] = s
-                break
-            c ^= reduced[o]
-        reduced[s] = c
-
-    pairs = [(lead - 1, s) for lead, s in owner.items()]
+    pairs = [(lead - 1, s) for lead, s in f2.pairs(reduced).items()]
     is_target = [False] * n
     for t, _s in pairs:
         is_target[t] = True
@@ -276,11 +258,11 @@ def _check_terms(names: Sequence[str], positions: _Positions,
     stop = len(sources)  # the first term that is not homogeneous, if any
     if grading is None:
         if -1 in sources or -1 in targets:
-            raise _unknown_generator(positions, term)
+            raise unknown_generator(sources, targets, term)
     else:
         for p, (s, t, e) in enumerate(zip(sources, targets, exponents)):
             if s < 0 or t < 0:
-                raise _unknown_generator(positions, term)
+                raise unknown_generator(sources, targets, term)
             if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
                 stop = p
                 break
@@ -298,18 +280,19 @@ def _check_terms(names: Sequence[str], positions: _Positions,
                          f"{names[targets[stop]]} is not homogeneous of degree -1")
 
 
-@_memoized
 def V(C: BifilteredComplex, k: int) -> int:
     """V_k: minus half the grading of the free part of H(A^-_k).
 
-    Only levels in the Alexander range [A_min, A_max] of C are reduced.
-    For k >= A_max every shift max(i, j - k) is i, so a_minus(C, k) is the
-    very complex at A_max.  For k <= A_min every shift is j - k, so it is
-    the complex at A_min with every grading moved by 2(k - A_min): the same
-    exponents, the same order, hence the same pairs and errors, and free
-    gradings moved by 2(k - A_min).  So V_k = V_{A_max} above the range and
-    V_k = V_{A_min} + A_min - k below it, exactly, and the checks below
-    see the gradings that H(A^-_k) itself has.
+    Only levels in the Alexander range [A_min, A_max] of C are reduced, and
+    only they are memoized, so a long-lived complex asked for any k holds
+    at most one entry per level.  For k >= A_max every shift max(i, j - k)
+    is i, so a_minus(C, k) is the very complex at A_max.  For k <= A_min
+    every shift is j - k, so it is the complex at A_min with every grading
+    moved by 2(k - A_min): the same exponents, the same order, hence the
+    same pairs and errors, and free gradings moved by 2(k - A_min).  So
+    V_k = V_{A_max} above the range and V_k = V_{A_min} + A_min - k below
+    it, exactly, and the checks below see the gradings that H(A^-_k)
+    itself has.
     """
     lo, hi = _index(C)[0].alexander_range
     move = 2 * min(k - lo, 0)
@@ -347,7 +330,7 @@ def nu_plus(C: BifilteredComplex) -> int:
     while v > 0:
         k += v
         if k > cap:
-            raise AssertionError("V_k failed to vanish by the genus bound")
+            raise KnotTypeError("V_k failed to vanish by the genus bound")
         v = V(C, k)
     return k
 
@@ -363,76 +346,88 @@ def _slice(C: BifilteredComplex,
     return shifted_slice(index, index.i if k is None else _shift(index, k))
 
 
-def _block(grading: list[int], sources: list[int], targets: list[int], place: list[int],
-           sizes: dict[int, int], m: int) -> list[int]:
-    """The differential from grading m into grading m - 1: row place[t]
-    has bit place[s] for each term s -> t between them."""
-    rows = [0] * sizes.get(m - 1, 0)
-    for s, t in zip(sources, targets):
-        if grading[s] == m and grading[t] == m - 1:
-            rows[place[t]] ^= 1 << place[s]
-    return rows
+def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
+    """Each position -> its place in the list, counted from start."""
+    return dict(zip(positions, range(start, start + len(positions))))
 
 
 @_memoized
-def _vertical_class(C: BifilteredComplex) -> tuple[list[int], int, list[int], int]:
-    """The positions of the grading-0 elements of the vertical slice, the
-    number of grading-1 elements, the boundary rows from grading 1 into
-    grading 0, and a cycle representing the generator of the
-    one-dimensional homology."""
+def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
+    """tau, the vertical slice's grading-0 elements in ascending Alexander
+    grading (ties in basis order), and the boundaries from grading 1
+    reduced by f2.pairs, with bit r for the r-th of those elements.
+
+    The grading-0 rows and columns take that one order.  The pivots of the
+    boundaries into grading 0 are the leads of the boundaries; the columns
+    of the map out of grading 0 that reduce to zero are the leads of the
+    cycles.  A cycle lead that is no boundary lead is born at its Alexander
+    grading and never dies (the elder rule).  On knot-type input there is
+    exactly one, the generator of the vertical homology, and tau is its
+    Alexander grading.
+    """
+    index = _index(C)[0]
     grading, sources, targets = _slice(C)
-    place, sizes = f2.places(grading)
-    b0 = [p for p, m in enumerate(grading) if m == 0]
-    n1 = sizes.get(1, 0)
-    down = _block(grading, sources, targets, place, sizes, 0)
-    into = _block(grading, sources, targets, place, sizes, 1)
-    for z in f2.kernel_basis(down, len(b0)):
-        if f2.solve(into, n1, z) is None:
-            return b0, n1, into, z
-    raise KnotTypeError(
-        "vertical homology has no grading-zero generator; complex is not knot-type")
+    alexander = list(map(operator.sub, index.j, index.i))
+    zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
+    row = _numbered(zero)
+    column, bit = (_numbered([p for p, m in enumerate(grading) if m == g]) for g in (1, -1))
+    into = [0] * len(column)
+    down = [0] * len(zero)
+    for s, t in zip(sources, targets):
+        if grading[s] == 1 and grading[t] == 0:
+            into[column[s]] |= 1 << row[t]
+        elif grading[s] == 0 and grading[t] == -1:
+            down[row[s]] |= 1 << bit[t]
+    boundary = f2.pairs(into)
+    f2.pairs(down)
+    born = [p for r, p in enumerate(zero) if not down[r] and r + 1 not in boundary]
+    if len(born) != 1:
+        count = f"{len(born)} grading-zero generators" if born else "no grading-zero generator"
+        raise KnotTypeError(f"vertical homology has {count}; complex is not knot-type")
+    return alexander[born[0]], zero, into
 
 
 @_memoized
 def tau(C: BifilteredComplex) -> int:
     """Least k such that the vertical homology generator is homologous to a
-    cycle supported in Alexander gradings <= k."""
-    b0, n1, into, z = _vertical_class(C)
-    index = _index(C)[0]
-    alexs = [index.j[p] - index.i[p] for p in b0]
-    lo, hi = index.alexander_range
-    for k in range(lo, hi + 1):
-        keep = [i for i, a in enumerate(alexs) if a > k]
-        rows = [into[i] for i in keep]
-        rhs = 0
-        for r, i in enumerate(keep):
-            rhs |= ((z >> i) & 1) << r
-        if f2.solve(rows, n1, rhs) is not None:
-            return k
-    raise KnotTypeError("tau scan found no supporting level")
+    cycle supported in Alexander gradings <= k (see _vertical_pairing)."""
+    return _vertical_pairing(C)[0]
 
 
 @_memoized
 def nu(C: BifilteredComplex) -> int:
     """Least k >= tau such that some cycle of the U = 0 slice of A^-_k
-    projects to the vertical homology generator's class."""
-    t = tau(C)
-    b0, n1, into, z0 = _vertical_class(C)
+    projects to the vertical homology generator's class.
+
+    With D_A the slice's boundary map from grading 0, D_v the vertical
+    boundary map into grading 0 and P_k the projection of the slice's
+    grading-0 elements onto the vertical ones with Alexander grading <= k,
+    the cycles of the slice hit the generator exactly when
+    rank [[D_A, 0], [P_k, D_v]] - rank D_A > rank D_v.  D_v comes reduced
+    from _vertical_pairing, and a slice column carries D_A above the
+    vertical bits, so one f2.pairs over both counts the left side as its
+    pivots among the vertical bits.  On knot-type input the loop stops at
+    tau or tau + 1.
+    """
+    least, zero, into = _vertical_pairing(C)
+    boundaries = [c for c in into if c]
     index = _index(C)[0]
-    alexs = [index.j[p] - index.i[p] for p in b0]
-    for k in range(t, index.alexander_range[1] + 1):
+    width = len(zero)
+    for k in range(least, index.alexander_range[1] + 1):
         grading, sources, targets = _slice(C, k)
-        place, sizes = f2.places(grading)
-        nz = sizes.get(0, 0)
-        rows = _block(grading, sources, targets, place, sizes, 0)  # cycle rows; rhs bits stay 0
-        rhs = 0
-        for r, (p, a) in enumerate(zip(b0, alexs)):
-            row = into[r] << nz  # d(w) contribution from vertical grading 1
-            if grading[p] == 0 and a <= k:
-                row |= 1 << place[p]  # projection of the hat cycle
-            rows.append(row)
-            rhs |= ((z0 >> r) & 1) << (len(rows) - 1)
-        if f2.solve(rows, nz + n1, rhs) is not None:
+        bit = _numbered([p for p, m in enumerate(grading) if m == -1], width)
+        cols = dict.fromkeys([p for p, m in enumerate(grading) if m == 0], 0)
+        # P_k: an element with Alexander grading <= k has shift i, so the
+        # vertical grading-0 ones up to k (a prefix of zero) are in grading 0.
+        for r, p in enumerate(zero):
+            if index.j[p] - index.i[p] > k:
+                break
+            cols[p] = 1 << r
+        for s, t in zip(sources, targets):
+            if grading[s] == 0 and grading[t] == -1:
+                cols[s] |= 1 << bit[t]
+        hits = f2.pairs(boundaries + list(cols.values()))
+        if sum(lead <= width for lead in hits) > len(boundaries):
             return k
     raise KnotTypeError("nu scan found no supporting level")
 

@@ -10,7 +10,10 @@ even grading whose classes still map onto something after multiplying by
 U^S for S past every torsion exponent.  A plain dimension scan cannot do
 this, since torsion at the tower gradings looks like a higher tower.
 
-Nothing here touches the Smith reduction; only a_minus is shared.
+Nothing here calls the Smith reduction; only a_minus, f2.rank and
+f2.kernel_basis are shared.  Those two are a few lines over f2.pairs, the
+loop the Smith reduction also runs, so tests/test_f2.py checks pairs,
+rank and kernel_basis against plain elimination.
 """
 from __future__ import annotations
 

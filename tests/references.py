@@ -8,8 +8,10 @@ are named complexes whose boundary matrices are built from name -> row
 maps.  The second build complexes the way cfk did before it stored them as
 columns: one Generator or DiffTerm record at a time, passed to the public
 constructor, and a file read line by line.  The tests compare the library
-against them, result for result and message for message.  Only f2.rank,
-f2.solve, f2.kernel_basis, the expression parser and the Alexander
+against them, result for result and message for message.  ``solve`` and
+``kernel_basis`` are the back-substituting eliminations that cfk.f2 ran
+before its one reduction kernel, so tau and nu here share no kernel with
+the library.  Only f2.rank, the expression parser and the Alexander
 polynomials are shared.
 """
 from __future__ import annotations
@@ -286,6 +288,61 @@ def hat_a(C, k):
     return basis, terms
 
 
+def solve(rows, ncols, rhs):
+    """One solution x (bitmask over columns) of A x = b, or None: rows[i]
+    is row i of A over the first ncols bits, bit i of rhs is b[i], and the
+    free variables are zero."""
+    mat_mask = (1 << ncols) - 1
+    reduced = []  # rows with distinct leading bits, rhs in bit ncols+
+    for i, row in enumerate(rows):
+        aug = (row & mat_mask) | (((rhs >> i) & 1) << ncols)
+        for piv in reduced:
+            lead = piv & -piv
+            if aug & lead:
+                aug ^= piv
+        if aug & mat_mask:
+            reduced.append(aug)
+        elif aug:
+            return None  # 0 = 1 row
+    # back-substitute: make each pivot column appear in exactly one row
+    reduced.sort(key=lambda r: r & -r)
+    for idx in range(len(reduced) - 1, -1, -1):
+        lead = reduced[idx] & -reduced[idx]
+        for j in range(idx):
+            if reduced[j] & lead:
+                reduced[j] ^= reduced[idx]
+    x = 0
+    for row in reduced:
+        if row >> ncols:
+            x |= row & -row
+    return x
+
+
+def kernel_basis(rows, ncols):
+    """Basis of the null space of A, as column bitmasks."""
+    cols = [0] * ncols
+    for i, row in enumerate(rows):
+        r = row
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    reduced = []  # (column vector, combination record)
+    kernel = []
+    for j in range(ncols):
+        v = cols[j]
+        comb = 1 << j
+        for vec, c in reduced:
+            if v & (vec & -vec):
+                v ^= vec
+                comb ^= c
+        if v:
+            reduced.append((v, comb))
+        else:
+            kernel.append(comb)
+    return kernel
+
+
 def _grading_names(basis, m):
     return [name for (name, g, _a) in basis if g == m]
 
@@ -307,8 +364,8 @@ def _vertical_class(C):
     bm1 = _grading_names(basis, -1)
     down = _boundary_rows(terms, bm1, b0)
     into = _boundary_rows(terms, b0, b1)
-    for z in f2.kernel_basis(down, len(b0)):
-        if f2.solve(into, len(b1), z) is None:
+    for z in kernel_basis(down, len(b0)):
+        if solve(into, len(b1), z) is None:
             return basis, b0, b1, into, z
     raise KnotTypeError(
         "vertical homology has no grading-zero generator; complex is not knot-type")
@@ -326,7 +383,7 @@ def tau(C):
         rhs = 0
         for r, i in enumerate(keep):
             rhs |= ((z >> i) & 1) << r
-        if f2.solve(rows, len(b1), rhs) is not None:
+        if solve(rows, len(b1), rhs) is not None:
             return k
     raise KnotTypeError("tau scan found no supporting level")
 
@@ -350,7 +407,7 @@ def nu(C):
                 row |= 1 << h0_idx[name]
             rows.append(row)
             rhs |= ((z0 >> r) & 1) << (len(rows) - 1)
-        if f2.solve(rows, nz + nw, rhs) is not None:
+        if solve(rows, nz + nw, rhs) is not None:
             return k
     raise KnotTypeError("nu scan found no supporting level")
 

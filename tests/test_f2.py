@@ -1,8 +1,9 @@
 import random
 
+import references
 from cfk import f2
 from cfk.complexes import BifilteredComplex, validate
-from cfk.f2 import kernel_basis, rank, solve
+from cfk.f2 import kernel_basis, pairs, rank, solve
 from cfk.invariants import hfk_hat
 
 
@@ -44,23 +45,59 @@ def test_kernel_basis_dimensions():
 
 
 def test_rank_nullity_and_solve_random():
+    """rank, kernel_basis and solve against plain elimination and the
+    back-substituting references they replaced."""
     rng = random.Random(1207)
-    for _ in range(40):
-        nrows = rng.randint(0, 8)
-        ncols = rng.randint(1, 10)
-        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-        assert rank(rows) + len(kernel_basis(rows, ncols)) == ncols
-        # every kernel vector annihilates every row
-        for v in kernel_basis(rows, ncols):
+    for _ in range(300):
+        nrows = rng.randint(0, 24)
+        ncols = rng.randint(1, 24)
+        rows = [rng.getrandbits(ncols) & rng.getrandbits(ncols) for _ in range(nrows)]
+        rows += [rows[rng.randrange(nrows)] ^ rows[rng.randrange(nrows)]
+                 for _ in range(rng.randint(0, 4) if rows else 0)]
+        r = rank(rows)
+        assert r == reference_rank(rows)
+        kernel, expected = kernel_basis(rows, ncols), references.kernel_basis(rows, ncols)
+        assert len(kernel) == len(expected) == ncols - r
+        # every kernel vector annihilates every row, and both span one space
+        for v in kernel:
             check(rows, v, 0)
+        assert reference_rank(kernel + expected) == len(expected)
         # any combination of columns is recoverable by solve
         pick = rng.getrandbits(ncols)
         rhs = 0
         for i, row in enumerate(rows):
             rhs |= (bin(row & pick).count("1") % 2) << i
         x = solve(rows, ncols, rhs)
-        assert x is not None
+        assert x is not None and references.solve(rows, ncols, rhs) is not None
         check(rows, x, rhs)
+        # a random right-hand side is solvable exactly when the reference solves it
+        rhs = rng.getrandbits(len(rows) + 2)
+        x = solve(rows, ncols, rhs)
+        assert (x is None) == (references.solve(rows, ncols, rhs) is None)
+        if x is not None:
+            check(rows, x, rhs)
+
+
+def test_pairs_matches_plain_elimination():
+    """Each reduced column is its original plus earlier originals; it is
+    zero exactly when the original depends on the earlier ones, and owns
+    its highest bit otherwise."""
+    rng = random.Random(3301)
+    for _ in range(200):
+        width = rng.randint(1, 40)
+        cols = [rng.getrandbits(width) & rng.getrandbits(width)
+                for _ in range(rng.randint(0, 40))]
+        for _ in range(rng.randint(0, 8) if cols else 0):
+            cols.insert(rng.randrange(len(cols) + 1),
+                        cols[rng.randrange(len(cols))] ^ cols[rng.randrange(len(cols))])
+        reduced = cols[:]
+        owner = pairs(reduced)
+        assert len(owner) == sum(1 for c in reduced if c) == reference_rank(cols)
+        assert owner == {c.bit_length(): s for s, c in enumerate(reduced) if c}
+        for s, c in enumerate(reduced):
+            before = reference_rank(cols[:s])
+            assert reference_rank(cols[:s + 1]) == before + (c != 0)
+            assert reference_rank(cols[:s] + [c ^ cols[s]]) == before
 
 
 def reference_rank(rows):

@@ -1,7 +1,9 @@
+import gc
 import heapq
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -318,6 +320,23 @@ def test_v_requires_knot_type():
     C = BifilteredComplex([Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], [])
     with pytest.raises(KnotTypeError):
         V(C, 0)
+    # one tower at grading -2: V_k = 1 never vanishes, and nu+ says why
+    C = BifilteredComplex([Generator("a", 0, 0, -2)], [])
+    with pytest.raises(KnotTypeError, match="V_k failed to vanish by the genus bound"):
+        nu_plus(C)
+
+
+@pytest.mark.parametrize("generators, count", [
+    ([Generator("a", 0, 0, -2)], "no grading-zero generator"),
+    ([Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], "2 grading-zero generators"),
+])
+def test_tau_and_nu_require_one_vertical_class(generators, count):
+    """Zero classes or two towers in vertical grading zero: validate would
+    reject these, and tau and nu refuse them too."""
+    for invariant in (tau, nu):
+        C = BifilteredComplex(generators, [])
+        with pytest.raises(KnotTypeError, match=f"vertical homology has {count}; "):
+            invariant(C)
 
 
 def test_nu_plus_values(trefoil, knot_45):
@@ -409,6 +428,27 @@ def test_surgery_reduces_no_level_outside_the_alexander_range(monkeypatch):
     monkeypatch.setattr(invariants, "homology_over_U", counting_kernel)
     assert d_invariants(C, spec) == expected
     assert len(calls) <= hi - lo + 1
+
+
+def test_v_memo_stays_within_the_alexander_range():
+    """d-invariants at p = 20,000 ask for V_k at 20,000 values of k; the
+    complex's memo keeps one entry per reduced level (an entry per k held
+    2.3 MB)."""
+    C = torus_staircase(2, 3)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(d_invariants(C, SurgerySpec(20_000, 1))) == 20_000
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    lo, hi = alexander_range(C)
+    levels = [key[1:] for key in C._memo if key[0] == "_free_gradings"]
+    assert levels and all(lo <= k <= hi for (k,) in levels), levels
+    assert len(C._memo) <= hi - lo + 3, list(C._memo)
+    assert held < 100_000, held
 
 
 def test_hfk_hat_hands_out_a_copy(trefoil):

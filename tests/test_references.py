@@ -5,6 +5,8 @@ import random
 import re
 import tracemalloc
 
+import pytest
+
 import references
 from conftest import cable_staircase, torus_staircase
 from cfk.cfkfile import _read_columns, dumps, loads
@@ -93,8 +95,9 @@ def test_validate_matches_the_reference_on_perturbed_complexes():
 
 def test_tau_nu_and_hfk_hat_match_the_reference_on_random_sums():
     rng = random.Random(5527)
-    for _ in range(150):
-        C = random_complex(rng)
+    K = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+    paper = [build_complex(parse(e)) for e in (K, f"{K} # {K}")]
+    for C in [random_complex(rng) for _ in range(150)] + paper + [dual(C) for C in paper]:
         assert validate(C) == []
         assert tau(C) == references.tau(C), C
         assert nu(C) == references.nu(C), C
@@ -276,13 +279,23 @@ def test_builds_match_the_reference_record_for_record(tmp_path):
 
 def test_dual_and_tensor_match_the_reference_on_perturbed_complexes():
     """Repeated names and terms keep their records; a term naming no
-    generator, which only records can carry, is kept by name."""
+    generator, which only records can carry, is refused with the
+    invariants' error."""
     rng = random.Random(4242)
     trefoil = torus_staircase(2, 3, "t")
     for _ in range(150):
         C = random_complex(rng)
         for _defects in range(rng.randint(0, 2)):
             C = perturb(C, rng)
+        ghost = next((term for term in C.terms if "ghost" in term[:2]), None)
+        if ghost is not None:
+            source, target, n = ghost
+            message = f"term U^{n} {source!r}->{target!r} references unknown generator 'ghost'"
+            for build in (lambda: dual(C), lambda: tensor(C, trefoil),
+                          lambda: tensor(dual(trefoil), C)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    build()
+            continue
         for built, expected in ((dual(C), references.dual(C)),
                                 (tensor(C, trefoil), references.tensor(C, trefoil)),
                                 (tensor(dual(trefoil), C), references.tensor(dual(trefoil), C))):
