@@ -20,8 +20,10 @@ negative, or that is repeated, since loads() would reject the file.
 
 loads() fills the columns of the complex's index (see cfk.complexes)
 directly, and makes no Generator or DiffTerm record: those are made from
-the columns when a caller reads C.generators or C.terms.  dumps() reads
-the columns too.
+the columns when a caller reads C.generators or C.terms.  A text it reads
+by whole columns repeats no name and no (source, target) pair, so it
+seeds the complex's structure record (C.defects()) as NO_DEFECTS.
+dumps() reads the columns and the record.
 """
 from __future__ import annotations
 
@@ -31,9 +33,8 @@ from collections.abc import Sequence
 from itertools import chain, compress, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import NoReturn
 
-from .complexes import STRUCTURE_CLEAN, BifilteredComplex, DiffTerm
+from .complexes import NO_DEFECTS, BifilteredComplex, DiffTerm
 from .errors import FormatError
 
 HEADER = "cfk v1"
@@ -65,9 +66,9 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
 
     A text with no error, every generator declared before the first dif
     line and no name or (source, target) pair repeated, as dumps() writes,
-    is read by whole columns (_read_columns), and STRUCTURE_CLEAN is
-    recorded for it.  Any other text, including every text with an error,
-    is read line by line (_read_lines), which raises the first error.
+    is read by whole columns (_read_columns), with C.defects() seeded as
+    NO_DEFECTS.  Any other text, including every text with an error, is
+    read line by line (_read_lines), which raises the first error.
     """
     columns = _read_columns(text)
     if columns is None:
@@ -234,17 +235,14 @@ def dumps(C: BifilteredComplex) -> str:
             problem = _name_problem(name)
             if problem is not None:
                 raise FormatError(f"cannot write generator {name!r}: name {problem}")
-    if min(chain(sources, targets, powers), default=0) < 0:
-        _refuse_terms(C)
-    name = names.__getitem__
-    source_names, target_names = list(map(name, sources)), list(map(name, targets))
-    if (STRUCTURE_CLEAN not in C._memo
-            and len(set(zip(source_names, target_names, powers))) < len(powers)):
+    # With no repeated name and no repeated (source, target) pair, no term repeats.
+    if C.defects() != NO_DEFECTS or min(powers, default=0) < 0:
         _refuse_terms(C)
     lines = [HEADER]
     lines += map("gen {} {} {} {}".format, names, index.i, index.j, index.maslov)
     by_source: dict[str, list[tuple[int, str]]] = {}
-    for source, target, n in zip(source_names, target_names, powers):
+    name = names.__getitem__
+    for source, target, n in zip(map(name, sources), map(name, targets), powers):
         by_source.setdefault(source, []).append((n, target))
     for source in sorted(by_source):
         parts = [target if n == 0 else f"U^{n}.{target}"
@@ -253,8 +251,8 @@ def dumps(C: BifilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refuse_terms(C: BifilteredComplex) -> NoReturn:
-    """Raise FormatError for the first term of C that a file cannot carry."""
+def _refuse_terms(C: BifilteredComplex) -> None:
+    """Raise FormatError for the first term of C that a file cannot carry, if any."""
     seen: set[DiffTerm] = set()
     for term in C.terms:
         source, target, n = term
@@ -265,7 +263,6 @@ def _refuse_terms(C: BifilteredComplex) -> NoReturn:
         if problem is not None:
             raise FormatError(f"cannot write term U^{n} {source!r}->{target!r}: {problem}")
         seen.add(term)
-    raise AssertionError("every term of the complex can be written")
 
 
 def read_complex(path: str | Path) -> BifilteredComplex:

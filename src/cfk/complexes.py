@@ -23,26 +23,21 @@ the columns the first time one is read.  A complex built from records
 the first call of ``index()``.  That never fails: a name that is not a
 generator gets position -1 and a repeated name maps to its last
 declaration, as ``by_name`` does, so each caller decides how to report
-them.  Only records can carry a term whose name is not a generator;
-``dual``, ``tensor`` and every invariant refuse it with the same
-ValueError.
+them.  Only records can carry a term whose name is not a generator.
 
-``validate`` first runs one pass over the positions that holds exactly when
-no structural violation exists, and runs the itemized loop for the messages
-only when it fails.  A clean pass is recorded in the memo
-(``STRUCTURE_CLEAN``), so the invariants do not check the same facts
-again; ``loads`` records it too when no name and no (source, target) pair
-repeats.  d^2 = 0 is then checked per end generator alone: once every term
-is homogeneous (M(s) - 1 = M(t) - 2n), a two-step path s -> e has total
-U power (M(e) - M(s) + 2) / 2, so the end fixes the power.  Each
-generator keeps a set of ends as plain ints, not a bitmask column: in
-generator order a column int is as wide as its largest target, which
-would cost about n^2/16 bytes over all n generators.
+``first_defects`` decides once per complex whether its index is sound:
+``C.defects()`` keeps the position of the first repeated name, the first
+term with an endpoint at -1 and the first repeated (source, target) pair,
+or None for each, and ``loads`` seeds it as NO_DEFECTS.  ``validate``,
+the invariants, ``dual``, ``tensor`` and ``dumps`` read it, each with its
+own messages and precedence.  The vertical slice is likewise built once
+per complex (``vertical_slice``), for validate, tau and HFK-hat.
 """
 from __future__ import annotations
 
+import functools
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -50,12 +45,6 @@ from typing import NamedTuple
 from . import f2
 from .errors import ValidationError
 from .laurent import LaurentPoly, is_lspace_form
-
-# The memo key under which validate() records that a complex's structure
-# is clean: no generator name repeats, every term names generators and no
-# (source, target) pair repeats.  cfk.invariants then skips its own check
-# of exactly these.
-STRUCTURE_CLEAN = ("structure clean",)
 
 # Violation kinds reported by validate().
 DUPLICATE_NAME = "duplicate-name"
@@ -106,6 +95,39 @@ class Index(NamedTuple):
     alexander_range: tuple[int, int]
 
 
+class Defects(NamedTuple):
+    """The positions of the first repeated generator name, the first term
+    with an endpoint at -1 and the first repeated (source, target) pair."""
+    repeated_name: int | None
+    unknown_term: int | None
+    repeated_pair: int | None
+
+
+NO_DEFECTS = Defects(None, None, None)
+
+
+def first_defects(names: Sequence[str], sources: Sequence[int],
+                  targets: Sequence[int]) -> Defects:
+    """The Defects (None where none) of an index's names and term positions:
+    a set size or a scan for -1 per kind, and a search only if it fails."""
+    width = len(names) + 1  # one int per pair: positions run from -1
+
+    def pairs() -> Iterable[int]:
+        return map(operator.add, map(operator.mul, sources, repeat(width)), targets)
+
+    return Defects(
+        _first_repeat(names) if len(set(names)) < len(names) else None,
+        next(p for p, ends in enumerate(zip(sources, targets)) if min(ends) < 0)
+        if -1 in sources or -1 in targets else None,
+        _first_repeat(pairs()) if len(set(pairs())) < len(sources) else None)
+
+
+def _first_repeat(items: Iterable[Hashable]) -> int:
+    """The position of the first item equal to an earlier one (there is one)."""
+    seen: set[Hashable] = set()  # set.add returns None: each new item is added and passed
+    return next(p for p, item in enumerate(items) if item in seen or seen.add(item))
+
+
 def _make_index(names, i, j, maslov, powers, sources, targets) -> Index:
     alexander = list(map(operator.sub, j, i))
     return Index(names, i, j, maslov, powers, sources, targets,
@@ -118,9 +140,10 @@ class BifilteredComplex:
         self._terms: tuple[DiffTerm, ...] | None = tuple(terms)
         self._by_name: dict[str, Generator] | None = None
         self._index: Index | None = None
+        self._defects: Defects | None = None
         self.label = label
-        # validate's STRUCTURE_CLEAN and the results of cfk.invariants for
-        # this complex, keyed by (function, args).
+        # The vertical slice and the results of cfk.invariants for this
+        # complex, keyed by (function, args).
         self._memo: dict[tuple, object] = {}
 
     @classmethod
@@ -129,13 +152,15 @@ class BifilteredComplex:
                      targets: list[int], label: str = "",
                      clean: bool = False) -> BifilteredComplex:
         """A complex stored as its index alone.  Every source and target
-        must be a generator position; clean records STRUCTURE_CLEAN, which
-        the caller asserts: no name and no (source, target) pair repeats."""
+        must be a generator position; clean seeds defects() as NO_DEFECTS,
+        which the caller asserts: no name and no (source, target) pair
+        repeats."""
         C = cls.__new__(cls)
         C._generators = C._terms = C._by_name = None
         C._index = _make_index(names, i, j, maslov, powers, sources, targets)
+        C._defects = NO_DEFECTS if clean else None
         C.label = label
-        C._memo = {STRUCTURE_CLEAN: True} if clean else {}
+        C._memo = {}
         return C
 
     @property
@@ -172,6 +197,13 @@ class BifilteredComplex:
                                  list(map(position.get, target_names, repeat(-1))))
         return self._index
 
+    def defects(self) -> Defects:
+        """first_defects of this complex's index, found on the first call."""
+        if self._defects is None:
+            x = self.index()
+            self._defects = first_defects(x.names, x.sources, x.targets)
+        return self._defects
+
     @property
     def max_alexander(self) -> int:
         return self.index().alexander_range[1]
@@ -198,27 +230,22 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     d^2 = 0 is checked over F2 per end generator: each generator's set of
     ends reached by an odd number of two-step paths is the symmetric
     difference of its targets' target sets, and what is left is reported
-    in name order with the U power its gradings fix.
+    in name order.  Once every term is homogeneous (M(s) - 1 = M(t) - 2n),
+    a path s -> e has U power (M(e) - M(s) + 2) / 2, so the end fixes it.
+    The sets hold plain ints: a bitmask column per generator, as wide as
+    its largest target, would take about n^2/16 bytes over n generators.
     """
     index = C.index()
     names, I, J, M = index.names, index.i, index.j, index.maslov
     sources, targets, powers = index.sources, index.targets, index.powers
-    clean = (len(set(names)) == len(names)
-             and min(sources, default=0) >= 0 and min(targets, default=0) >= 0
-             and min(powers, default=0) >= 0
-             and all(I[t] - n <= I[s] and J[t] - n <= J[s] and M[s] - 1 == M[t] - 2 * n
-                     for s, t, n in zip(sources, targets, powers)))
-    if clean:
-        outgoing: list[set[int]] = [set() for _ in names]
-        for s, t in zip(sources, targets):
-            outgoing[s].add(t)
-        # Every term is homogeneous, so a repeated (source, target) pair is
-        # a repeated term.
-        clean = sum(map(len, outgoing)) == len(sources)
-    if not clean:
+    if not (C.defects() == NO_DEFECTS and min(powers, default=0) >= 0
+            and all(I[t] - n <= I[s] and J[t] - n <= J[s] and M[s] - 1 == M[t] - 2 * n
+                    for s, t, n in zip(sources, targets, powers))):
         return _structural_violations(C)
-    C._memo[STRUCTURE_CLEAN] = True
 
+    outgoing: list[set[int]] = [set() for _ in names]
+    for s, t in zip(sources, targets):
+        outgoing[s].add(t)
     out: list[Violation] = []
     for s, ends in enumerate(outgoing):
         odd: set[int] = set()
@@ -233,7 +260,7 @@ def validate(C: BifilteredComplex) -> list[Violation]:
         return out
 
     # Vertical homology: the i-preserving slice at i = 0.
-    dims = f2.graded_homology_dims(*shifted_slice(index, I))
+    dims = f2.graded_homology_dims(*vertical_slice(C))
     if dims != {0: 1}:
         total = sum(dims.values())
         out.append(Violation(
@@ -296,6 +323,25 @@ def shifted_slice(index: Index,
     return grading, list(compress(index.sources, keep)), list(compress(index.targets, keep))
 
 
+def memoized(fn):
+    """Keep fn(C, *args) in C's private memo, so that each complex object
+    computes it once.  A call that raises leaves nothing behind."""
+    @functools.wraps(fn)
+    def cached(C: BifilteredComplex, *args):
+        key = (fn.__name__, *args)
+        memo = C._memo
+        if key not in memo:
+            memo[key] = fn(C, *args)
+        return memo[key]
+    return cached
+
+
+@memoized
+def vertical_slice(C: BifilteredComplex) -> tuple[list[int], list[int], list[int]]:
+    """shifted_slice of C by each generator's i: the vertical slice, read only."""
+    return shifted_slice(C.index(), C.index().i)
+
+
 def require_valid(C: BifilteredComplex) -> BifilteredComplex:
     violations = validate(C)
     if violations:
@@ -334,28 +380,21 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
-def unknown_generator(sources: list[int], targets: list[int],
-                      term: Callable[[int], tuple[str, str, int]]) -> ValueError:
-    """The error for the first term whose source or target position is -1;
+def refuse_unknown(defects: Defects, sources: Sequence[int],
+                   term: Callable[[int], tuple[str, str, int]]) -> None:
+    """Raise the ValueError for the term defects.unknown_term, if any;
     term(p) gives the p-th term as (source name, target name, power)."""
-    p = next(p for p, ends in enumerate(zip(sources, targets)) if min(ends) < 0)
-    source, target, n = term(p)
-    name = source if sources[p] < 0 else target
-    return ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
-
-
-def _named_index(C: BifilteredComplex) -> Index:
-    """C's index, refusing a term that names no generator (only records can
-    carry one) with the ValueError that every invariant raises for it."""
-    x = C.index()
-    if -1 in x.sources or -1 in x.targets:
-        raise unknown_generator(x.sources, x.targets, C.terms.__getitem__)
-    return x
+    p = defects.unknown_term
+    if p is not None:
+        source, target, n = term(p)
+        name = source if sources[p] < 0 else target
+        raise ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
 
 
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
-    x = _named_index(C)
+    x = C.index()
+    refuse_unknown(C.defects(), x.sources, lambda p: C.terms[p])
     neg = operator.neg
     return BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
@@ -370,7 +409,9 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     g*h is at position p1 * n2 + p2, and the terms of C1 (each with every
     h in turn) come before those of C2 (for each g in turn).
     """
-    x1, x2 = _named_index(C1), _named_index(C2)
+    x1, x2 = C1.index(), C2.index()
+    refuse_unknown(C1.defects(), x1.sources, lambda p: C1.terms[p])
+    refuse_unknown(C2.defects(), x2.sources, lambda p: C2.terms[p])
     n2 = len(x2.names)
     right = range(n2)
     bases = range(0, len(x1.names) * n2, n2)

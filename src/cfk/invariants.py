@@ -28,54 +28,48 @@ reduced in order, pivot at the highest set bit):
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
 and for the named ``basis`` and ``terms`` that ``a_minus`` hands out.
-Every entry point first checks that no term names a missing generator and
-that no generator name or (source, target) term repeats, once per complex
-and not at all when ``validate`` or ``loads`` has already found its
-structure clean.  ``a_minus`` computes a level's shifts, gradings and
-exponents by position, and the levels share the term positions, so
-``homology_over_U`` looks up no names.  The kernel checks that do not
-depend on k (homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel, and
-d^2 = 0 at U = 1) run on the first level reduced for a complex and are
-skipped once they have passed; the escape check and the pivot-pair checks
-run on every level.  A hand-built ``FreeUComplex`` is indexed by name on
-each call and runs every check.  tau, nu and HFK-hat build the vertical
-slice and the U = 0 slices of A^-_k as gradings plus the source and
-target positions of their terms.
+Every entry point first refuses what the complex's structure record
+(``C.defects()``) shows: a repeated name, a term naming a missing
+generator, a repeated (source, target) pair.  ``a_minus`` computes a
+level's shifts, gradings and exponents by position, and the levels share
+the term positions, so ``homology_over_U`` looks up no names.  The kernel
+checks that do not depend on k (homogeneity, since M(s) - 1 = M(t) - 2n
+makes k cancel, and d^2 = 0 at U = 1) run on the first level reduced for
+a complex and are skipped once they have passed; the escape check and the
+pivot-pair checks run on every level.  A hand-built ``FreeUComplex`` is
+indexed by name and its defects found by ``first_defects`` on each call;
+it runs every check.  tau and HFK-hat read the complex's vertical slice;
+nu builds the U = 0 slices of A^-_k.  Each slice is gradings plus the
+source and target positions of its terms.
 
 Each complex object keeps a private memo of its checked index, its term
-names, the free gradings of each level, the vertical pairing, tau, nu and
-the HFK-hat table, so every report reduces a given (complex, k) once.  V
-outside the Alexander range reads the boundary level (see ``V``).
-V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
-computed table.
+names, the free gradings of each level, the vertical slice and pairing,
+nu and the HFK-hat table, so every report reduces a given (complex, k)
+once.  V outside the Alexander range reads the boundary level (see
+``V``).  V_{-k} = V_k + k is not used as a shortcut: it stays a check on
+the computed table.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 
 from . import f2
-from .complexes import (STRUCTURE_CLEAN, BifilteredComplex, Index, dual, shifted_slice,
-                        unknown_generator)
+from .complexes import (NO_DEFECTS, BifilteredComplex, Defects, Index, dual, first_defects,
+                        memoized, refuse_unknown, shifted_slice, vertical_slice)
 from .errors import KnotTypeError, PreconditionError
 
 
+@dataclass(slots=True)
 class _Positions:
     """Each term's source and target as a basis position.  One object is
-    shared by every level of a complex; indexed says that its complex's
-    index has been checked for repeated names, missing generators and
-    repeated (source, target) pairs, and checked is set once the checks
+    shared by every level of a complex, and checked is set once the checks
     that do not depend on k have passed on one level."""
-    __slots__ = ("sources", "targets", "indexed", "checked")
-
-    def __init__(self, sources: list[int], targets: list[int]):
-        self.sources = sources
-        self.targets = targets
-        self.indexed = False
-        self.checked = False
+    sources: list[int]
+    targets: list[int]
+    checked: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,33 +93,17 @@ class UModuleSummary:
     torsion: tuple[tuple[int, int], ...]
 
 
-def _memoized(fn):
-    """Keep fn(C, *args) in C's private memo, so that each complex object
-    computes it once.  A call that raises leaves nothing behind."""
-    @functools.wraps(fn)
-    def cached(C: BifilteredComplex, *args):
-        key = (fn.__name__, *args)
-        memo = C._memo
-        if key not in memo:
-            memo[key] = fn(C, *args)
-        return memo[key]
-    return cached
-
-
-@_memoized
+@memoized
 def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
-    """C's index once no term names a missing generator and no generator
-    name or term repeats, with the term positions its levels share.  A
-    complex whose structure validate has found clean is not checked again."""
+    """C's index once _check_terms passes C.defects(), with the term
+    positions its levels share."""
     index = C.index()
     positions = _Positions(index.sources, index.targets)
-    if STRUCTURE_CLEAN not in C._memo:
-        _check_terms(index.names, positions, lambda p: C.terms[p])
-    positions.indexed = True
+    _check_terms(C.defects(), index.names, positions, lambda p: C.terms[p])
     return index, positions
 
 
-@_memoized
+@memoized
 def _term_names(C: BifilteredComplex) -> tuple[list[str], list[str]]:
     """The source and the target name of each term of C, by position."""
     index, positions = _index(C)
@@ -178,19 +156,20 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     cancel silently.  An element whose reduced column is zero and that is
     no pivot is a free generator.
 
-    The term positions come from a_minus when it made x, and are looked up
-    by name otherwise.  The checks that do not depend on k run unless they
-    have passed on another level of the same complex.
+    The term positions come from a_minus (a checked index) when it made
+    x, and are looked up by name otherwise.  The checks that do not depend
+    on k run unless they have passed on another level of the same complex.
     """
     positions = x._positions
-    if positions is None:
-        position = {name: p for p, (name, _m) in enumerate(x.basis)}
-        # -1 marks a name missing from the basis; _check_terms reports it.
-        positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
-                               [position.get(t, -1) for _s, t, _e in x.terms])
     grading = [m for _name, m in x.basis]
-    if not positions.checked:
-        _check_terms([name for name, _m in x.basis], positions, x.terms.__getitem__,
+    if positions is None or not positions.checked:
+        names, defects = [name for name, _m in x.basis], NO_DEFECTS
+        if positions is None:  # -1 marks a name missing from the basis
+            position = dict(zip(names, range(len(names))))
+            positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
+                                   [position.get(t, -1) for _s, t, _e in x.terms])
+            defects = first_defects(names, positions.sources, positions.targets)
+        _check_terms(defects, names, positions, x.terms.__getitem__,
                      grading, [e for _s, _t, e in x.terms])
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
@@ -236,45 +215,31 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     return UModuleSummary(tuple(free), tuple(torsion))
 
 
-def _check_terms(names: Sequence[str], positions: _Positions,
+def _check_terms(defects: Defects, names: Sequence[str], positions: _Positions,
                  term: Callable[[int], tuple[str, str, int]],
                  grading: Sequence[int] | None = None,
                  exponents: Sequence[int] | None = None) -> None:
-    """Raise ValueError for the first duplicate name; else for the first
-    term that names a missing generator, unless an inhomogeneous term comes
-    before it; else for the first term that repeats an earlier (source,
-    target) pair or is not homogeneous of degree -1.  Homogeneity is
-    checked only when the gradings and exponents are given, and it is all
-    that is checked on positions that an index has checked.  term(p) gives
-    the p-th term, for the message about a missing generator; the other
-    messages name the terms by position.  None of these depends on k."""
+    """Raise ValueError for defects' repeated name; else for its term that
+    names a missing generator, or its repeated (source, target) pair,
+    unless an inhomogeneous term comes before it; else for the first term
+    that is not homogeneous of degree -1, checked only when the gradings
+    and exponents are given.  term(p) gives the p-th term, for the message
+    about a missing generator.  None of these depends on k."""
+    if defects.repeated_name is not None:
+        raise ValueError(f"duplicate basis name {names[defects.repeated_name]!r}")
     sources, targets = positions.sources, positions.targets
-    if not positions.indexed and len(set(names)) != len(names):
-        declared: set[str] = set()
-        for name in names:
-            if name in declared:
-                raise ValueError(f"duplicate basis name {name!r}")
-            declared.add(name)
-    stop = len(sources)  # the first term that is not homogeneous, if any
-    if grading is None:
-        if -1 in sources or -1 in targets:
-            raise unknown_generator(sources, targets, term)
-    else:
-        for p, (s, t, e) in enumerate(zip(sources, targets, exponents)):
-            if s < 0 or t < 0:
-                raise unknown_generator(sources, targets, term)
+    stop = len(sources)  # the first inhomogeneous term before any unknown one
+    if grading is not None:
+        known = range(stop if defects.unknown_term is None else defects.unknown_term)
+        for p, s, t, e in zip(known, sources, targets, exponents):
             if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
                 stop = p
                 break
-    # One int per (source, target) pair; positions run from -1 to len - 1.
-    width = len(names) + 1
-    if not positions.indexed and len(set(map(
-            operator.add, map(operator.mul, sources, repeat(width)), targets))) < len(sources):
-        seen: set[tuple[int, int]] = set()
-        for p, pair in enumerate(zip(sources[:stop + 1], targets)):
-            if pair in seen:
-                raise ValueError(f"duplicate term {names[pair[0]]}->{names[pair[1]]}")
-            seen.add(pair)
+    if stop == len(sources):
+        refuse_unknown(defects, sources, term)
+    p = defects.repeated_pair
+    if p is not None and p <= stop:
+        raise ValueError(f"duplicate term {names[sources[p]]}->{names[targets[p]]}")
     if stop < len(sources):
         raise ValueError(f"term U^{exponents[stop]}:{names[sources[stop]]}->"
                          f"{names[targets[stop]]} is not homogeneous of degree -1")
@@ -306,7 +271,7 @@ def V(C: BifilteredComplex, k: int) -> int:
     return -d // 2
 
 
-@_memoized
+@memoized
 def _free_gradings(C: BifilteredComplex, k: int) -> tuple[int, ...]:
     return homology_over_U(a_minus(C, k)).free_gradings
 
@@ -337,13 +302,10 @@ def nu_plus(C: BifilteredComplex) -> int:
 
 def _slice(C: BifilteredComplex,
            k: int | None = None) -> tuple[list[int], list[int], list[int]]:
-    """The vertical slice of C (each generator g moved to U^{i_g} g) when
-    k is None, else the U = 0 slice of A^-_k (g moved to U^{c_g} g with
-    c_g = max(i_g, j_g - k)): each generator's grading by position, then
-    the source and the target positions of the terms with translated U
-    power zero."""
+    """vertical_slice(C) when k is None, else the U = 0 slice of A^-_k
+    (see shifted_slice: g moved to U^{c_g} g, c_g = max(i_g, j_g - k))."""
     index = _index(C)[0]
-    return shifted_slice(index, index.i if k is None else _shift(index, k))
+    return vertical_slice(C) if k is None else shifted_slice(index, _shift(index, k))
 
 
 def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
@@ -351,7 +313,7 @@ def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
     return dict(zip(positions, range(start, start + len(positions))))
 
 
-@_memoized
+@memoized
 def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     """tau, the vertical slice's grading-0 elements in ascending Alexander
     grading (ties in basis order), and the boundaries from grading 1
@@ -387,14 +349,13 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     return alexander[born[0]], zero, into
 
 
-@_memoized
 def tau(C: BifilteredComplex) -> int:
     """Least k such that the vertical homology generator is homologous to a
     cycle supported in Alexander gradings <= k (see _vertical_pairing)."""
     return _vertical_pairing(C)[0]
 
 
-@_memoized
+@memoized
 def nu(C: BifilteredComplex) -> int:
     """Least k >= tau such that some cycle of the U = 0 slice of A^-_k
     projects to the vertical homology generator's class.
@@ -455,7 +416,7 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     return dict(_hfk_table(C))
 
 
-@_memoized
+@memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     index = _index(C)[0]
     grading, sources, targets = _slice(C)

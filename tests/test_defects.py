@@ -1,0 +1,352 @@
+"""The structure record (cfk.complexes.first_defects): which reader reports
+which defect when a complex has several, frozen message by message; loads
+seeding the record; and one vertical slice per complex."""
+import pytest
+
+from cfk import complexes, invariants
+from cfk.cfkfile import _read_columns, dumps, loads
+from cfk.complexes import NO_DEFECTS, BifilteredComplex, DiffTerm as D, Defects
+from cfk.complexes import Generator as G, dual, first_defects, tensor, validate
+from cfk.expr import build_complex, parse
+from cfk.invariants import FreeUComplex, V, homology_over_U, hfk_hat, nu, nu_plus, tau
+
+T = BifilteredComplex([G("x0", 0, 1, 0), G("x1", 1, 1, 1), G("x2", 1, 0, 0)],
+                      [D("x1", "x0", 0), D("x1", "x2", 0)])
+GENS, TERMS = list(T.generators), list(T.terms)
+GHOST, REPEAT, INHOMOGENEOUS = D("x1", "ghost", 0), D("x1", "x0", 0), D("x0", "x2", 0)
+# Trefoil complexes with two or more defects, as (generators, terms).
+COMPLEXES = {
+    "repeated name + ghost": (GENS + [G("x0", 7, 7, 0)], TERMS + [GHOST]),
+    "ghost + repeated term": (GENS, TERMS + [GHOST, REPEAT]),
+    "repeated term + ghost": (GENS, TERMS + [REPEAT, GHOST]),
+    "inhomogeneous before ghost": (GENS, TERMS + [INHOMOGENEOUS, GHOST]),
+    "inhomogeneous after ghost": (GENS, TERMS + [GHOST, INHOMOGENEOUS]),
+    "inhomogeneous before repeated term": (GENS, TERMS + [INHOMOGENEOUS, REPEAT]),
+    "repeated term before inhomogeneous": (GENS, TERMS + [REPEAT, INHOMOGENEOUS]),
+    "escaping + repeated term": (GENS + [G("e", -2, -2, 1)], TERMS + [D("e", "x0", 0), REPEAT]),
+    "negative power + repeated term": (GENS + [G("f", 0, 0, -3)],
+                                       TERMS + [D("x0", "f", -1), D("x1", "x2", 0)]),
+    "repeated name + repeated term": (GENS + [G("x2", 0, 0, 0)], TERMS + [REPEAT]),
+    "repeated ghost term": (GENS, TERMS + [GHOST, GHOST]),
+    "inhomogeneous before a repeated ghost term": (GENS, TERMS + [INHOMOGENEOUS, GHOST, GHOST]),
+    "two repeated names + ghost": (GENS + [G("x2", 0, 0, 0), G("x0", 7, 7, 0)], TERMS + [GHOST]),
+    "repeated name + pair repeated at another power": (GENS + [G("x2", 0, 0, 0)],
+                                                       TERMS + [D("x1", "x0", 1)]),
+    "every defect": ([G("a", 0, 0, 1), G("b", 1, 0, 0), G("a", 0, 0, 1)],
+                     [D("a", "b", 0), D("a", "b", 0), D("a", "q", 0), D("b", "a", -2),
+                      D("b", "a", 0)]),
+}
+ENTRIES = {
+    "validate": lambda C: [(v.kind, v.message) for v in validate(C)],
+    "V": lambda C: V(C, 0),
+    "tau": tau,
+    "hfk_hat": lambda C: sorted(hfk_hat(C).items()),
+    "homology_over_U": lambda C: homology_over_U(FreeUComplex(
+        tuple((g.name, g.maslov) for g in C.generators), tuple(C.terms))),
+    "dual": lambda C: len(dual(C).terms),
+    "tensor": lambda C: (len(tensor(C, T).terms), len(tensor(T, C).terms)),
+    "dumps": dumps,
+}
+
+# Each entry's result or error on each complex, recorded before the
+# structure record existed, when every reader ran its own checks.
+FROZEN = {
+    "repeated name + ghost": {
+        "validate": [
+            ("duplicate-name", "generator name 'x0' declared twice"),
+            ("filtration", "U^0:x1->x0 raises filtration: (7,7) from (1,1)"),
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+        ],
+        "V": "ValueError: duplicate basis name 'x0'",
+        "tau": "ValueError: duplicate basis name 'x0'",
+        "hfk_hat": "ValueError: duplicate basis name 'x0'",
+        "homology_over_U": "ValueError: duplicate basis name 'x0'",
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "ghost + repeated term": {
+        "validate": [
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
+                            "generator 'ghost'"),
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "repeated term + ghost": {
+        "validate": [
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
+                            "generator 'ghost'"),
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
+    },
+    "inhomogeneous before ghost": {
+        "validate": [
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "inhomogeneous after ghost": {
+        "validate": [
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
+                            "generator 'ghost'"),
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "inhomogeneous before repeated term": {
+        "validate": [
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+        ],
+        "V": "ValueError: duplicate term x1->x0",
+        "tau": "ValueError: duplicate term x1->x0",
+        "hfk_hat": "ValueError: duplicate term x1->x0",
+        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
+        "dual": 4,
+        "tensor": (18, 18),
+        "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
+    },
+    "repeated term before inhomogeneous": {
+        "validate": [
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+        ],
+        "V": "ValueError: duplicate term x1->x0",
+        "tau": "ValueError: duplicate term x1->x0",
+        "hfk_hat": "ValueError: duplicate term x1->x0",
+        "homology_over_U": "ValueError: duplicate term x1->x0",
+        "dual": 4,
+        "tensor": (18, 18),
+        "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
+    },
+    "escaping + repeated term": {
+        "validate": [
+            ("filtration", "U^0:e->x0 raises filtration: (0,1) from (-2,-2)"),
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+        ],
+        "V": "ValueError: duplicate term x1->x0",
+        "tau": "ValueError: duplicate term x1->x0",
+        "hfk_hat": "ValueError: duplicate term x1->x0",
+        "homology_over_U": "ValueError: duplicate term x1->x0",
+        "dual": 4,
+        "tensor": (20, 20),
+        "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
+    },
+    "negative power + repeated term": {
+        "validate": [
+            ("filtration", "negative U power on x0->f"),
+            ("duplicate-term", "term U^0:x1->x2 repeated"),
+        ],
+        "V": "ValueError: duplicate term x1->x2",
+        "tau": "ValueError: duplicate term x1->x2",
+        "hfk_hat": "ValueError: duplicate term x1->x2",
+        "homology_over_U": "ValueError: term U^-1:x0->f is not homogeneous of degree -1",
+        "dual": 4,
+        "tensor": (20, 20),
+        "dumps": "FormatError: cannot write term U^-1 'x0'->'f': U power is negative",
+    },
+    "repeated name + repeated term": {
+        "validate": [
+            ("duplicate-name", "generator name 'x2' declared twice"),
+            ("duplicate-term", "term U^0:x1->x0 repeated"),
+        ],
+        "V": "ValueError: duplicate basis name 'x2'",
+        "tau": "ValueError: duplicate basis name 'x2'",
+        "hfk_hat": "ValueError: duplicate basis name 'x2'",
+        "homology_over_U": "ValueError: duplicate basis name 'x2'",
+        "dual": 3,
+        "tensor": (17, 17),
+        "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
+    },
+    "repeated ghost term": {
+        "validate": [
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+            ("duplicate-term", "term U^0:x1->ghost repeated"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
+                            "generator 'ghost'"),
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "inhomogeneous before a repeated ghost term": {
+        "validate": [
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+            ("duplicate-term", "term U^0:x1->ghost repeated"),
+        ],
+        "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "two repeated names + ghost": {
+        "validate": [
+            ("duplicate-name", "generator name 'x2' declared twice"),
+            ("duplicate-name", "generator name 'x0' declared twice"),
+            ("filtration", "U^0:x1->x0 raises filtration: (7,7) from (1,1)"),
+            ("undeclared-name", "term references unknown generator 'ghost'"),
+        ],
+        "V": "ValueError: duplicate basis name 'x2'",
+        "tau": "ValueError: duplicate basis name 'x2'",
+        "hfk_hat": "ValueError: duplicate basis name 'x2'",
+        "homology_over_U": "ValueError: duplicate basis name 'x2'",
+        "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
+        "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
+                  "generator"),
+    },
+    "repeated name + pair repeated at another power": {
+        "validate": [
+            ("duplicate-name", "generator name 'x2' declared twice"),
+            ("grading", "U^1:x1->x0 grading mismatch: M=1 source vs M=0-2*1 target"),
+        ],
+        "V": "ValueError: duplicate basis name 'x2'",
+        "tau": "ValueError: duplicate basis name 'x2'",
+        "hfk_hat": "ValueError: duplicate basis name 'x2'",
+        "homology_over_U": "ValueError: duplicate basis name 'x2'",
+        "dual": 3,
+        "tensor": (17, 17),
+        "dumps": ("cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ngen x2 0 0 0\ndif x1 "
+                  "x0 x2 U^1.x0\n"),
+    },
+    "every defect": {
+        "validate": [
+            ("duplicate-name", "generator name 'a' declared twice"),
+            ("filtration", "U^0:a->b raises filtration: (1,0) from (0,0)"),
+            ("duplicate-term", "term U^0:a->b repeated"),
+            ("undeclared-name", "term references unknown generator 'q'"),
+            ("filtration", "negative U power on b->a"),
+            ("grading", "U^0:b->a grading mismatch: M=0 source vs M=1-2*0 target"),
+        ],
+        "V": "ValueError: duplicate basis name 'a'",
+        "tau": "ValueError: duplicate basis name 'a'",
+        "hfk_hat": "ValueError: duplicate basis name 'a'",
+        "homology_over_U": "ValueError: duplicate basis name 'a'",
+        "dual": "ValueError: term U^0 'a'->'q' references unknown generator 'q'",
+        "tensor": "ValueError: term U^0 'a'->'q' references unknown generator 'q'",
+        "dumps": "FormatError: cannot write term U^0 'a'->'b': term is repeated",
+    },
+}
+
+
+def outcome(entry, C):
+    try:
+        return entry(C)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_frozen_precedence_of_several_defects():
+    assert list(FROZEN) == list(COMPLEXES)
+    for label, spec in COMPLEXES.items():
+        shared = BifilteredComplex(*spec)  # every reader in turn, one record
+        for name, entry in ENTRIES.items():
+            want = FROZEN[label][name]
+            assert outcome(entry, BifilteredComplex(*spec)) == want, (label, name)
+            assert outcome(entry, shared) == want, (label, name)
+
+
+def test_first_defects_gives_the_first_position_of_each_kind():
+    assert first_defects([], [], []) == NO_DEFECTS
+    assert first_defects(["a", "b"], [1, 1], [0, 0]) == Defects(None, None, 1)
+    assert first_defects(["a", "b", "c", "b", "a"], [0, -1, 2, 0, -1, 0],
+                         [1, 0, -1, 2, 0, 1]) == Defects(3, 1, 4)
+    # (0, -1) and (-1, 1) do not collide with any (source, target) pair
+    assert first_defects(["a", "b"], [0, 1, -1, 0], [-1, 0, 1, 1]) == Defects(None, 0, None)
+
+
+@pytest.fixture(scope="module")
+def text():
+    return dumps(build_complex(parse("torus(2,9) # mirror(cable(2,5,torus(2,3)))")))
+
+
+def test_loads_seeds_the_record_and_no_reader_runs_the_bulk_pass(text, monkeypatch):
+    assert _read_columns(text) is not None
+    C = loads(text)
+    assert C._defects == NO_DEFECTS
+
+    def bulk_pass(*args):
+        raise AssertionError("first_defects ran on a complex that loads seeded")
+
+    monkeypatch.setattr(complexes, "first_defects", bulk_pass)
+    assert validate(C) == []
+    assert (tau(C), nu(C), nu_plus(C), V(C, 0)) == (0, 1, 2, 1)
+    assert hfk_hat(C) and dumps(C) == text
+
+
+def test_the_record_is_found_once_per_complex(text, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return first_defects(*args)
+
+    monkeypatch.setattr(complexes, "first_defects", counted)
+    built = loads(text)
+    C = BifilteredComplex(built.generators, built.terms)  # from records: not seeded
+    assert C._defects is None
+    assert validate(C) == []
+    for read in (tau, nu, hfk_hat, lambda C: V(C, 0), dumps, dual, lambda C: tensor(C, C)):
+        read(C)
+    assert calls == [1]
+
+
+def test_one_vertical_slice_per_complex(text, monkeypatch):
+    vertical = []
+    shifted_slice = complexes.shifted_slice
+
+    def counted(index, shift):
+        if shift is index.i:
+            vertical.append(1)
+        return shifted_slice(index, shift)
+
+    for module in (complexes, invariants):
+        monkeypatch.setattr(module, "shifted_slice", counted)
+    C = loads(text)
+    assert validate(C) == [] and (tau(C), nu(C)) == (0, 1) and hfk_hat(C)
+    assert vertical == [1]

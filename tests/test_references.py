@@ -10,7 +10,7 @@ import pytest
 import references
 from conftest import cable_staircase, torus_staircase
 from cfk.cfkfile import _read_columns, dumps, loads
-from cfk.complexes import (STRUCTURE_CLEAN, BifilteredComplex, DiffTerm, Generator, dual,
+from cfk.complexes import (NO_DEFECTS, BifilteredComplex, DiffTerm, Generator, dual,
                            tensor, validate)
 from cfk.errors import FormatError
 from cfk.expr import build_complex, parse
@@ -225,7 +225,7 @@ def test_loads_matches_the_reference_on_perturbed_texts():
             continue
         C = loads(text, "lbl")
         assert dumps(C) == dumps(references.loads(text))
-        clean = STRUCTURE_CLEAN in C._memo
+        clean = loads(text)._defects == NO_DEFECTS  # seeded by loads, before any reader
         assert clean == (_read_columns(text) is not None)
         if clean:
             by_columns += 1
