@@ -27,33 +27,35 @@ reduced in order, pivot at the highest set bit):
 
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
-and for the named ``basis`` and ``terms`` that ``a_minus`` hands out.
-Every entry point first refuses what the complex's structure record
-(``C.defects()``) shows: a repeated name, a term naming a missing
-generator, a repeated (source, target) pair.  ``a_minus`` computes a
-level's shifts, gradings and exponents by position, and the levels share
-the term positions, so ``homology_over_U`` looks up no names.  The kernel
-checks that do not depend on k (homogeneity, since M(s) - 1 = M(t) - 2n
-makes k cancel, and d^2 = 0 at U = 1) run on the first level reduced for
-a complex and are skipped once they have passed; the escape check and the
-pivot-pair checks run on every level.  A hand-built ``FreeUComplex`` is
-indexed by name and its defects found by ``first_defects`` on each call;
-it runs every check.  tau and HFK-hat read the complex's vertical slice;
-nu builds the U = 0 slices of A^-_k.  Each slice is gradings plus the
-source and target positions of its terms.
+and for the named ``basis`` and ``terms`` of a level that ``a_minus``
+hands out, which are zipped only when a caller reads them.  Every entry
+point first refuses what the complex's structure record (``C.defects()``)
+shows: a repeated name, a term naming a missing generator, a repeated
+(source, target) pair.  ``a_minus`` computes a level's shifts, gradings
+and exponents by position, and the levels share the term positions, so
+the V ladder makes no per-level names and ``homology_over_U`` looks up
+none unless a check fails.  The kernel checks that do not depend on k
+(homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel, and d^2 = 0 at
+U = 1) run on the first level reduced for a complex and are skipped once
+they have passed; the escape check and the pivot-pair checks run on every
+level.  A hand-built ``FreeUComplex`` is indexed by name and its defects
+found by ``first_defects`` on each call; it runs every check.  tau and
+HFK-hat read the complex's vertical slice; nu builds the U = 0 slices of
+A^-_k.  Each slice is gradings plus the source and target positions of
+its terms.
 
-Each complex object keeps a private memo of its checked index, its term
-names, the free gradings of each level, the vertical slice and pairing,
-nu and the HFK-hat table, so every report reduces a given (complex, k)
-once.  V outside the Alexander range reads the boundary level (see
-``V``).  V_{-k} = V_k + k is not used as a shortcut: it stays a check on
-the computed table.
+Each complex object keeps a private memo of its checked index, the free
+gradings of each level, the vertical slice and pairing, nu and the
+HFK-hat table, so every report reduces a given (complex, k) once.  V
+outside the Alexander range reads the boundary level (see ``V``).
+V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
+computed table.
 """
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from . import f2
@@ -72,17 +74,57 @@ class _Positions:
     checked: bool = False
 
 
-@dataclass(frozen=True)
 class FreeUComplex:
     """Finitely generated free graded complex over F2[U].
 
     basis entries are (name, grading); terms are (source, target, exponent)
-    meaning d(source) contains U^exponent * target.  a_minus also attaches
-    its complex's shared term positions; a hand-built complex has none.
+    meaning d(source) contains U^exponent * target.  A hand-built complex
+    keeps the basis and terms it is given.  a_minus makes one from its
+    complex's names, the level's gradings and exponents by position and
+    the term positions every level of that complex shares; its basis and
+    terms are zipped from those the first time each is read.
     """
-    basis: tuple[tuple[str, int], ...]
-    terms: tuple[tuple[str, str, int], ...]
-    _positions: _Positions | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_basis", "_terms", "_names", "_grading", "_exponents", "_positions")
+
+    def __init__(self, basis: Sequence[tuple[str, int]],
+                 terms: Sequence[tuple[str, str, int]]) -> None:
+        self._basis = basis
+        self._terms = terms
+        self._names = self._grading = self._exponents = self._positions = None
+
+    @classmethod
+    def _level(cls, names: Sequence[str], grading: list[int], exponents: list[int],
+               positions: _Positions) -> FreeUComplex:
+        x = cls.__new__(cls)
+        x._basis = x._terms = None
+        x._names, x._grading, x._exponents, x._positions = names, grading, exponents, positions
+        return x
+
+    @property
+    def basis(self) -> tuple[tuple[str, int], ...]:
+        if self._basis is None:
+            self._basis = tuple(zip(self._names, self._grading))
+        return self._basis
+
+    @property
+    def terms(self) -> tuple[tuple[str, str, int], ...]:
+        if self._terms is None:
+            name = self._names.__getitem__
+            positions = self._positions
+            self._terms = tuple(zip(map(name, positions.sources), map(name, positions.targets),
+                                    self._exponents))
+        return self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FreeUComplex):
+            return NotImplemented
+        return (self.basis, self.terms) == (other.basis, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.terms))
+
+    def __repr__(self) -> str:
+        return f"FreeUComplex(basis={self.basis!r}, terms={self.terms!r})"
 
 
 @dataclass(frozen=True)
@@ -103,14 +145,6 @@ def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
     return index, positions
 
 
-@memoized
-def _term_names(C: BifilteredComplex) -> tuple[list[str], list[str]]:
-    """The source and the target name of each term of C, by position."""
-    index, positions = _index(C)
-    name = index.names.__getitem__
-    return list(map(name, positions.sources)), list(map(name, positions.targets))
-
-
 def _shift(index: Index, k: int) -> list[int]:
     """max(i, j - k) per generator: the U power that moves it into A^-_k."""
     return [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
@@ -122,20 +156,20 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     The basis element for g is U^{c_g} g with c_g = max(i_g, j_g - k), in
     grading M(g) - 2 c_g; a term U^n: s -> t turns into exponent
     n + c_s - c_t, nonnegative exactly because the region is a subcomplex.
+    Gradings and exponents are by position; names are read only for the
+    message about a term that escapes.
     """
     index, positions = _index(C)
     shift = _shift(index, k)
-    basis = tuple(zip(index.names, [m - 2 * c for m, c in zip(index.maslov, shift)]))
-    exponents = [n + shift[s] - shift[t]
-                 for s, t, n in zip(positions.sources, positions.targets, index.powers)]
-    source_names, target_names = _term_names(C)
+    sources, targets = positions.sources, positions.targets
+    exponents = [n + shift[s] - shift[t] for s, t, n in zip(sources, targets, index.powers)]
     if min(exponents, default=0) < 0:
         p = next(p for p, e in enumerate(exponents) if e < 0)
         raise ValueError(
-            f"term {source_names[p]}->{target_names[p]} escapes the "
+            f"term {index.names[sources[p]]}->{index.names[targets[p]]} escapes the "
             "subcomplex; input complex violates its filtration invariants")
-    terms = tuple(zip(source_names, target_names, exponents))
-    return FreeUComplex(basis, terms, positions)
+    grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
+    return FreeUComplex._level(index.names, grading, exponents, positions)
 
 
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
@@ -154,46 +188,58 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
     grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
     cancel silently.  An element whose reduced column is zero and that is
-    no pivot is a free generator.
+    no pivot is a free generator.  Every reduced column is zero or owns a
+    pivot, so a pair is clean unless its target owns a pivot too or its
+    source is another pair's target, and either makes some pair's target
+    own a pivot: one pass over the owners finds whether any pair fails.
 
-    The term positions come from a_minus (a checked index) when it made
-    x, and are looked up by name otherwise.  The checks that do not depend
-    on k run unless they have passed on another level of the same complex.
+    When a_minus made x, the gradings and term positions come from it and
+    no name is read unless a check fails.  A hand-built x is read by name.
+    The checks that do not depend on k run unless they have passed on
+    another level of the same complex.
     """
     positions = x._positions
-    grading = [m for _name, m in x.basis]
-    if positions is None or not positions.checked:
-        names, defects = [name for name, _m in x.basis], NO_DEFECTS
-        if positions is None:  # -1 marks a name missing from the basis
-            position = dict(zip(names, range(len(names))))
-            positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
-                                   [position.get(t, -1) for _s, t, _e in x.terms])
-            defects = first_defects(names, positions.sources, positions.targets)
-        _check_terms(defects, names, positions, x.terms.__getitem__,
-                     grading, [e for _s, _t, e in x.terms])
+    if positions is None:  # -1 marks a name missing from the basis
+        names = [name for name, _m in x.basis]
+        grading = [m for _name, m in x.basis]
+        position = dict(zip(names, range(len(names))))
+        positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
+                               [position.get(t, -1) for _s, t, _e in x.terms])
+        _check_terms(first_defects(names, positions.sources, positions.targets), names,
+                     positions, x.terms.__getitem__, grading, [e for _s, _t, e in x.terms])
+    else:
+        names, grading = x._names, x._grading
+        if not positions.checked:
+            _check_terms(NO_DEFECTS, names, positions, lambda p: x.terms[p], grading,
+                         x._exponents)
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r
     grading = list(map(grading.__getitem__, order))
-    sources = list(map(rank.__getitem__, positions.sources))
-    targets = list(map(rank.__getitem__, positions.targets))
     cols = [0] * n
-    for s, t in zip(sources, targets):
-        cols[s] |= 1 << t
+    for s, t in zip(positions.sources, positions.targets):
+        cols[rank[s]] |= 1 << rank[t]
 
-    reduced = cols[:]
-    pairs = [(lead - 1, s) for lead, s in f2.pairs(reduced).items()]
+    reduced = cols if positions.checked else cols[:]
+    owner = f2.pairs(reduced)
     is_target = [False] * n
-    for t, _s in pairs:
+    torsion = []  # (-top grading, exponent): sorted, descending top then ascending exponent
+    clean = True
+    for lead, s in owner.items():
+        t = lead - 1
         is_target[t] = True
-    # On a complex every pair is clean; report the first failure in
-    # (exponent, source name, target name) order.
-    bad = [(t, s) for t, s in pairs if reduced[t] or is_target[s]]
-    if bad:
-        name = [x.basis[p][0] for p in order]
-        t, s = min(bad, key=lambda p: (grading[p[0]] - grading[p[1]], name[p[1]], name[p[0]]))
+        if reduced[t]:
+            clean = False
+        e = (grading[t] - grading[s] + 1) // 2
+        if e:
+            torsion.append((-grading[t], e))
+    if not clean:
+        # Report the first failing pair in (exponent, source name, target name) order.
+        *_key, t = min((grading[t] - grading[s], names[order[s]], names[order[t]], t)
+                       for t, s in ((lead - 1, s) for lead, s in owner.items())
+                       if reduced[t] or is_target[s])
         if reduced[t]:
             raise ValueError("column of the cancelled target is nonzero; "
                              "input differential does not square to zero")
@@ -202,17 +248,15 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     if not positions.checked:
         # Clean pairs do not imply d^2 = 0, so column s of d(d(s)) is built too.
         square = [0] * n
-        for s, t in zip(sources, targets):
-            square[s] ^= cols[t]
+        for s, t in zip(positions.sources, positions.targets):
+            square[rank[s]] ^= cols[rank[t]]
         if any(square):
             raise ValueError("input differential does not square to zero")
         positions.checked = True
 
-    free = sorted((grading[p] for p in range(n) if not reduced[p] and not is_target[p]),
-                  reverse=True)
-    torsion = [(grading[t], (grading[t] - grading[s] + 1) // 2) for t, s in pairs]
-    torsion = sorted((q for q in torsion if q[1]), key=lambda q: (-q[0], q[1]))
-    return UModuleSummary(tuple(free), tuple(torsion))
+    free = [m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot]
+    torsion.sort()
+    return UModuleSummary(tuple(free), tuple((-m, e) for m, e in torsion))
 
 
 def _check_terms(defects: Defects, names: Sequence[str], positions: _Positions,

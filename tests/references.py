@@ -1,18 +1,20 @@
-"""Name-keyed references for validate, tau, nu and HFK-hat, and
+"""Name-keyed references for validate, a_minus, tau, nu and HFK-hat, and
 record-based references for loads, staircase, dual and tensor.
 
 The first are the algorithms cfk ran before its complexes were indexed by
 generator position: every lookup goes through a name-keyed dict, the d^2
 check keeps (end name, U power) pairs, and the vertical and U = 0 slices
 are named complexes whose boundary matrices are built from name -> row
-maps.  The second build complexes the way cfk did before it stored them as
-columns: one Generator or DiffTerm record at a time, passed to the public
-constructor, and a file read line by line.  The tests compare the library
-against them, result for result and message for message.  ``solve`` and
-``kernel_basis`` are the back-substituting eliminations that cfk.f2 ran
-before its one reduction kernel, so tau and nu here share no kernel with
-the library.  Only f2.rank, the expression parser and the Alexander
-polynomials are shared.
+maps.  ``a_minus`` zips a level's named basis and terms eagerly, as cfk
+did before its levels were handed out by position.  The second build
+complexes the way cfk did before it stored them as columns: one Generator
+or DiffTerm record at a time, passed to the public constructor, and a file
+read line by line.  The tests compare the library against them, result
+for result and message for message.  ``solve`` and ``kernel_basis`` are
+the back-substituting eliminations that cfk.f2 ran before its one
+reduction kernel, so tau and nu here share no kernel with the library.
+Only f2.rank, the expression parser and the Alexander polynomials are
+shared.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION
                            GRADING, UNDECLARED_NAME, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
 from cfk.errors import FormatError, KnotTypeError, ValidationError
+from cfk.invariants import FreeUComplex
 from cfk.laurent import LaurentPoly, is_lspace_form, torus_alexander
 
 
@@ -286,6 +289,21 @@ def hat_a(C, k):
     terms = tuple((source, target) for source, target, n in C.terms
                   if n + shift[source] - shift[target] == 0)
     return basis, terms
+
+
+def a_minus(C, k):
+    """The free F2[U]-model of C{max(i, j - k) <= 0} with its named basis
+    (name, M - 2c) and terms (source, target, n + c_source - c_target),
+    c = max(i, j - k), built at once."""
+    shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
+    basis = tuple((name, m - 2 * shift[name]) for name, _i, _j, m in C.generators)
+    terms = tuple((source, target, n + shift[source] - shift[target])
+                  for source, target, n in C.terms)
+    for source, target, e in terms:
+        if e < 0:
+            raise ValueError(f"term {source}->{target} escapes the subcomplex; "
+                             "input complex violates its filtration invariants")
+    return FreeUComplex(basis, terms)
 
 
 def solve(rows, ncols, rhs):

@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
+import references
 from conftest import cable_staircase, torus_staircase
 from cfk import invariants, selftest
+from cfk.cfkfile import dumps, loads
 from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor,
                            unknot_complex, validate)
 from cfk.errors import KnotTypeError
@@ -215,7 +217,7 @@ def reference_homology_over_U(x):
 
 
 def random_kernel_inputs(rng, count):
-    """a_minus(C, k) at k in [-3, 3] of tensor products of up to three
+    """(C, k) for k in [-3, 3] and C a tensor product of up to three
     staircases and mirrors, renamed and shuffled; a fifth of them have a
     term dropped, which usually breaks d^2 = 0."""
     pieces = [lambda p: torus_staircase(2, 3, p), lambda p: torus_staircase(2, 5, p),
@@ -237,12 +239,13 @@ def random_kernel_inputs(rng, count):
             terms.pop(rng.randrange(len(terms)))
         C = BifilteredComplex(gens, [DiffTerm(*term) for term in terms])
         for k in range(-3, 4):
-            yield a_minus(C, k)
+            yield C, k
 
 
 def test_kernel_matches_reference_on_random_tensor_products():
     broken = 0
-    for x in random_kernel_inputs(random.Random(6021), 60):
+    for C, k in random_kernel_inputs(random.Random(6021), 60):
+        x = a_minus(C, k)
         try:
             expected = reference_homology_over_U(x)
         except ValueError:
@@ -251,15 +254,71 @@ def test_kernel_matches_reference_on_random_tensor_products():
                 homology_over_U(x)
         else:
             assert homology_over_U(x) == expected, x
-        # a hand-built copy has no positions from a_minus: same answer or error
+        # a hand-built copy has no positions from a_minus: same answer or message
         try:
             by_name = homology_over_U(FreeUComplex(x.basis, x.terms))
-        except ValueError:
-            with pytest.raises(ValueError):
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
                 homology_over_U(x)
+            assert str(raised.value) == str(error), x
         else:
             assert homology_over_U(x) == by_name, x
     assert broken > 10
+
+
+def test_a_minus_records_match_the_eager_reference(knot_45, knot_225):
+    levels = list(random_kernel_inputs(random.Random(6021), 60))
+    for C in (knot_45, knot_225):
+        lo, hi = alexander_range(C)
+        levels += [(C, k) for k in range(lo - 2, hi + 3)]
+    for C, k in levels:
+        x, expected = a_minus(C, k), references.a_minus(C, k)
+        assert (x.basis, x.terms) == (expected.basis, expected.terms), (C, k)
+        assert x == expected
+
+
+def test_escaping_term_is_named():
+    # a -> b lowers the grading by one but raises both filtration slots
+    C = BifilteredComplex([Generator("a", 0, 0, 1), Generator("b", 1, 1, 0),
+                           Generator("c", 0, 0, 0)], [DiffTerm("a", "b", 0)])
+    message = "term a->b escapes the subcomplex; input complex violates its filtration invariants"
+    for k in (-2, 0, 2):
+        for level in (V, references.a_minus):
+            with pytest.raises(ValueError) as raised:
+                level(C, k)
+            assert (type(raised.value), str(raised.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("entry", [
+    nu_plus,
+    lambda C: [V(C, k) for k in range(alexander_range(C)[0], alexander_range(C)[1] + 1)],
+    lambda C: d_invariants(C, SurgerySpec(20, 1)),
+], ids=["nu_plus", "V", "d_invariants"])
+def test_levels_make_no_named_records(monkeypatch, entry):
+    """The V ladder reads each level's gradings and term positions only:
+    no level zips its named basis or terms."""
+    def built():
+        return tensor(torus_staircase(2, 9), dual(cable_staircase(prefix="y")))
+
+    text = dumps(built())
+    levels, reads = [], []
+
+    def recording_a_minus(C, k):
+        levels.append(k)
+        return a_minus(C, k)
+
+    def counting_getattribute(x, name):
+        if name in ("basis", "terms"):
+            reads.append(name)
+        return object.__getattribute__(x, name)
+
+    expected = entry(built())
+    monkeypatch.setattr(invariants, "a_minus", recording_a_minus)
+    monkeypatch.setattr(FreeUComplex, "__getattribute__", counting_getattribute)
+    results = [entry(built()), entry(loads(text))]
+    monkeypatch.undo()
+    assert results == [expected, expected]
+    assert levels and reads == []
 
 
 # UModuleSummary of a_minus(C, k), recorded from the string-keyed kernel
