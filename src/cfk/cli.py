@@ -207,8 +207,7 @@ def _render_text(cmd: str, report: dict[str, Any]) -> None:
         sigma = report["sigma"]
         print(f"sigma: {sigma if sigma is not None else 'unknown'}")
         print(f"g4_lower: {report['g4_lower']}")
-        upper = report["g4_upper"]
-        print(f"g4_upper: {upper if upper is not None else 'unknown'}")
+        print(f"g4_upper: {report['g4_upper']}")
         print(f"seifert_genus: {report['seifert_genus']}")
         for w in report["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
@@ -224,8 +223,7 @@ def _render_text(cmd: str, report: dict[str, Any]) -> None:
         print(f"sigma: {sigma if sigma is not None else 'unknown'}")
         print(f"seifert_genus: {report['seifert_genus']}")
         print(f"g4_lower: {report['g4_lower']}")
-        upper = report["g4_upper"]
-        print(f"g4_upper: {upper if upper is not None else 'unknown'}")
+        print(f"g4_upper: {report['g4_upper']}")
         for note in report["notes"]:
             print(f"note: {note}")
     elif cmd == "cable-bounds":

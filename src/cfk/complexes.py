@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -380,21 +380,20 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
-def refuse_unknown(defects: Defects, sources: Sequence[int],
-                   term: Callable[[int], tuple[str, str, int]]) -> None:
-    """Raise the ValueError for the term defects.unknown_term, if any;
-    term(p) gives the p-th term as (source name, target name, power)."""
-    p = defects.unknown_term
+def refuse_unknown(C: BifilteredComplex) -> None:
+    """Raise the ValueError for C's first term that names a missing
+    generator (C.defects().unknown_term), if any."""
+    p = C.defects().unknown_term
     if p is not None:
-        source, target, n = term(p)
-        name = source if sources[p] < 0 else target
+        source, target, n = C.terms[p]
+        name = source if C.index().sources[p] < 0 else target
         raise ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
 
 
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
     x = C.index()
-    refuse_unknown(C.defects(), x.sources, lambda p: C.terms[p])
+    refuse_unknown(C)
     neg = operator.neg
     return BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
@@ -410,8 +409,8 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     h in turn) come before those of C2 (for each g in turn).
     """
     x1, x2 = C1.index(), C2.index()
-    refuse_unknown(C1.defects(), x1.sources, lambda p: C1.terms[p])
-    refuse_unknown(C2.defects(), x2.sources, lambda p: C2.terms[p])
+    refuse_unknown(C1)
+    refuse_unknown(C2)
     n2 = len(x2.names)
     right = range(n2)
     bases = range(0, len(x1.names) * n2, n2)

@@ -27,19 +27,18 @@ reduced in order, pivot at the highest set bit):
 
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
-and for the named ``basis`` and ``terms`` of a level that ``a_minus``
-hands out, which are zipped only when a caller reads them.  Every entry
-point first refuses what the complex's structure record (``C.defects()``)
-shows: a repeated name, a term naming a missing generator, a repeated
-(source, target) pair.  ``a_minus`` computes a level's shifts, gradings
-and exponents by position, and the levels share the term positions, so
-the V ladder makes no per-level names and ``homology_over_U`` looks up
-none unless a check fails.  The kernel checks that do not depend on k
-(homogeneity, since M(s) - 1 = M(t) - 2n makes k cancel, and d^2 = 0 at
-U = 1) run on the first level reduced for a complex and are skipped once
-they have passed; the escape check and the pivot-pair checks run on every
-level.  A hand-built ``FreeUComplex`` is indexed by name and its defects
-found by ``first_defects`` on each call; it runs every check.  tau and
+and for the named ``basis`` and ``terms`` of a level, which are zipped
+only when a caller reads them.  Every entry point first refuses what the
+complex's structure record (``C.defects()``) shows: a repeated name, a
+term naming a missing generator, a repeated (source, target) pair.  A
+``FreeUComplex`` is only ever a level that ``a_minus`` makes: its shifts,
+gradings and exponents by position, and the term positions every level
+of the complex shares, so the V ladder makes no per-level names and
+``homology_over_U`` looks up none unless a check fails.  The kernel
+checks that do not depend on k (homogeneity, since M(s) - 1 = M(t) - 2n
+makes k cancel, and d^2 = 0 at U = 1) run on the first level reduced for
+a complex and are skipped once they have passed; the escape check in
+``a_minus`` and the pivot-pair checks run on every level.  tau and
 HFK-hat read the complex's vertical slice; nu builds the U = 0 slices of
 A^-_k.  Each slice is gradings plus the source and target positions of
 its terms.
@@ -54,13 +53,13 @@ computed table.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
 from . import f2
-from .complexes import (NO_DEFECTS, BifilteredComplex, Defects, Index, dual, first_defects,
-                        memoized, refuse_unknown, shifted_slice, vertical_slice)
+from .complexes import (BifilteredComplex, Index, dual, memoized, refuse_unknown,
+                        shifted_slice, vertical_slice)
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -75,30 +74,22 @@ class _Positions:
 
 
 class FreeUComplex:
-    """Finitely generated free graded complex over F2[U].
+    """One level of a complex as a finitely generated free graded complex
+    over F2[U], as a_minus makes it.
 
-    basis entries are (name, grading); terms are (source, target, exponent)
-    meaning d(source) contains U^exponent * target.  A hand-built complex
-    keeps the basis and terms it is given.  a_minus makes one from its
-    complex's names, the level's gradings and exponents by position and
-    the term positions every level of that complex shares; its basis and
-    terms are zipped from those the first time each is read.
+    names are the complex's generator names, grading and exponents the
+    level's by position, and positions the term positions that every level
+    of the complex shares.  basis entries are (name, grading); terms are
+    (source, target, exponent) meaning d(source) contains
+    U^exponent * target.  Both are zipped the first time each is read.
     """
     __slots__ = ("_basis", "_terms", "_names", "_grading", "_exponents", "_positions")
 
-    def __init__(self, basis: Sequence[tuple[str, int]],
-                 terms: Sequence[tuple[str, str, int]]) -> None:
-        self._basis = basis
-        self._terms = terms
-        self._names = self._grading = self._exponents = self._positions = None
-
-    @classmethod
-    def _level(cls, names: Sequence[str], grading: list[int], exponents: list[int],
-               positions: _Positions) -> FreeUComplex:
-        x = cls.__new__(cls)
-        x._basis = x._terms = None
-        x._names, x._grading, x._exponents, x._positions = names, grading, exponents, positions
-        return x
+    def __init__(self, names: Sequence[str], grading: list[int], exponents: list[int],
+                 positions: _Positions) -> None:
+        self._names, self._grading, self._exponents, self._positions = (
+            names, grading, exponents, positions)
+        self._basis = self._terms = None
 
     @property
     def basis(self) -> tuple[tuple[str, int], ...]:
@@ -115,14 +106,6 @@ class FreeUComplex:
                                     self._exponents))
         return self._terms
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeUComplex):
-            return NotImplemented
-        return (self.basis, self.terms) == (other.basis, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.terms))
-
     def __repr__(self) -> str:
         return f"FreeUComplex(basis={self.basis!r}, terms={self.terms!r})"
 
@@ -137,12 +120,20 @@ class UModuleSummary:
 
 @memoized
 def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
-    """C's index once _check_terms passes C.defects(), with the term
-    positions its levels share."""
+    """C's index, with the term positions its levels share, once C.defects()
+    shows no repeated name, no term naming a missing generator and no
+    repeated (source, target) pair; the first of those raises ValueError,
+    in that order.  None of these depends on k."""
     index = C.index()
-    positions = _Positions(index.sources, index.targets)
-    _check_terms(C.defects(), index.names, positions, lambda p: C.terms[p])
-    return index, positions
+    defects = C.defects()
+    names = index.names
+    if defects.repeated_name is not None:
+        raise ValueError(f"duplicate basis name {names[defects.repeated_name]!r}")
+    refuse_unknown(C)
+    p = defects.repeated_pair
+    if p is not None:
+        raise ValueError(f"duplicate term {names[index.sources[p]]}->{names[index.targets[p]]}")
+    return index, _Positions(index.sources, index.targets)
 
 
 def _shift(index: Index, k: int) -> list[int]:
@@ -169,7 +160,7 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
             f"term {index.names[sources[p]]}->{index.names[targets[p]]} escapes the "
             "subcomplex; input complex violates its filtration invariants")
     grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
-    return FreeUComplex._level(index.names, grading, exponents, positions)
+    return FreeUComplex(index.names, grading, exponents, positions)
 
 
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
@@ -193,25 +184,17 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     source is another pair's target, and either makes some pair's target
     own a pivot: one pass over the owners finds whether any pair fails.
 
-    When a_minus made x, the gradings and term positions come from it and
-    no name is read unless a check fails.  A hand-built x is read by name.
-    The checks that do not depend on k run unless they have passed on
+    The gradings and term positions come from a_minus, and no name is read
+    unless a check fails.  The checks that do not depend on k (every term
+    homogeneous of degree -1, d^2 = 0) run unless they have passed on
     another level of the same complex.
     """
-    positions = x._positions
-    if positions is None:  # -1 marks a name missing from the basis
-        names = [name for name, _m in x.basis]
-        grading = [m for _name, m in x.basis]
-        position = dict(zip(names, range(len(names))))
-        positions = _Positions([position.get(s, -1) for s, _t, _e in x.terms],
-                               [position.get(t, -1) for _s, t, _e in x.terms])
-        _check_terms(first_defects(names, positions.sources, positions.targets), names,
-                     positions, x.terms.__getitem__, grading, [e for _s, _t, e in x.terms])
-    else:
-        names, grading = x._names, x._grading
-        if not positions.checked:
-            _check_terms(NO_DEFECTS, names, positions, lambda p: x.terms[p], grading,
-                         x._exponents)
+    names, grading, positions = x._names, x._grading, x._positions
+    if not positions.checked:
+        for s, t, e in zip(positions.sources, positions.targets, x._exponents):
+            if grading[s] - 1 != grading[t] - 2 * e:
+                raise ValueError(f"term U^{e}:{names[s]}->{names[t]} is not homogeneous "
+                                 "of degree -1")
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
@@ -257,36 +240,6 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     free = [m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot]
     torsion.sort()
     return UModuleSummary(tuple(free), tuple((-m, e) for m, e in torsion))
-
-
-def _check_terms(defects: Defects, names: Sequence[str], positions: _Positions,
-                 term: Callable[[int], tuple[str, str, int]],
-                 grading: Sequence[int] | None = None,
-                 exponents: Sequence[int] | None = None) -> None:
-    """Raise ValueError for defects' repeated name; else for its term that
-    names a missing generator, or its repeated (source, target) pair,
-    unless an inhomogeneous term comes before it; else for the first term
-    that is not homogeneous of degree -1, checked only when the gradings
-    and exponents are given.  term(p) gives the p-th term, for the message
-    about a missing generator.  None of these depends on k."""
-    if defects.repeated_name is not None:
-        raise ValueError(f"duplicate basis name {names[defects.repeated_name]!r}")
-    sources, targets = positions.sources, positions.targets
-    stop = len(sources)  # the first inhomogeneous term before any unknown one
-    if grading is not None:
-        known = range(stop if defects.unknown_term is None else defects.unknown_term)
-        for p, s, t, e in zip(known, sources, targets, exponents):
-            if e < 0 or grading[s] - 1 != grading[t] - 2 * e:
-                stop = p
-                break
-    if stop == len(sources):
-        refuse_unknown(defects, sources, term)
-    p = defects.repeated_pair
-    if p is not None and p <= stop:
-        raise ValueError(f"duplicate term {names[sources[p]]}->{names[targets[p]]}")
-    if stop < len(sources):
-        raise ValueError(f"term U^{exponents[stop]}:{names[sources[stop]]}->"
-                         f"{names[targets[stop]]} is not homogeneous of degree -1")
 
 
 def V(C: BifilteredComplex, k: int) -> int:

@@ -127,6 +127,11 @@ class SignatureValue:
 
 
 def _torus_sigma(p: int, q: int) -> Optional[int]:
+    """sigma(T(p, q)) when p or |q| is at most 2, else None.  T(p, -q) is
+    the mirror of T(p, q), so its signature is the negative."""
+    if q < 0:
+        s = _torus_sigma(p, -q)
+        return None if s is None else -s
     if p == 1 or q == 1:
         return 0
     if p == 2:
@@ -220,7 +225,7 @@ class GenusReport:
     sigma: Optional[int]
     seifert_genus: int
     g4_lower: int
-    g4_upper: Optional[int]
+    g4_upper: int
     notes: tuple[str, ...]
 
 
@@ -253,11 +258,11 @@ def genus_report(C: BifilteredComplex, expression: "kx.KnotExpr | None" = None) 
             source = "signature"
         notes.append(f"signature {sigma} gives lower bound {half}")
     notes.insert(0, f"g4 lower bound {lower} from {source}")
-    upper: Optional[int] = g3
+    upper = g3
     notes.append(f"Seifert genus {g3} bounds g4 from above")
     if g4_annotation is not None and g4_annotation < upper:
         upper = g4_annotation
         notes.append(f"g4 upper bound improved to {g4_annotation} by annotation")
-    if upper is not None and lower > upper:
+    if lower > upper:
         notes.append("warning: lower bound exceeds upper bound; inputs are inconsistent")
     return GenusReport(t, n, np_here, np_mirror, sigma, g3, lower, upper, tuple(notes))

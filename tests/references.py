@@ -26,7 +26,6 @@ from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION
                            GRADING, UNDECLARED_NAME, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
 from cfk.errors import FormatError, KnotTypeError, ValidationError
-from cfk.invariants import FreeUComplex
 from cfk.laurent import LaurentPoly, is_lspace_form, torus_alexander
 
 
@@ -292,9 +291,10 @@ def hat_a(C, k):
 
 
 def a_minus(C, k):
-    """The free F2[U]-model of C{max(i, j - k) <= 0} with its named basis
-    (name, M - 2c) and terms (source, target, n + c_source - c_target),
-    c = max(i, j - k), built at once."""
+    """The free F2[U]-model of C{max(i, j - k) <= 0} as (basis, terms):
+    its named basis (name, M - 2c) and terms
+    (source, target, n + c_source - c_target), c = max(i, j - k), built at
+    once."""
     shift = {name: i if i > j - k else j - k for name, i, j, _m in C.generators}
     basis = tuple((name, m - 2 * shift[name]) for name, _i, _j, m in C.generators)
     terms = tuple((source, target, n + shift[source] - shift[target])
@@ -303,7 +303,7 @@ def a_minus(C, k):
         if e < 0:
             raise ValueError(f"term {source}->{target} escapes the subcomplex; "
                              "input complex violates its filtration invariants")
-    return FreeUComplex(basis, terms)
+    return basis, terms
 
 
 def solve(rows, ncols, rhs):

@@ -8,7 +8,7 @@ from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import NO_DEFECTS, BifilteredComplex, DiffTerm as D, Defects
 from cfk.complexes import Generator as G, dual, first_defects, tensor, validate
 from cfk.expr import build_complex, parse
-from cfk.invariants import FreeUComplex, V, homology_over_U, hfk_hat, nu, nu_plus, tau
+from cfk.invariants import V, hfk_hat, nu, nu_plus, tau
 
 T = BifilteredComplex([G("x0", 0, 1, 0), G("x1", 1, 1, 1), G("x2", 1, 0, 0)],
                       [D("x1", "x0", 0), D("x1", "x2", 0)])
@@ -35,21 +35,24 @@ COMPLEXES = {
     "every defect": ([G("a", 0, 0, 1), G("b", 1, 0, 0), G("a", 0, 0, 1)],
                      [D("a", "b", 0), D("a", "b", 0), D("a", "q", 0), D("b", "a", -2),
                       D("b", "a", 0)]),
+    "inhomogeneous only": (GENS, TERMS + [INHOMOGENEOUS]),
+    "escaping + inhomogeneous": (GENS + [G("e", -2, -2, 1)],
+                                 TERMS + [D("e", "x0", 0), INHOMOGENEOUS]),
 }
 ENTRIES = {
     "validate": lambda C: [(v.kind, v.message) for v in validate(C)],
     "V": lambda C: V(C, 0),
     "tau": tau,
     "hfk_hat": lambda C: sorted(hfk_hat(C).items()),
-    "homology_over_U": lambda C: homology_over_U(FreeUComplex(
-        tuple((g.name, g.maslov) for g in C.generators), tuple(C.terms))),
     "dual": lambda C: len(dual(C).terms),
     "tensor": lambda C: (len(tensor(C, T).terms), len(tensor(T, C).terms)),
     "dumps": dumps,
 }
 
 # Each entry's result or error on each complex, recorded before the
-# structure record existed, when every reader ran its own checks.
+# structure record existed, when every reader ran its own checks; the last
+# two rows pin V's message for an inhomogeneous term, and that an escaping
+# term is reported before it.
 FROZEN = {
     "repeated name + ghost": {
         "validate": [
@@ -60,7 +63,6 @@ FROZEN = {
         "V": "ValueError: duplicate basis name 'x0'",
         "tau": "ValueError: duplicate basis name 'x0'",
         "hfk_hat": "ValueError: duplicate basis name 'x0'",
-        "homology_over_U": "ValueError: duplicate basis name 'x0'",
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -74,8 +76,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
-                            "generator 'ghost'"),
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -89,8 +89,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
-                            "generator 'ghost'"),
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
@@ -104,7 +102,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -119,8 +116,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
-                            "generator 'ghost'"),
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -135,7 +130,6 @@ FROZEN = {
         "V": "ValueError: duplicate term x1->x0",
         "tau": "ValueError: duplicate term x1->x0",
         "hfk_hat": "ValueError: duplicate term x1->x0",
-        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
         "dual": 4,
         "tensor": (18, 18),
         "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
@@ -149,7 +143,6 @@ FROZEN = {
         "V": "ValueError: duplicate term x1->x0",
         "tau": "ValueError: duplicate term x1->x0",
         "hfk_hat": "ValueError: duplicate term x1->x0",
-        "homology_over_U": "ValueError: duplicate term x1->x0",
         "dual": 4,
         "tensor": (18, 18),
         "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
@@ -162,7 +155,6 @@ FROZEN = {
         "V": "ValueError: duplicate term x1->x0",
         "tau": "ValueError: duplicate term x1->x0",
         "hfk_hat": "ValueError: duplicate term x1->x0",
-        "homology_over_U": "ValueError: duplicate term x1->x0",
         "dual": 4,
         "tensor": (20, 20),
         "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
@@ -175,7 +167,6 @@ FROZEN = {
         "V": "ValueError: duplicate term x1->x2",
         "tau": "ValueError: duplicate term x1->x2",
         "hfk_hat": "ValueError: duplicate term x1->x2",
-        "homology_over_U": "ValueError: term U^-1:x0->f is not homogeneous of degree -1",
         "dual": 4,
         "tensor": (20, 20),
         "dumps": "FormatError: cannot write term U^-1 'x0'->'f': U power is negative",
@@ -188,7 +179,6 @@ FROZEN = {
         "V": "ValueError: duplicate basis name 'x2'",
         "tau": "ValueError: duplicate basis name 'x2'",
         "hfk_hat": "ValueError: duplicate basis name 'x2'",
-        "homology_over_U": "ValueError: duplicate basis name 'x2'",
         "dual": 3,
         "tensor": (17, 17),
         "dumps": "FormatError: cannot write term U^0 'x1'->'x0': term is repeated",
@@ -201,8 +191,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": ("ValueError: term U^0 'x1'->'ghost' references unknown "
-                            "generator 'ghost'"),
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -218,7 +206,6 @@ FROZEN = {
         "V": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tau": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "hfk_hat": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
-        "homology_over_U": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -234,7 +221,6 @@ FROZEN = {
         "V": "ValueError: duplicate basis name 'x2'",
         "tau": "ValueError: duplicate basis name 'x2'",
         "hfk_hat": "ValueError: duplicate basis name 'x2'",
-        "homology_over_U": "ValueError: duplicate basis name 'x2'",
         "dual": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "tensor": "ValueError: term U^0 'x1'->'ghost' references unknown generator 'ghost'",
         "dumps": ("FormatError: cannot write term U^0 'x1'->'ghost': target is not a "
@@ -248,7 +234,6 @@ FROZEN = {
         "V": "ValueError: duplicate basis name 'x2'",
         "tau": "ValueError: duplicate basis name 'x2'",
         "hfk_hat": "ValueError: duplicate basis name 'x2'",
-        "homology_over_U": "ValueError: duplicate basis name 'x2'",
         "dual": 3,
         "tensor": (17, 17),
         "dumps": ("cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ngen x2 0 0 0\ndif x1 "
@@ -266,10 +251,36 @@ FROZEN = {
         "V": "ValueError: duplicate basis name 'a'",
         "tau": "ValueError: duplicate basis name 'a'",
         "hfk_hat": "ValueError: duplicate basis name 'a'",
-        "homology_over_U": "ValueError: duplicate basis name 'a'",
         "dual": "ValueError: term U^0 'a'->'q' references unknown generator 'q'",
         "tensor": "ValueError: term U^0 'a'->'q' references unknown generator 'q'",
         "dumps": "FormatError: cannot write term U^0 'a'->'b': term is repeated",
+    },
+    "inhomogeneous only": {
+        "validate": [
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+        ],
+        "V": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
+        "tau": 1,
+        "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((1, 0), 1)],
+        "dual": 3,
+        "tensor": (15, 15),
+        "dumps": "cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ndif x0 x2\ndif x1 x0 x2\n",
+    },
+    "escaping + inhomogeneous": {
+        "validate": [
+            ("filtration", "U^0:e->x0 raises filtration: (0,1) from (-2,-2)"),
+            ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
+            ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
+        ],
+        "V": ("ValueError: term e->x0 escapes the subcomplex; input complex violates its "
+              "filtration invariants"),
+        "tau": 1,
+        "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((0, 5), 1), ((1, 0), 1)],
+        "dual": 4,
+        "tensor": (20, 20),
+        "dumps": ("cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ngen e -2 -2 1\ndif e x0\n"
+                  "dif x0 x2\ndif x1 x0 x2\n"),
     },
 }
 

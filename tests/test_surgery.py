@@ -169,6 +169,10 @@ def test_signature_cable_rules():
     assert signature_eval(kx.parse("cable(3,2,torus(2,3))")).value == -4
     # odd strand count with an unknown companion stays unknown
     assert signature_eval(kx.parse("cable(3,2,torus(3,4))")).value is None
+    # negative q: the pattern T(p,-q) is the mirror of T(p,q), sigma flips sign
+    assert signature_eval(kx.parse("cable(2,-3,torus(2,3))")).value == 2
+    assert signature_eval(kx.parse("cable(2,-1,torus(2,3))")).value == 0
+    assert signature_eval(kx.parse("cable(3,-2,torus(2,3))")).value == 0
 
 
 def test_signature_chain_for_the_225_generator_knot():
