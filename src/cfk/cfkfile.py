@@ -23,18 +23,24 @@ directly, and makes no Generator or DiffTerm record: those are made from
 the columns when a caller reads C.generators or C.terms.  A text it reads
 by whole columns repeats no name and no (source, target) pair, so it
 seeds the complex's structure record (C.defects()) as NO_DEFECTS.
-dumps() reads the columns and the record.
+dumps() checks and writes the terms in one pass over their positions,
+reading the record to skip the set of written terms when no term can
+repeat; it raises at the first term it cannot write, and reads C.terms
+only to name an end that is not a generator.
+
+Files are read and written as UTF-8, whatever the locale; a file that is
+not UTF-8 is a FormatError ("cannot read PATH: ...").
 """
 from __future__ import annotations
 
 import operator
 import re
 from collections.abc import Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
-from .complexes import NO_DEFECTS, BifilteredComplex, DiffTerm
+from .complexes import BifilteredComplex, term_names
 from .errors import FormatError
 
 HEADER = "cfk v1"
@@ -226,8 +232,7 @@ def _read_lines(text: str) -> _Columns:
 
 
 def dumps(C: BifilteredComplex) -> str:
-    index = C.index()
-    names, sources, targets, powers = index.names, index.sources, index.targets, index.powers
+    names, I, J, M, powers, sources, targets, _ = C.index()
     joined = "".join(names)
     if "#" in joined or joined.split() != [joined] or not all(names) or any(
             map(methodcaller("startswith", "U^"), names)):
@@ -235,15 +240,25 @@ def dumps(C: BifilteredComplex) -> str:
             problem = _name_problem(name)
             if problem is not None:
                 raise FormatError(f"cannot write generator {name!r}: name {problem}")
-    # With no repeated name and no repeated (source, target) pair, no term repeats.
-    if C.defects() != NO_DEFECTS or min(powers, default=0) < 0:
-        _refuse_terms(C)
     lines = [HEADER]
-    lines += map("gen {} {} {} {}".format, names, index.i, index.j, index.maslov)
+    lines += map("gen {} {} {} {}".format, names, I, J, M)
+    # Terms are keyed by their names: a complex built from columns may hold
+    # one name at two positions.  With no repeated name and no repeated
+    # (source, target) pair, no term repeats.
+    repeated_name, _, repeated_pair = C.defects()
+    seen: set[tuple[str, str, int]] | None = (
+        None if repeated_name is None and repeated_pair is None else set())
     by_source: dict[str, list[tuple[int, str]]] = {}
-    name = names.__getitem__
-    for source, target, n in zip(map(name, sources), map(name, targets), powers):
-        by_source.setdefault(source, []).append((n, target))
+    for p, s, t, n in zip(count(), sources, targets, powers):
+        if s < 0 or t < 0 or n < 0 or seen is not None and (names[s], names[t], n) in seen:
+            source, target = term_names(C, p)
+            problem = ("source is not a generator" if s < 0
+                       else "target is not a generator" if t < 0
+                       else "U power is negative" if n < 0 else "term is repeated")
+            raise FormatError(f"cannot write term U^{n} {source!r}->{target!r}: {problem}")
+        if seen is not None:
+            seen.add((names[s], names[t], n))
+        by_source.setdefault(names[s], []).append((n, names[t]))
     for source in sorted(by_source):
         parts = [target if n == 0 else f"U^{n}.{target}"
                  for n, target in sorted(by_source[source])]
@@ -251,28 +266,14 @@ def dumps(C: BifilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refuse_terms(C: BifilteredComplex) -> None:
-    """Raise FormatError for the first term of C that a file cannot carry, if any."""
-    seen: set[DiffTerm] = set()
-    for term in C.terms:
-        source, target, n = term
-        problem = ("source is not a generator" if source not in C.by_name
-                   else "target is not a generator" if target not in C.by_name
-                   else "U power is negative" if n < 0
-                   else "term is repeated" if term in seen else None)
-        if problem is not None:
-            raise FormatError(f"cannot write term U^{n} {source!r}->{target!r}: {problem}")
-        seen.add(term)
-
-
 def read_complex(path: str | Path) -> BifilteredComplex:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {p}: {exc}") from None
     return loads(text, label=str(path))
 
 
 def write_complex(C: BifilteredComplex, path: str | Path) -> None:
-    Path(path).write_text(dumps(C))
+    Path(path).write_text(dumps(C), encoding="utf-8")

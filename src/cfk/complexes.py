@@ -30,8 +30,15 @@ them.  Only records can carry a term whose name is not a generator.
 term with an endpoint at -1 and the first repeated (source, target) pair,
 or None for each, and ``loads`` seeds it as NO_DEFECTS.  ``validate``,
 the invariants, ``dual``, ``tensor`` and ``dumps`` read it, each with its
-own messages and precedence.  The vertical slice is likewise built once
-per complex (``vertical_slice``), for validate, tau and HFK-hat.
+own messages and precedence.  ``validate`` and ``dumps`` check a
+complex, defective or not, in one pass over its term positions: they
+build a set of names or terms only when the record holds a repeat, and
+read ``C.terms`` only to name an end at position -1 (``term_names``).  A
+complex built from columns can hold one name at two positions (a tensor
+with a factor that repeats a name); ``validate`` reads such an end as the
+name's last declaration, as ``by_name`` does.  The vertical slice is
+likewise built once per complex (``vertical_slice``), for validate, tau
+and HFK-hat.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ import functools
 import operator
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import NamedTuple
 
 from . import f2
@@ -227,6 +234,13 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     checks (d^2 = 0, vertical homology) only run once the purely structural
     ones pass, since they would crash or lie on malformed input.
 
+    The structural checks are one pass over the index: repeated names in
+    declaration order, then each term in order for a repeat, an end that
+    is not a generator, a negative U power, its filtration and its
+    grading.  The name and term sets are built only when C.defects()
+    records a repeat, and only an end at position -1 is named from
+    C.terms.
+
     d^2 = 0 is checked over F2 per end generator: each generator's set of
     ends reached by an odd number of two-step paths is the symmetric
     difference of its targets' target sets, and what is left is reported
@@ -235,18 +249,49 @@ def validate(C: BifilteredComplex) -> list[Violation]:
     The sets hold plain ints: a bitmask column per generator, as wide as
     its largest target, would take about n^2/16 bytes over n generators.
     """
-    index = C.index()
-    names, I, J, M = index.names, index.i, index.j, index.maslov
-    sources, targets, powers = index.sources, index.targets, index.powers
-    if not (C.defects() == NO_DEFECTS and min(powers, default=0) >= 0
-            and all(I[t] - n <= I[s] and J[t] - n <= J[s] and M[s] - 1 == M[t] - 2 * n
-                    for s, t, n in zip(sources, targets, powers))):
-        return _structural_violations(C)
+    names, I, J, M, powers, sources, targets, _ = C.index()
+    repeated_name, _, repeated_pair = C.defects()
+    out: list[Violation] = []
+    if repeated_name is not None:
+        seen: set[str] = set()  # set.add returns None: each new name is added and passed
+        out += [Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice")
+                for name in names if name in seen or seen.add(name)]
+        # An end stands for the last declaration of its name, as in
+        # C.by_name; a complex built from columns may point at another.
+        last = dict(zip(names, count()))
+        sources = [last[names[s]] if s >= 0 else s for s in sources]
+        targets = [last[names[t]] if t >= 0 else t for t in targets]
+    # Terms are keyed by their names: ends that are not generators share
+    # position -1, and one name can sit at two positions.  With no repeated
+    # name and no repeated (source, target) pair, no term repeats.
+    term_seen: set[tuple[str, str, int]] | None = (
+        None if repeated_name is None and repeated_pair is None else set())
+    for p, s, t, n in zip(count(), sources, targets, powers):
+        if term_seen is not None:
+            source, target = term_names(C, p)
+            if (source, target, n) in term_seen:
+                out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
+                continue
+            term_seen.add((source, target, n))
+        if s < 0 or t < 0:
+            source, target = term_names(C, p)
+            missing = source if s < 0 else target
+            out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
+        elif n < 0:
+            out.append(Violation(FILTRATION, f"negative U power on {names[s]}->{names[t]}"))
+        else:
+            if I[t] - n > I[s] or J[t] - n > J[s]:
+                out.append(Violation(FILTRATION, f"U^{n}:{names[s]}->{names[t]} raises filtration: "
+                                     f"({I[t] - n},{J[t] - n}) from ({I[s]},{J[s]})"))
+            if M[s] - 1 != M[t] - 2 * n:
+                out.append(Violation(GRADING, f"U^{n}:{names[s]}->{names[t]} grading mismatch: "
+                                     f"M={M[s]} source vs M={M[t]}-2*{n} target"))
+    if out:
+        return out
 
     outgoing: list[set[int]] = [set() for _ in names]
     for s, t in zip(sources, targets):
         outgoing[s].add(t)
-    out: list[Violation] = []
     for s, ends in enumerate(outgoing):
         odd: set[int] = set()
         for mid in ends:
@@ -267,45 +312,6 @@ def validate(C: BifilteredComplex) -> list[Violation]:
             VERTICAL_HOMOLOGY,
             f"vertical homology has total dimension {total} at gradings "
             f"{sorted(dims)} (want dimension 1 at grading 0)"))
-    return out
-
-
-def _structural_violations(C: BifilteredComplex) -> list[Violation]:
-    """Every structural violation of C, by name, in declaration order."""
-    out: list[Violation] = []
-    seen: set[str] = set()
-    for name, _i, _j, _m in C.generators:
-        if name in seen:
-            out.append(Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice"))
-        seen.add(name)
-
-    gens = C.by_name
-    term_seen: set[DiffTerm] = set()
-    for term in C.terms:
-        source, target, n = term
-        if term in term_seen:
-            out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
-            continue
-        term_seen.add(term)
-        if source not in gens or target not in gens:
-            missing = source if source not in gens else target
-            out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
-            continue
-        _, si, sj, sm = gens[source]
-        _, ti, tj, tm = gens[target]
-        if n < 0:
-            out.append(Violation(FILTRATION, f"negative U power on {source}->{target}"))
-            continue
-        if ti - n > si or tj - n > sj:
-            out.append(Violation(
-                FILTRATION,
-                f"U^{n}:{source}->{target} raises filtration: "
-                f"({ti - n},{tj - n}) from ({si},{sj})"))
-        if sm - 1 != tm - 2 * n:
-            out.append(Violation(
-                GRADING,
-                f"U^{n}:{source}->{target} grading mismatch: "
-                f"M={sm} source vs M={tm}-2*{n} target"))
     return out
 
 
@@ -378,6 +384,15 @@ def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -
 
 def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
+
+
+def term_names(C: BifilteredComplex, p: int) -> tuple[str, str]:
+    """The source and target names of C's term p.  An end at position -1
+    is named from C.terms, which a complex with such a term already holds:
+    only the record constructor makes one."""
+    x = C.index()
+    s, t = x.sources[p], x.targets[p]
+    return (x.names[s], x.names[t]) if min(s, t) >= 0 else C.terms[p][:2]
 
 
 def refuse_unknown(C: BifilteredComplex) -> None:

@@ -12,8 +12,9 @@ Grammar (whitespace-insensitive, # is left-associative):
            | "(" expr ")"
     annots := annot { "," annot };  annot := ident [ "=" int ]
 
-Parsing reports positions on syntax errors; parameter sanity (coprimality,
-positive strand counts) is checked after the tree is built.  Complexes are
+Parsing reports positions on syntax errors, among them an expression
+nested deeper than MAX_DEPTH; parameter sanity (coprimality, positive
+strand counts) is checked after the tree is built.  Complexes are
 constructed recursively; a cable only has a constructor when its companion
 is an L-space expression and q clears p*(2g - 1).
 """
@@ -98,10 +99,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# The deepest expression parse() takes.  A term's depth counts the sums
+# ("#") above it in the tree and the brackets ("(", "{", "cable(",
+# "mirror(") around it; an expression's depth is its deepest term's.  The
+# parser recurses three times per bracket and every walk of the tree once
+# or twice per level, so this stays well below Python's default recursion
+# limit of 1000.
+MAX_DEPTH = 100
+
+
+def _checked_depth(depth: int, pos: int) -> int:
+    """depth, or ExprSyntaxError at pos if it passes MAX_DEPTH."""
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.open = 0  # brackets open around the next token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.k]
@@ -122,55 +140,58 @@ class _Parser:
         except ValueError:  # past int()'s digit limit
             raise ExprSyntaxError(f"integer of {len(v)} characters is too long", pos) from None
 
-    def parse_expr(self) -> KnotExpr:
-        node = self.parse_term()
+    def parse_expr(self) -> tuple[KnotExpr, int]:
+        """The expression at the next token and its depth (see MAX_DEPTH)."""
+        node, depth = self.parse_term()
         while self.peek()[:2] == ("sym", "#"):
-            self.take("sym", "#")
-            node = Sum(node, self.parse_term())
-        return node
+            _, _, pos = self.take("sym", "#")
+            right, right_depth = self.parse_term()
+            node, depth = Sum(node, right), _checked_depth(max(depth, right_depth) + 1, pos)
+        return node, depth
 
-    def parse_term(self) -> KnotExpr:
+    def parse_inner(self, pos: int, close: str) -> tuple[KnotExpr, int]:
+        """The expression inside the bracket opened at pos, up to and with
+        the close symbol, and its depth counting that bracket.  The brackets
+        open are counted on the way down, before the parser recurses."""
+        self.open = _checked_depth(self.open + 1, pos)
+        node, depth = self.parse_expr()
+        self.take("sym", close)
+        self.open -= 1
+        return node, _checked_depth(depth + 1, pos)
+
+    def parse_term(self) -> tuple[KnotExpr, int]:
         kind, value, pos = self.peek()
         if kind == "ident":
             self.k += 1
             if value == "unknot":
-                return Unknot()
-            if value == "torus":
+                return Unknot(), 0
+            if value in ("torus", "cable"):
                 self.take("sym", "(")
                 p = self.parse_int()
                 self.take("sym", ",")
                 q = self.parse_int()
-                self.take("sym", ")")
-                return Torus(p, q)
-            if value == "cable":
-                self.take("sym", "(")
-                p = self.parse_int()
+                if value == "torus":
+                    self.take("sym", ")")
+                    return Torus(p, q), 0
                 self.take("sym", ",")
-                q = self.parse_int()
-                self.take("sym", ",")
-                child = self.parse_expr()
-                self.take("sym", ")")
-                return Cable(p, q, child)
+                child, depth = self.parse_inner(pos, ")")
+                return Cable(p, q, child), depth
             if value == "mirror":
                 self.take("sym", "(")
-                child = self.parse_expr()
-                self.take("sym", ")")
-                return Mirror(child)
+                child, depth = self.parse_inner(pos, ")")
+                return Mirror(child), depth
             if value == "file":
                 self.take("sym", "(")
                 _, raw, _ = self.take("str")
                 self.take("sym", ")")
-                return FromFile(raw[1:-1])
+                return FromFile(raw[1:-1]), 0
             raise ExprSyntaxError(f"unknown knot form {value!r}", pos)
         if (kind, value) == ("sym", "("):
             self.take("sym", "(")
-            node = self.parse_expr()
-            self.take("sym", ")")
-            return node
+            return self.parse_inner(pos, ")")
         if (kind, value) == ("sym", "{"):
             self.take("sym", "{")
-            node = self.parse_expr()
-            self.take("sym", "@")
+            node, depth = self.parse_inner(pos, "@")
             annots = [self.parse_annot()]
             while self.peek()[:2] == ("sym", ","):
                 self.take("sym", ",")
@@ -180,7 +201,7 @@ class _Parser:
             for key in keys:
                 if keys.count(key) > 1:
                     raise ExprSemanticError(f"annotation key {key!r} repeated")
-            return Annotated(node, tuple(annots))
+            return Annotated(node, tuple(annots)), depth
         raise ExprSyntaxError(f"expected a knot term, found {value or 'end of input'!r}", pos)
 
     def parse_annot(self) -> tuple[str, Union[int, bool]]:
@@ -193,7 +214,7 @@ class _Parser:
 
 def parse(text: str) -> KnotExpr:
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _depth = parser.parse_expr()
     parser.take("end")
     _check_semantics(node)
     return node

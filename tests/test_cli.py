@@ -149,6 +149,11 @@ def test_file_commands_make_no_records(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cfk.BifilteredComplex, attribute, property(refuse))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out == f"{path}: OK (15 generators, 22 terms)\n"
+    bad = tmp_path / "bad.cfk"
+    bad.write_text("cfk v1\ngen a 0 0 1\ngen b 1 0 0\ndif a b\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().out == ("[filtration] U^0:a->b raises filtration: (1,0) from (0,0)\n"
+                                       f"{bad}: INVALID (2 generators, 1 terms)\n")
     file_expr = f'file("{path}")'
     for argv in (["hfk", file_expr], ["invariants", file_expr], ["genus", file_expr],
                  ["invariants", f"{file_expr} # torus(2,3)"], ["dinv", file_expr, "--surgery", "5"],
@@ -257,6 +262,33 @@ def test_file_errors_exit_2(tmp_path, capsys):
     invalid.write_text("cfk v1\ngen a 0 0 0\ngen b 0 0 0\ndif a b\n")
     assert main(["invariants", f'file("{invalid}")']) == 2
     assert "[grading]" in capsys.readouterr().err
+
+
+def test_file_not_in_utf8_exits_2(tmp_path, capsys):
+    """cfk v1 files are UTF-8 whatever the locale: a file that is not
+    ends in one line and exit code 2, never a traceback."""
+    bad = tmp_path / "bad.cfk"
+    bad.write_bytes(b"cfk v1\ngen a\xff 0 0 0\n")
+    message = (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+               "position 12: invalid start byte\n")
+    for argv in (["validate", str(bad)], ["hfk", f'file("{bad}")']):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+    good = tmp_path / "good.cfk"
+    good.write_bytes("cfk v1\ngen \u00e9 0 0 0\n".encode("utf-8"))
+    cfk.write_complex(cfk.read_complex(good), tmp_path / "copy.cfk")
+    assert (tmp_path / "copy.cfk").read_bytes() == good.read_bytes()
+
+
+def test_deep_expressions_exit_1(capsys):
+    """Nesting past MAX_DEPTH, by brackets or by a chain of sums, is a
+    one-line syntax error, not a RecursionError."""
+    brackets = "(" * 500 + "unknot" + ")" * 500
+    chain = " # ".join(["unknot"] * 3000)
+    for text, position in ((brackets, 100), (chain, 9 * 100 + 7)):
+        assert main(["genus", text]) == 1
+        assert capsys.readouterr() == ("", f"error: syntax error at position {position}: "
+                                           "expression nests deeper than 100 levels\n")
 
 
 def test_unsupported_constructions_exit_3(capsys):

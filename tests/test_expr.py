@@ -48,6 +48,29 @@ def test_syntax_errors_carry_positions():
         assert str(e.value) == f"syntax error at position {pos}: {detail}"
 
 
+def test_depth_is_bounded():
+    """Brackets and sums count one level each, up to MAX_DEPTH; one more
+    is a syntax error at the bracket or "#" that passes it."""
+    n = kx.MAX_DEPTH
+    deepest = ["(" * n + "unknot" + ")" * n, "mirror(" * n + "unknot" + ")" * n,
+               " # ".join(["unknot"] * (n + 1)), "{" * n + "unknot" + " @ a}" * n,
+               "mirror(" * (n // 2) + " # ".join(["unknot"] * (n // 2 + 1)) + ")" * (n // 2),
+               "(" * (n // 2) + "unknot" + " # unknot" * (n // 2) + ")" * (n // 2)]
+    for text in deepest:
+        assert kx.parse(kx.to_text(kx.parse(text))) == kx.parse(text)
+    too_deep = [(deepest[0].replace("(", "((", 1).replace(")", "))", 1), n),
+                ("cable(2,1," * (n + 1) + "unknot" + ")" * (n + 1), 10 * n),
+                (deepest[2] + " # unknot", 9 * n + 7),
+                # the outer brackets and the chain inside add up past the limit
+                ("(" + deepest[4] + ")", 0),
+                ("(" * (n // 2 + 1) + "unknot" + " # unknot" * (n // 2) + ")" * (n // 2 + 1), 0)]
+    for text, pos in too_deep:
+        with pytest.raises(ExprSyntaxError) as e:
+            kx.parse(text)
+        assert str(e.value) == (f"syntax error at position {pos}: "
+                                f"expression nests deeper than {n} levels")
+
+
 def test_semantic_errors():
     cases = [
         ("torus(2,4)", "torus(2,4): parameters must be coprime"),

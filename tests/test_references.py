@@ -319,3 +319,31 @@ def test_loads_validate_and_invariants_make_no_records(tmp_path):
     assert (C._generators, C._terms, C._by_name) == (None, None, None)
     assert C.generators == R.generators and C._terms is None
     assert C.terms == R.terms
+
+
+def test_validate_and_dumps_make_no_records_on_defective_columns():
+    """validate and dumps report the defects of a complex built from
+    columns by position: the report matches the by-name reference on a
+    record-built copy, and no record is made."""
+    repeated = "cfk v1\ngen a 0 0 0\ngen a 0 0 0\n"
+    builds = [
+        lambda: loads(repeated),
+        lambda: loads("cfk v1\ngen a 0 0 1\ngen b 1 0 0\ndif a b\n"),
+        lambda: loads("cfk v1\ngen a 0 0 1\ngen b 0 0 0\ngen a 5 5 3\ndif a b U^1.b\n"),
+        # "a*t1" sits at two positions, so its terms repeat by name only
+        lambda: tensor(loads(repeated), torus_staircase(2, 3, "t")),
+        lambda: BifilteredComplex.from_columns(["a", "b"], [0, 0], [0, 0], [1, 0], [-1], [0], [1]),
+    ]
+
+    def written(C):
+        try:
+            return dumps(C)
+        except FormatError as exc:
+            return str(exc)
+
+    for build in builds:
+        C, copy = build(), build()
+        R = BifilteredComplex(copy.generators, copy.terms)
+        assert violations(validate, C) == violations(references.validate, R) != []
+        assert written(C) == written(R)
+        assert (C._generators, C._terms, C._by_name) == (None, None, None)
