@@ -39,6 +39,16 @@ with a factor that repeats a name); ``validate`` reads such an end as the
 name's last declaration, as ``by_name`` does.  The vertical slice is
 likewise built once per complex (``vertical_slice``), for validate, tau
 and HFK-hat.
+
+``validate`` runs in two stages: the positional stage (the structural
+checks by position, then d^2 = 0 by per-end int sets), then the vertical
+homology.  The positional stage's result is the complex's verdict
+(``verdict(C)``), kept next to its structure record once that is clean.
+``staircase`` seeds it as valid, ``dual`` inherits a valid one, and
+``tensor`` seeds it as valid when both factors' verdicts are; ``loads``
+and the record constructor leave it to the first call.  The V ladder in
+cfk.invariants reads it before it builds a level, so a built complex is
+never checked, and any other is checked once.
 """
 from __future__ import annotations
 
@@ -148,6 +158,7 @@ class BifilteredComplex:
         self._by_name: dict[str, Generator] | None = None
         self._index: Index | None = None
         self._defects: Defects | None = None
+        self._verdict: tuple[Violation, ...] | None = None
         self.label = label
         # The vertical slice and the results of cfk.invariants for this
         # complex, keyed by (function, args).
@@ -166,6 +177,7 @@ class BifilteredComplex:
         C._generators = C._terms = C._by_name = None
         C._index = _make_index(names, i, j, maslov, powers, sources, targets)
         C._defects = NO_DEFECTS if clean else None
+        C._verdict = None
         C.label = label
         C._memo = {}
         return C
@@ -230,9 +242,47 @@ class BifilteredComplex:
 def validate(C: BifilteredComplex) -> list[Violation]:
     """Structural checks plus the knot-type condition.
 
-    Returns an empty list when C is a valid knot-like complex.  The deeper
-    checks (d^2 = 0, vertical homology) only run once the purely structural
-    ones pass, since they would crash or lie on malformed input.
+    Returns an empty list when C is a valid knot-like complex.  It runs in
+    two stages, each only once the one before passes, since a deeper check
+    would crash or lie on malformed input: the positional stage
+    (``verdict``: the structure, then d^2 = 0) and the vertical homology.
+    """
+    out = list(verdict(C))
+    if out:
+        return out
+    # Vertical homology: the i-preserving slice at i = 0.
+    dims = f2.graded_homology_dims(*vertical_slice(C))
+    if dims != {0: 1}:
+        total = sum(dims.values())
+        out.append(Violation(
+            VERTICAL_HOMOLOGY,
+            f"vertical homology has total dimension {total} at gradings "
+            f"{sorted(dims)} (want dimension 1 at grading 0)"))
+    return out
+
+
+def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
+    """validate's positional stage on C: () when C is valid but for its
+    vertical homology, else the violations validate reports.
+
+    It is kept on C and read only while C.defects() is clean, so it runs
+    at most once per such complex.  staircase seeds it as (), dual of a
+    complex whose verdict is () inherits it, and so does tensor of two
+    such factors, since filtration, gradings, U powers and d^2 = 0 carry
+    over; loads and the record constructor leave it to the first call.  It
+    holds positional facts only: a tensor of valid factors can still
+    repeat a name, and then validate reports by name, as it does for any
+    complex with a defect.
+    """
+    if C.defects() != NO_DEFECTS:
+        return tuple(_positional_stage(C))
+    if C._verdict is None:
+        C._verdict = tuple(_positional_stage(C))
+    return C._verdict
+
+
+def _positional_stage(C: BifilteredComplex) -> list[Violation]:
+    """The structural checks, then d^2 = 0 once those pass.
 
     The structural checks are one pass over the index: repeated names in
     declaration order, then each term in order for a repeat, an end that
@@ -300,18 +350,6 @@ def validate(C: BifilteredComplex) -> list[Violation]:
             out.append(Violation(
                 D_SQUARED,
                 f"d^2({names[s]}) contains U^{(M[e] - M[s] + 2) // 2}*{names[e]}"))
-    del outgoing  # freed before the vertical homology is built: a lower peak
-    if out:
-        return out
-
-    # Vertical homology: the i-preserving slice at i = 0.
-    dims = f2.graded_homology_dims(*vertical_slice(C))
-    if dims != {0: 1}:
-        total = sum(dims.values())
-        out.append(Violation(
-            VERTICAL_HOMOLOGY,
-            f"vertical homology has total dimension {total} at gradings "
-            f"{sorted(dims)} (want dimension 1 at grading 0)"))
     return out
 
 
@@ -377,9 +415,11 @@ def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -
     odd = range(1, len(exps), 2)
     sources = [s for s in odd for _ in (0, 1)]
     targets = [t for s in odd for t in (s - 1, s + 1)]
-    return BifilteredComplex.from_columns(
+    C = BifilteredComplex.from_columns(
         [f"{prefix}{idx}" for idx in range(len(exps))], i, j, m, [0] * len(sources),
         sources, targets, label)
+    C._verdict = ()
+    return C
 
 
 def unknot_complex(prefix: str = "x") -> BifilteredComplex:
@@ -410,9 +450,12 @@ def dual(C: BifilteredComplex) -> BifilteredComplex:
     x = C.index()
     refuse_unknown(C)
     neg = operator.neg
-    return BifilteredComplex.from_columns(
+    D = BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
         x.powers, x.targets, x.sources, f"dual({C.label})")
+    if C._verdict == ():
+        D._verdict = ()
+    return D
 
 
 def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
@@ -434,7 +477,7 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         return ([p * n2 + q for p in first for q in right]
                 + [base + q for base in bases for q in second])
 
-    return BifilteredComplex.from_columns(
+    C = BifilteredComplex.from_columns(
         [f"{a}*{b}" for a in x1.names for b in x2.names],
         [a + b for a in x1.i for b in x2.i],
         [a + b for a in x1.j for b in x2.j],
@@ -442,3 +485,6 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
         ends(x1.sources, x2.sources), ends(x1.targets, x2.targets),
         f"tensor({C1.label}, {C2.label})")
+    if C1._verdict == C2._verdict == ():
+        C._verdict = ()
+    return C

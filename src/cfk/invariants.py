@@ -18,8 +18,9 @@ reduced in order, pivot at the highest set bit):
   pinned by the endpoint gradings
   (exponent = (grading(target) - grading(source) + 1) / 2), so the graded
   Smith form over the PID F2[U] is the pairing of the U = 1 matrix over F2
-  with rows and columns ordered by grading.  Every pivot pair is checked
-  and d^2 = 0 is checked in full, so a broken input raises.
+  with rows and columns ordered by grading.  It checks no input: a level
+  comes from a complex whose verdict is valid (see below).  Only the
+  pivot pairs are still checked.
 * tau is one pairing of the vertical slice, grading 0 ordered by
   Alexander grading (the elder rule, see ``_vertical_pairing``).
 * nu compares ranks level by level, with no representative cycle (``nu``).
@@ -31,14 +32,21 @@ and for the named ``basis`` and ``terms`` of a level, which are zipped
 only when a caller reads them.  Every entry point first refuses what the
 complex's structure record (``C.defects()``) shows: a repeated name, a
 term naming a missing generator, a repeated (source, target) pair.  A
-``FreeUComplex`` is only ever a level that ``a_minus`` makes: its shifts,
-gradings and exponents by position, and the term positions every level
-of the complex shares, so the V ladder makes no per-level names and
-``homology_over_U`` looks up none unless a check fails.  The kernel
-checks that do not depend on k (homogeneity, since M(s) - 1 = M(t) - 2n
-makes k cancel, and d^2 = 0 at U = 1) run on the first level reduced for
-a complex and are skipped once they have passed; the escape check in
-``a_minus`` and the pivot-pair checks run on every level.  tau and
+``FreeUComplex`` is only ever a level that ``a_minus`` makes: its
+gradings by position, and the term positions every level of the complex
+shares, so the V ladder makes no per-level names and
+``homology_over_U`` looks up none unless a pivot pair fails.
+
+The V ladder decides validity once per complex, not per level: before it
+builds a level, ``a_minus`` reads the complex's verdict
+(cfk.complexes.``verdict``, validate's positional stage: U powers >= 0,
+filtration, homogeneity and d^2 = 0) and raises ValueError with
+validate's message for the first violation.  So V, H, nu+ and the
+surgery formulas refuse what ``validate`` refuses, at every k.
+``staircase``, ``dual`` and ``tensor`` seed the verdict as valid, so a
+built complex pays for no check; a loaded or record-built one runs the
+positional stage on its first level.  tau, nu, epsilon and HFK-hat read
+no verdict yet: they refuse only what C.defects() shows.  tau and
 HFK-hat read the complex's vertical slice; nu builds the U = 0 slices of
 A^-_k.  Each slice is gradings plus the source and target positions of
 its terms.
@@ -59,36 +67,28 @@ from itertools import compress
 
 from . import f2
 from .complexes import (BifilteredComplex, Index, dual, memoized, refuse_unknown,
-                        shifted_slice, vertical_slice)
+                        shifted_slice, verdict, vertical_slice)
 from .errors import KnotTypeError, PreconditionError
-
-
-@dataclass(slots=True)
-class _Positions:
-    """Each term's source and target as a basis position.  One object is
-    shared by every level of a complex, and checked is set once the checks
-    that do not depend on k have passed on one level."""
-    sources: list[int]
-    targets: list[int]
-    checked: bool = False
 
 
 class FreeUComplex:
     """One level of a complex as a finitely generated free graded complex
     over F2[U], as a_minus makes it.
 
-    names are the complex's generator names, grading and exponents the
-    level's by position, and positions the term positions that every level
+    names are the complex's generator names, grading the level's by
+    position, and sources and targets the term positions that every level
     of the complex shares.  basis entries are (name, grading); terms are
     (source, target, exponent) meaning d(source) contains
-    U^exponent * target.  Both are zipped the first time each is read.
+    U^exponent * target, where the exponent
+    (grading(target) - grading(source) + 1) / 2 is pinned by homogeneity.
+    Both are made the first time each is read.
     """
-    __slots__ = ("_basis", "_terms", "_names", "_grading", "_exponents", "_positions")
+    __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets")
 
-    def __init__(self, names: Sequence[str], grading: list[int], exponents: list[int],
-                 positions: _Positions) -> None:
-        self._names, self._grading, self._exponents, self._positions = (
-            names, grading, exponents, positions)
+    def __init__(self, names: Sequence[str], grading: list[int], sources: list[int],
+                 targets: list[int]) -> None:
+        self._names, self._grading, self._sources, self._targets = (
+            names, grading, sources, targets)
         self._basis = self._terms = None
 
     @property
@@ -100,10 +100,9 @@ class FreeUComplex:
     @property
     def terms(self) -> tuple[tuple[str, str, int], ...]:
         if self._terms is None:
-            name = self._names.__getitem__
-            positions = self._positions
-            self._terms = tuple(zip(map(name, positions.sources), map(name, positions.targets),
-                                    self._exponents))
+            name, grading = self._names.__getitem__, self._grading
+            self._terms = tuple((name(s), name(t), (grading[t] - grading[s] + 1) // 2)
+                                for s, t in zip(self._sources, self._targets))
         return self._terms
 
     def __repr__(self) -> str:
@@ -119,11 +118,10 @@ class UModuleSummary:
 
 
 @memoized
-def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
-    """C's index, with the term positions its levels share, once C.defects()
-    shows no repeated name, no term naming a missing generator and no
-    repeated (source, target) pair; the first of those raises ValueError,
-    in that order.  None of these depends on k."""
+def _index(C: BifilteredComplex) -> Index:
+    """C's index, once C.defects() shows no repeated name, no term naming a
+    missing generator and no repeated (source, target) pair; the first of
+    those raises ValueError, in that order."""
     index = C.index()
     defects = C.defects()
     names = index.names
@@ -133,7 +131,7 @@ def _index(C: BifilteredComplex) -> tuple[Index, _Positions]:
     p = defects.repeated_pair
     if p is not None:
         raise ValueError(f"duplicate term {names[index.sources[p]]}->{names[index.targets[p]]}")
-    return index, _Positions(index.sources, index.targets)
+    return index
 
 
 def _shift(index: Index, k: int) -> list[int]:
@@ -145,22 +143,23 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     """Free F2[U]-model of C{max(i, j - k) <= 0}.
 
     The basis element for g is U^{c_g} g with c_g = max(i_g, j_g - k), in
-    grading M(g) - 2 c_g; a term U^n: s -> t turns into exponent
-    n + c_s - c_t, nonnegative exactly because the region is a subcomplex.
-    Gradings and exponents are by position; names are read only for the
-    message about a term that escapes.
+    grading M(g) - 2 c_g, by position; a term U^n: s -> t turns into
+    exponent n + c_s - c_t, which is (grading(t) - grading(s) + 1) / 2
+    since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings.
+
+    C's verdict (cfk.complexes.verdict) is read first, after the checks of
+    C.defects(): a complex that validate's positional stage refuses raises
+    ValueError with validate's message for its first violation, at every
+    k.  On a complex that passes, every level is a homogeneous subcomplex
+    with d^2 = 0, and each exponent is nonnegative, since n >= 0 and a
+    term lowers neither i nor j.
     """
-    index, positions = _index(C)
-    shift = _shift(index, k)
-    sources, targets = positions.sources, positions.targets
-    exponents = [n + shift[s] - shift[t] for s, t, n in zip(sources, targets, index.powers)]
-    if min(exponents, default=0) < 0:
-        p = next(p for p, e in enumerate(exponents) if e < 0)
-        raise ValueError(
-            f"term {index.names[sources[p]]}->{index.names[targets[p]]} escapes the "
-            "subcomplex; input complex violates its filtration invariants")
-    grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
-    return FreeUComplex(index.names, grading, exponents, positions)
+    index = _index(C)
+    refused = verdict(C)
+    if refused:
+        raise ValueError(refused[0].message)
+    grading = [m - 2 * c for m, c in zip(index.maslov, _shift(index, k))]
+    return FreeUComplex(index.names, grading, index.sources, index.targets)
 
 
 def homology_over_U(x: FreeUComplex) -> UModuleSummary:
@@ -179,46 +178,37 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
     grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
     cancel silently.  An element whose reduced column is zero and that is
-    no pivot is a free generator.  Every reduced column is zero or owns a
-    pivot, so a pair is clean unless its target owns a pivot too or its
-    source is another pair's target, and either makes some pair's target
-    own a pivot: one pass over the owners finds whether any pair fails.
+    no pivot is a free generator.
 
-    The gradings and term positions come from a_minus, and no name is read
-    unless a check fails.  The checks that do not depend on k (every term
-    homogeneous of degree -1, d^2 = 0) run unless they have passed on
-    another level of the same complex.
+    x is a level that a_minus made, so it is homogeneous and d^2 = 0: that
+    was decided once for the complex, and nothing here checks it again.
+    One guard stays.  Every reduced column is zero or owns a pivot, so a
+    pair is clean unless its target owns a pivot too or its source is
+    another pair's target, and either makes some pair's target own a
+    pivot: one pass over the owners finds whether any pair fails, and the
+    first failing pair raises ValueError.  Names are read only then.
     """
-    names, grading, positions = x._names, x._grading, x._positions
-    if not positions.checked:
-        for s, t, e in zip(positions.sources, positions.targets, x._exponents):
-            if grading[s] - 1 != grading[t] - 2 * e:
-                raise ValueError(f"term U^{e}:{names[s]}->{names[t]} is not homogeneous "
-                                 "of degree -1")
+    names, grading = x._names, x._grading
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r
     grading = list(map(grading.__getitem__, order))
-    cols = [0] * n
-    for s, t in zip(positions.sources, positions.targets):
-        cols[rank[s]] |= 1 << rank[t]
+    reduced = [0] * n
+    for s, t in zip(x._sources, x._targets):
+        reduced[rank[s]] |= 1 << rank[t]
 
-    reduced = cols if positions.checked else cols[:]
     owner = f2.pairs(reduced)
     is_target = [False] * n
     torsion = []  # (-top grading, exponent): sorted, descending top then ascending exponent
-    clean = True
     for lead, s in owner.items():
         t = lead - 1
         is_target[t] = True
-        if reduced[t]:
-            clean = False
         e = (grading[t] - grading[s] + 1) // 2
         if e:
             torsion.append((-grading[t], e))
-    if not clean:
+    if any(reduced[lead - 1] for lead in owner):
         # Report the first failing pair in (exponent, source name, target name) order.
         *_key, t = min((grading[t] - grading[s], names[order[s]], names[order[t]], t)
                        for t, s in ((lead - 1, s) for lead, s in owner.items())
@@ -228,14 +218,6 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
                              "input differential does not square to zero")
         raise ValueError("row of the cancelled source is nonzero; "
                          "input differential does not square to zero")
-    if not positions.checked:
-        # Clean pairs do not imply d^2 = 0, so column s of d(d(s)) is built too.
-        square = [0] * n
-        for s, t in zip(positions.sources, positions.targets):
-            square[rank[s]] ^= cols[rank[t]]
-        if any(square):
-            raise ValueError("input differential does not square to zero")
-        positions.checked = True
 
     free = [m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot]
     torsion.sort()
@@ -256,7 +238,7 @@ def V(C: BifilteredComplex, k: int) -> int:
     it, exactly, and the checks below see the gradings that H(A^-_k)
     itself has.
     """
-    lo, hi = _index(C)[0].alexander_range
+    lo, hi = _index(C).alexander_range
     move = 2 * min(k - lo, 0)
     free = [d + move for d in _free_gradings(C, min(max(k, lo), hi))]
     if len(free) != 1:
@@ -301,7 +283,7 @@ def _slice(C: BifilteredComplex,
            k: int | None = None) -> tuple[list[int], list[int], list[int]]:
     """vertical_slice(C) when k is None, else the U = 0 slice of A^-_k
     (see shifted_slice: g moved to U^{c_g} g, c_g = max(i_g, j_g - k))."""
-    index = _index(C)[0]
+    index = _index(C)
     return vertical_slice(C) if k is None else shifted_slice(index, _shift(index, k))
 
 
@@ -324,7 +306,7 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     exactly one, the generator of the vertical homology, and tau is its
     Alexander grading.
     """
-    index = _index(C)[0]
+    index = _index(C)
     grading, sources, targets = _slice(C)
     alexander = list(map(operator.sub, index.j, index.i))
     zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
@@ -369,7 +351,7 @@ def nu(C: BifilteredComplex) -> int:
     """
     least, zero, into = _vertical_pairing(C)
     boundaries = [c for c in into if c]
-    index = _index(C)[0]
+    index = _index(C)
     width = len(zero)
     for k in range(least, index.alexander_range[1] + 1):
         grading, sources, targets = _slice(C, k)
@@ -415,7 +397,7 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
 
 @memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
-    index = _index(C)[0]
+    index = _index(C)
     grading, sources, targets = _slice(C)
     alexander = [j - i for i, j in zip(index.i, index.j)]
     keep = [alexander[s] == alexander[t] for s, t in zip(sources, targets)]

@@ -9,6 +9,7 @@ from cfk.complexes import NO_DEFECTS, BifilteredComplex, DiffTerm as D, Defects
 from cfk.complexes import Generator as G, dual, first_defects, tensor, validate
 from cfk.expr import build_complex, parse
 from cfk.invariants import V, hfk_hat, nu, nu_plus, tau
+from cfk.surgery import SurgerySpec, d_invariants
 
 T = BifilteredComplex([G("x0", 0, 1, 0), G("x1", 1, 1, 1), G("x2", 1, 0, 0)],
                       [D("x1", "x0", 0), D("x1", "x2", 0)])
@@ -38,6 +39,10 @@ COMPLEXES = {
     "inhomogeneous only": (GENS, TERMS + [INHOMOGENEOUS]),
     "escaping + inhomogeneous": (GENS + [G("e", -2, -2, 1)],
                                  TERMS + [D("e", "x0", 0), INHOMOGENEOUS]),
+    # homogeneous y -> z raises only j: no level with k >= A_max = 3 sees it escape
+    "j-only raise": (GENS + [G("y", 0, 0, 1), G("z", 0, 3, 0)], TERMS + [D("y", "z", 0)]),
+    # homogeneous, and every level's exponent -1 + c_u - c_w is 0
+    "U^-1 term": (GENS + [G("u", 0, 0, 1), G("w", -1, -1, -2)], TERMS + [D("u", "w", -1)]),
 }
 ENTRIES = {
     "validate": lambda C: [(v.kind, v.message) for v in validate(C)],
@@ -50,9 +55,10 @@ ENTRIES = {
 }
 
 # Each entry's result or error on each complex, recorded before the
-# structure record existed, when every reader ran its own checks; the last
-# two rows pin V's message for an inhomogeneous term, and that an escaping
-# term is reported before it.
+# structure record existed, when every reader ran its own checks.  From
+# "inhomogeneous only" on, the rows have no defect that C.defects() records,
+# and V refuses each with validate's first message (the complex's verdict),
+# where tau and HFK-hat, which read no verdict, still give numbers.
 FROZEN = {
     "repeated name + ghost": {
         "validate": [
@@ -260,7 +266,7 @@ FROZEN = {
             ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
             ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
         ],
-        "V": "ValueError: term U^0:x0->x2 is not homogeneous of degree -1",
+        "V": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
         "tau": 1,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((1, 0), 1)],
         "dual": 3,
@@ -273,14 +279,32 @@ FROZEN = {
             ("filtration", "U^0:x0->x2 raises filtration: (1,0) from (0,1)"),
             ("grading", "U^0:x0->x2 grading mismatch: M=0 source vs M=0-2*0 target"),
         ],
-        "V": ("ValueError: term e->x0 escapes the subcomplex; input complex violates its "
-              "filtration invariants"),
+        "V": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
         "tau": 1,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((0, 5), 1), ((1, 0), 1)],
         "dual": 4,
         "tensor": (20, 20),
         "dumps": ("cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ngen e -2 -2 1\ndif e x0\n"
                   "dif x0 x2\ndif x1 x0 x2\n"),
+    },
+    "j-only raise": {
+        "validate": [("filtration", "U^0:y->z raises filtration: (0,3) from (0,0)")],
+        "V": "ValueError: U^0:y->z raises filtration: (0,3) from (0,0)",
+        "tau": 1,
+        "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((0, 1), 1), ((1, 0), 1), ((3, 0), 1)],
+        "dual": 3,
+        "tensor": (19, 19),
+        "dumps": ("cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\ngen x2 1 0 0\ngen y 0 0 1\ngen z 0 3 0\n"
+                  "dif x1 x0 x2\ndif y z\n"),
+    },
+    "U^-1 term": {
+        "validate": [("filtration", "negative U power on u->w")],
+        "V": "ValueError: negative U power on u->w",
+        "tau": 1,
+        "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((1, 0), 1)],
+        "dual": 3,
+        "tensor": (19, 19),
+        "dumps": "FormatError: cannot write term U^-1 'u'->'w': U power is negative",
     },
 }
 
@@ -302,6 +326,20 @@ def test_frozen_precedence_of_several_defects():
             assert outcome(entry, shared) == want, (label, name)
 
 
+@pytest.mark.parametrize("label", ["j-only raise", "U^-1 term"])
+def test_v_refuses_what_validate_refuses_at_every_level(label):
+    """Both complexes pass every level-local test some k allows (the j-only
+    raise escapes no level with k >= A_max, the U^-1 term none at all);
+    the ladder refuses them at every k, through nu+ and d-invariants too."""
+    message = FROZEN[label]["validate"][0][1]
+    C = BifilteredComplex(*COMPLEXES[label])
+    lo, hi = C.index().alexander_range
+    entries = [lambda C, k=k: V(C, k) for k in range(lo - 2, hi + 3)]
+    for entry in entries + [nu_plus, lambda C: d_invariants(C, SurgerySpec(5, 1))]:
+        assert outcome(entry, C) == f"ValueError: {message}"
+        assert outcome(entry, BifilteredComplex(*COMPLEXES[label])) == f"ValueError: {message}"
+
+
 def test_first_defects_gives_the_first_position_of_each_kind():
     assert first_defects([], [], []) == NO_DEFECTS
     assert first_defects(["a", "b"], [1, 1], [0, 0]) == Defects(None, None, 1)
@@ -311,9 +349,12 @@ def test_first_defects_gives_the_first_position_of_each_kind():
     assert first_defects(["a", "b"], [0, 1, -1, 0], [-1, 0, 1, 1]) == Defects(None, 0, None)
 
 
+PAPER_KNOT = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+
+
 @pytest.fixture(scope="module")
 def text():
-    return dumps(build_complex(parse("torus(2,9) # mirror(cable(2,5,torus(2,3)))")))
+    return dumps(build_complex(parse(PAPER_KNOT)))
 
 
 def test_loads_seeds_the_record_and_no_reader_runs_the_bulk_pass(text, monkeypatch):
@@ -345,6 +386,70 @@ def test_the_record_is_found_once_per_complex(text, monkeypatch):
     for read in (tau, nu, hfk_hat, lambda C: V(C, 0), dumps, dual, lambda C: tensor(C, C)):
         read(C)
     assert calls == [1]
+
+
+LADDER = {
+    "nu_plus": nu_plus,
+    "V": lambda C: [V(C, k) for k in range(C.index().alexander_range[0] - 2,
+                                           C.index().alexander_range[1] + 3)],
+    "d_invariants": lambda C: d_invariants(C, SurgerySpec(20, 1)),
+}
+
+
+@pytest.mark.parametrize("expression", [PAPER_KNOT, f"mirror({PAPER_KNOT})",
+                                        f"{PAPER_KNOT} # torus(2,3)"])
+def test_built_complexes_never_run_the_positional_stage(expression, monkeypatch):
+    """staircase, dual and tensor seed the verdict, so the V ladder of a
+    built complex reads it and checks nothing."""
+    expected = {name: read(build_complex(parse(expression))) for name, read in LADDER.items()}
+
+    def positional_stage(C):
+        raise AssertionError("the positional stage ran on a built complex")
+
+    monkeypatch.setattr(complexes, "_positional_stage", positional_stage)
+    C = build_complex(parse(expression))
+    assert {name: read(C) for name, read in LADDER.items()} == expected
+
+
+def test_file_and_loaded_complexes_run_the_positional_stage_once(text, tmp_path, monkeypatch):
+    path = tmp_path / "k.cfk"
+    path.write_text(text)
+    ran = []
+    positional_stage = complexes._positional_stage
+
+    def counted(C):
+        ran.append(C)
+        return positional_stage(C)
+
+    monkeypatch.setattr(complexes, "_positional_stage", counted)
+    loaded = loads(text)
+    filed = build_complex(parse(f'file("{path}")'))  # validated on the way in
+    mirrored = build_complex(parse(f'mirror(file("{path}")) # torus(2,3)'))
+    for C in (loaded, filed, mirrored):
+        for read in LADDER.values():
+            read(C)
+    assert validate(loaded) == [] and validate(filed) == []
+    # once for each file(...) as it is read, and once for loaded on its first V
+    assert len(ran) == 3 and ran[-1] is loaded and ran[0] is filed
+
+
+def test_a_tensor_of_valid_factors_can_repeat_a_name():
+    """Both factors pass validate, so the tensor's verdict is seeded valid;
+    its names still repeat ("x*y" + "z" against "x" + "y*z"), and validate
+    reports that by name, as for a complex built from records."""
+    def trefoil(names):
+        rename = dict(zip(["x0", "x1", "x2"], names))
+        return BifilteredComplex([G(rename[g.name], *g[1:]) for g in GENS],
+                                 [D(rename[s], rename[t], n) for s, t, n in TERMS])
+
+    A, B = trefoil(["x", "x*y", "a"]), trefoil(["y*z", "z", "b"])
+    assert validate(A) == validate(B) == []
+    C = tensor(A, B)
+    found = [(v.kind, v.message) for v in validate(C)]
+    assert found[0] == ("duplicate-name", "generator name 'x*y*z' declared twice")
+    records = BifilteredComplex(C.generators, C.terms)
+    assert found == [(v.kind, v.message) for v in validate(records)]
+    assert outcome(lambda C: V(C, 0), C) == "ValueError: duplicate basis name 'x*y*z'"
 
 
 def test_one_vertical_slice_per_complex(text, monkeypatch):

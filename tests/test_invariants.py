@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,31 +57,51 @@ def test_homology_over_u_examples(trefoil):
     assert homology_over_U(a_minus(trefoil, 1)).free_gradings == (0,)
 
 
+def free_level(basis, terms):
+    """A FreeUComplex built from positions, with no check of any kind: a
+    level that no valid complex has, which only the pivot-pair guard of
+    homology_over_U can refuse."""
+    names = [name for name, _m in basis]
+    position = {name: p for p, name in enumerate(names)}
+    level = FreeUComplex(names, [m for _name, m in basis], [position[s] for s, _t, _e in terms],
+                         [position[t] for _s, t, _e in terms])
+    assert level.terms == terms  # each exponent is the one the gradings pin
+    return level
+
+
 def test_homology_over_u_rejects_inhomogeneous():
-    message = "term U^0:a->b is not homogeneous of degree -1"
+    # a_minus reads the complex's verdict first, so validate's message comes out
+    message = "U^0:a->b grading mismatch: M=0 source vs M=0-2*0 target"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         homology_over_U(origin_level((("a", 0), ("b", 0)), (("a", "b", 0),)))
 
 
 @pytest.mark.parametrize("x, message", [
-    (((("a", 0), ("a", 1)), ()),
+    ((origin_level, (("a", 0), ("a", 1)), ()),
      "duplicate basis name 'a'"),
-    (((("a", 1), ("b", 0)), (("a", "b", 0), ("a", "b", 0))),
+    ((origin_level, (("a", 1), ("b", 0)), (("a", "b", 0), ("a", "b", 0))),
      "duplicate term a->b"),
     # a -> b -> c: the pivot a -> b leaves b -> c in the cancelled target's column
-    (((("a", 2), ("b", 1), ("c", 0)), (("a", "b", 0), ("b", "c", 0))),
+    ((free_level, (("a", 2), ("b", 1), ("c", 0)), (("a", "b", 0), ("b", "c", 0))),
      "column of the cancelled target is nonzero"),
     # x -> a -> b: the pivot a -> b leaves x -> a in the cancelled source's row
-    (((("a", 1), ("b", 0), ("x", 2)), (("x", "a", 0), ("a", "b", 0))),
+    ((free_level, (("a", 1), ("b", 0), ("x", 2)), (("x", "a", 0), ("a", "b", 0))),
      "row of the cancelled source is nonzero"),
-    # d(d a) = d: every pivot pair is clean, only the full d^2 check sees it
-    (((("a", 2), ("b", 1), ("c", 1), ("d", 0)), (("a", "b", 0), ("a", "c", 0), ("b", "d", 0))),
-     "^input differential does not square to zero"),
+    # d(d a) = d: every pivot pair is clean, and a_minus refuses the complex
+    ((origin_level, (("a", 2), ("b", 1), ("c", 1), ("d", 0)),
+      (("a", "b", 0), ("a", "c", 0), ("b", "d", 0))),
+     "d^2(a) contains U^0*d"),
 ])
 def test_homology_over_u_rejects_bad_input(x, message):
-    """x is the (basis, terms) given to origin_level."""
-    with pytest.raises(ValueError, match=message):
-        homology_over_U(origin_level(*x))
+    """x is (level, basis, terms): origin_level goes through a_minus, which
+    refuses what C.defects() and validate's positional stage refuse;
+    free_level builds the level from positions and reaches the pivot-pair
+    guard."""
+    level, basis, terms = x
+    with pytest.raises(ValueError) as raised:
+        homology_over_U(level(basis, terms))
+    cancelled = "; input differential does not square to zero" if level is free_level else ""
+    assert (type(raised.value), str(raised.value)) == (ValueError, message + cancelled)
 
 
 @pytest.mark.parametrize("ghost", ["source", "target"])
@@ -130,9 +151,11 @@ def test_missing_generator_is_reported_before_an_escaping_term():
 def test_level_independent_checks_do_not_stick_after_a_failure(knot_45):
     # without its first term K45 is clean pair by pair; only d^2 = 0 fails
     C = BifilteredComplex(knot_45.generators, knot_45.terms[1:])
-    for k in (0, 0, 1):
-        with pytest.raises(ValueError, match="^input differential does not square to zero"):
+    message = "d^2(x1*y0) contains U^0*x0*y1"
+    for k in (0, 0, 1, 9, -9):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             V(C, k)
+    assert [v.message for v in validate(C)] == [message]
 
 
 def reference_homology_over_U(x):
@@ -245,17 +268,23 @@ def random_kernel_inputs(rng, count):
 
 
 def test_kernel_matches_reference_on_random_tensor_products():
+    """V refuses exactly the levels whose eager reference reduction
+    refuses, with validate's first message, and on every other level the
+    kernel agrees with the reference."""
     broken = 0
     for C, k in random_kernel_inputs(random.Random(6021), 60):
-        x = a_minus(C, k)
+        basis, terms = references.a_minus(C, k)
         try:
-            expected = reference_homology_over_U(x)
+            expected = reference_homology_over_U(SimpleNamespace(basis=basis, terms=terms))
         except ValueError:
             broken += 1
-            with pytest.raises(ValueError):
-                homology_over_U(x)
+            message = validate(C)[0].message
+            assert message.startswith("d^2("), message
+            with pytest.raises(ValueError) as raised:
+                V(C, k)
+            assert (type(raised.value), str(raised.value)) == (ValueError, message)
         else:
-            assert homology_over_U(x) == expected, x
+            assert homology_over_U(a_minus(C, k)) == expected, (basis, terms)
     assert broken > 10
 
 
@@ -264,18 +293,31 @@ def test_a_minus_records_match_the_eager_reference(knot_45, knot_225):
     for C in (knot_45, knot_225):
         lo, hi = alexander_range(C)
         levels += [(C, k) for k in range(lo - 2, hi + 3)]
+    refused = 0
     for C, k in levels:
+        violations = validate(C)
+        if violations and violations[0].kind != "vertical-homology":
+            # the reference builds any level; a_minus refuses the complex
+            refused += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(violations[0].message)}$"):
+                a_minus(C, k)
+            continue
         x = a_minus(C, k)
         assert (x.basis, x.terms) == references.a_minus(C, k), (C, k)
+    assert 0 < refused < len(levels) / 2
 
 
 def test_escaping_term_is_named():
-    # a -> b lowers the grading by one but raises both filtration slots
+    # a -> b lowers the grading by one but raises both filtration slots:
+    # V gives validate's message, the eager reference its escape message
     C = BifilteredComplex([Generator("a", 0, 0, 1), Generator("b", 1, 1, 0),
                            Generator("c", 0, 0, 0)], [DiffTerm("a", "b", 0)])
-    message = "term a->b escapes the subcomplex; input complex violates its filtration invariants"
+    messages = {V: "U^0:a->b raises filtration: (1,1) from (0,0)",
+                references.a_minus: ("term a->b escapes the subcomplex; input complex violates "
+                                     "its filtration invariants")}
+    assert [v.message for v in validate(C)] == [messages[V]]
     for k in (-2, 0, 2):
-        for level in (V, references.a_minus):
+        for level, message in messages.items():
             with pytest.raises(ValueError) as raised:
                 level(C, k)
             assert (type(raised.value), str(raised.value)) == (ValueError, message)
