@@ -5,7 +5,7 @@ elimination loop in cfk.  It reduces a list of columns in order: while an
 earlier column owns a column's highest set bit, that column is XORed in.
 With the bits ordered by a filtration this is the persistence reduction
 (Zomorodian and Carlsson, "Computing persistent homology", 2005), and
-cfk.invariants reads the graded Smith form over F2[U] and tau off it.
+cfk.invariants reads V's free gradings over F2[U] and tau off it.
 Everything else here is a few lines over ``pairs``:
 
 * ``rank`` counts the owners.  A matrix and its transpose have the same
@@ -14,7 +14,8 @@ Everything else here is a few lines over ``pairs``:
   bits below the matrix bits.  The identity bits record which original
   columns each reduced column sums, so a column whose matrix bits vanish
   is a kernel vector, and a right-hand side whose matrix bits vanish is a
-  solution.
+  solution.  cfk.oracle calls ``kernel_basis``; no library code calls
+  ``solve``.
 
 XOR on bigints keeps this fast well past the sizes the invariants need.
 """

@@ -3,8 +3,9 @@
 Two subquotient constructions carry everything:
 
 * ``a_minus(C, k)``: the F2[U]-subcomplex of elements whose position lands
-  in {max(i, j - k) <= 0}.  Its homology is one free summand plus torsion;
-  V_k is minus half the free grading, H_k = V_{-k}.
+  in {max(i, j - k) <= 0}.  Its homology has one free summand; V_k is
+  minus half its grading, H_k = V_{-k}.  The rest of the module (U-torsion)
+  enters no invariant here and is not computed.
 * the vertical slice: the i-preserving slice at i = 0 over F2, whose
   homology is one-dimensional in grading zero on knot-type input.  tau and
   nu locate where the generator of that class survives restriction, and
@@ -18,9 +19,10 @@ reduced in order, pivot at the highest set bit):
   pinned by the endpoint gradings
   (exponent = (grading(target) - grading(source) + 1) / 2), so the graded
   Smith form over the PID F2[U] is the pairing of the U = 1 matrix over F2
-  with rows and columns ordered by grading.  It checks no input: a level
-  comes from a complex whose verdict is valid (see below).  Only the
-  pivot pairs are still checked.
+  with rows and columns ordered by grading, and the unpaired elements give
+  the free gradings.  It checks no input: a level comes from a complex
+  whose verdict is valid (see below).  Only the pivot pairs are still
+  checked.
 * tau is one pairing of the vertical slice, grading 0 ordered by
   Alexander grading (the elder rule, see ``_vertical_pairing``).
 * nu compares ranks level by level, with no representative cycle (``nu``).
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress
 
 from . import f2
@@ -81,7 +82,9 @@ class FreeUComplex:
     (source, target, exponent) meaning d(source) contains
     U^exponent * target, where the exponent
     (grading(target) - grading(source) + 1) / 2 is pinned by homogeneity.
-    Both are made the first time each is read.
+    Both are made the first time each is read, and only the tests,
+    cfk.oracle and bench/tracing.py read them: the V ladder reads the
+    gradings and positions.
     """
     __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets")
 
@@ -107,14 +110,6 @@ class FreeUComplex:
 
     def __repr__(self) -> str:
         return f"FreeUComplex(basis={self.basis!r}, terms={self.terms!r})"
-
-
-@dataclass(frozen=True)
-class UModuleSummary:
-    """Graded isomorphism class of a f.g. F2[U]-module: free summand
-    gradings plus (top grading, exponent) pairs for U^e-torsion pieces."""
-    free_gradings: tuple[int, ...]
-    torsion: tuple[tuple[int, int], ...]
 
 
 @memoized
@@ -162,8 +157,8 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     return FreeUComplex(index.names, grading, index.sources, index.targets)
 
 
-def homology_over_U(x: FreeUComplex) -> UModuleSummary:
-    """Graded module structure of H_*(x) over F2[U].
+def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
+    """Gradings of the free summands of H_*(x) over F2[U], highest first.
 
     Every entry's U exponent is pinned by the gradings, so the graded Smith
     form over F2[U] is the persistence pairing of the U = 1 matrix with its
@@ -175,10 +170,10 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
     an earlier column owns the pivot bit, it is XORed in, which is the
     basis change s -> s + U^f s' with f >= 0.
 
-    A pair (pivot target t, source s) is a summand F2[U]/U^e topped at
-    grading(t), with e = (grading(t) - grading(s) + 1) / 2; e = 0 pairs
-    cancel silently.  An element whose reduced column is zero and that is
-    no pivot is a free generator.
+    Each pair (pivot target t, source s) takes t and s out of the free
+    part: it is torsion or cancels, and V never reads it, so nothing of it
+    is kept.  An element whose reduced column is zero and that is no pivot
+    is a free generator, and its grading is returned.
 
     x is a level that a_minus made, so it is homogeneous and d^2 = 0: that
     was decided once for the complex, and nothing here checks it again.
@@ -201,13 +196,8 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
 
     owner = f2.pairs(reduced)
     is_target = [False] * n
-    torsion = []  # (-top grading, exponent): sorted, descending top then ascending exponent
-    for lead, s in owner.items():
-        t = lead - 1
-        is_target[t] = True
-        e = (grading[t] - grading[s] + 1) // 2
-        if e:
-            torsion.append((-grading[t], e))
+    for lead in owner:
+        is_target[lead - 1] = True
     if any(reduced[lead - 1] for lead in owner):
         # Report the first failing pair in (exponent, source name, target name) order.
         *_key, t = min((grading[t] - grading[s], names[order[s]], names[order[t]], t)
@@ -219,9 +209,7 @@ def homology_over_U(x: FreeUComplex) -> UModuleSummary:
         raise ValueError("row of the cancelled source is nonzero; "
                          "input differential does not square to zero")
 
-    free = [m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot]
-    torsion.sort()
-    return UModuleSummary(tuple(free), tuple((-m, e) for m, e in torsion))
+    return tuple(m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot)
 
 
 def V(C: BifilteredComplex, k: int) -> int:
@@ -252,7 +240,7 @@ def V(C: BifilteredComplex, k: int) -> int:
 
 @memoized
 def _free_gradings(C: BifilteredComplex, k: int) -> tuple[int, ...]:
-    return homology_over_U(a_minus(C, k)).free_gradings
+    return homology_over_U(a_minus(C, k))
 
 
 def H(C: BifilteredComplex, k: int) -> int:

@@ -1,14 +1,13 @@
-"""Brute-force cross-checks for the graded U-module engine.
+"""Brute-force cross-check for the graded U-module engine.
 
 The expansion here forgets the module structure: each free basis element b
 of a_minus(C, k) becomes the chain of F2 generators U^s b down to a cutoff
-grading, the differential is expanded likewise, and per-grading dense GF(2)
-elimination gives exact homology dimensions for every grading above the
-cutoff.  Those dimensions check the torsion part of a UModuleSummary
-(dims_from_summary).  V_k itself is read off by U-action ranks: the largest
-even grading whose classes still map onto something after multiplying by
-U^S for S past every torsion exponent.  A plain dimension scan cannot do
-this, since torsion at the tower gradings looks like a higher tower.
+grading, and the differential is expanded likewise.  V_k is read off by
+U-action ranks: the largest even grading whose classes still map onto
+something after multiplying by U^S for S past every torsion exponent.  A
+plain dimension scan cannot do this, since torsion at the tower gradings
+looks like a higher tower.  ``cfk selftest`` and the benchmark's checks
+use it as the independent V reference, and so do the tests.
 
 Nothing here calls the Smith reduction; only a_minus, f2.rank and
 f2.kernel_basis are shared.  Those two are a few lines over f2.pairs, the
@@ -20,67 +19,11 @@ from __future__ import annotations
 from .complexes import BifilteredComplex
 from . import f2
 from .errors import CfkError
-from .invariants import FreeUComplex, UModuleSummary, a_minus
+from .invariants import a_minus
 
 
 class OracleError(CfkError):
     pass
-
-
-def truncated_dimensions(x: FreeUComplex, cutoff: int) -> dict[int, int]:
-    """Exact homology dimensions of the F2 expansion of x for every grading
-    in (cutoff, top].  Dimensions at the cutoff itself are unreliable (their
-    incoming boundaries are complete but elimination below is cut off), so
-    they are not reported."""
-    grading: dict[tuple[str, int], int] = {}
-    for name, mu in x.basis:
-        s = 0
-        while mu - 2 * s >= cutoff:
-            grading[(name, s)] = mu - 2 * s
-            s += 1
-    outgoing: dict[str, list[tuple[str, int]]] = {}
-    for s_, t_, e in x.terms:
-        outgoing.setdefault(s_, []).append((t_, e))
-    position = {el: p for p, el in enumerate(grading)}
-    sources: list[int] = []
-    targets: list[int] = []
-    for (name, s) in grading:
-        for (t_, e) in outgoing.get(name, ()):
-            if (t_, s + e) in position:
-                sources.append(position[(name, s)])
-                targets.append(position[(t_, s + e)])
-    nonzero = f2.graded_homology_dims(list(grading.values()), sources, targets)
-    return {m: nonzero.get(m, 0) for m in set(grading.values()) if m > cutoff}
-
-
-def dims_from_summary(summary: UModuleSummary, lo: int, hi: int) -> dict[int, int]:
-    """Dimension sequence a module with this summary must have on [lo, hi]."""
-    dims = {m: 0 for m in range(lo, hi + 1)}
-    for d in summary.free_gradings:
-        m = d
-        while m >= lo:
-            if m <= hi:
-                dims[m] += 1
-            m -= 2
-    for (top, e) in summary.torsion:
-        for step in range(e):
-            m = top - 2 * step
-            if lo <= m <= hi:
-                dims[m] += 1
-    return dims
-
-
-def _window(x: FreeUComplex) -> tuple[dict[int, int], int, int]:
-    if not x.basis:
-        raise OracleError("empty complex")
-    gradings = [m for (_n, m) in x.basis]
-    top, bottom = max(gradings), min(gradings)
-    maxu = max((e for (_s, _t, e) in x.terms), default=0)
-    buffer = 2 * maxu + 2
-    cutoff = bottom - buffer - 6
-    dims = truncated_dimensions(x, cutoff)
-    window_lo = cutoff + buffer + 1
-    return dims, window_lo, top
 
 
 def v_by_u_rank(C: BifilteredComplex, k: int) -> int:
@@ -88,6 +31,8 @@ def v_by_u_rank(C: BifilteredComplex, k: int) -> int:
     exponent, so only the free tower survives U^S; the top grading whose
     homology still maps onto anything under U^S is the tower top."""
     x = a_minus(C, k)
+    if not x.basis:
+        raise OracleError("empty complex")
     grading = dict(x.basis)
     gradings = list(grading.values())
     top, bottom = max(gradings), min(gradings)

@@ -16,9 +16,8 @@ from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor,
                            unknot_complex, validate)
 from cfk.errors import KnotTypeError
 from cfk.expr import build_complex, parse
-from cfk.invariants import (FreeUComplex, H, UModuleSummary, V, a_minus,
-                            epsilon, hfk_hat, homology_over_U, nu, nu_plus,
-                            seifert_genus, tau)
+from cfk.invariants import (FreeUComplex, H, V, a_minus, epsilon, hfk_hat,
+                            homology_over_U, nu, nu_plus, seifert_genus, tau)
 from cfk.surgery import SurgerySpec, d_invariants, lens_d
 
 
@@ -42,19 +41,14 @@ def origin_level(basis, terms):
 
 def test_homology_over_u_examples(trefoil):
     # unknot: the single tower survives untouched
-    assert homology_over_U(a_minus(unknot_complex(), 0)).free_gradings == (0,)
-    assert homology_over_U(a_minus(unknot_complex(), 0)).torsion == ()
-    # one box: a -> U b is pure torsion with exponent 1
-    summary = homology_over_U(origin_level((("a", 1), ("b", 2)), (("a", "b", 1),)))
-    assert summary.free_gradings == ()
-    assert summary.torsion == ((2, 1),)
+    assert homology_over_U(a_minus(unknot_complex(), 0)) == (0,)
+    # one box: a -> U b is pure torsion, so nothing is free
+    assert homology_over_U(origin_level((("a", 1), ("b", 2)), (("a", "b", 1),))) == ()
     # trefoil at k = 0: both arrows have exponent 0, so one pair cancels
-    # without leaving torsion and one free generator remains in grading -2
-    summary = homology_over_U(a_minus(trefoil, 0))
-    assert summary.free_gradings == (-2,)
-    assert summary.torsion == ()
+    # and one free generator remains in grading -2
+    assert homology_over_U(a_minus(trefoil, 0)) == (-2,)
     # at k = 1 the tower top moves up to 0
-    assert homology_over_U(a_minus(trefoil, 1)).free_gradings == (0,)
+    assert homology_over_U(a_minus(trefoil, 1)) == (0,)
 
 
 def free_level(basis, terms):
@@ -159,9 +153,10 @@ def test_level_independent_checks_do_not_stick_after_a_failure(knot_45):
 
 
 def reference_homology_over_U(x):
-    """Graded Smith reduction that cancels a globally minimal (exponent,
-    source, target) entry at a time, pivots taken from a lazy-deletion
-    heap; an algorithm apart from the persistence pairing."""
+    """Free gradings, highest first, by a graded Smith reduction that
+    cancels a globally minimal (exponent, source, target) entry at a time,
+    pivots taken from a lazy-deletion heap; an algorithm apart from the
+    persistence pairing."""
     grading_of: dict[str, int] = {}
     for name, m in x.basis:
         if name in grading_of:
@@ -202,11 +197,8 @@ def reference_homology_over_U(x):
             heapq.heappush(heap, (num // 2) * nn + s * n + t)
 
     alive = [True] * n
-    torsion: list[tuple[int, int]] = []
     while heap:
-        key = heapq.heappop(heap)
-        e, rest = divmod(key, nn)
-        a, b = divmod(rest, n)
+        a, b = divmod(heapq.heappop(heap) % nn, n)
         if a not in rows[b]:
             continue  # stale: the entry cancelled out after it was pushed
         # Clear the other entries of row b: sources s pick up a U^{f-e} a
@@ -232,13 +224,9 @@ def reference_homology_over_U(x):
             raise AssertionError("pivot pair lost its own entry")
         rows[b].clear()
         cols[a].clear()
-        if e >= 1:
-            torsion.append((grading[b], e))
         alive[a] = alive[b] = False
 
-    free = tuple(sorted((m for m, live in zip(grading, alive) if live), reverse=True))
-    torsion.sort(key=lambda p: (-p[0], p[1]))
-    return UModuleSummary(free, tuple(torsion))
+    return tuple(sorted((m for m, live in zip(grading, alive) if live), reverse=True))
 
 
 def random_kernel_inputs(rng, count):
@@ -355,46 +343,45 @@ def test_levels_make_no_named_records(monkeypatch, entry):
     assert levels and reads == []
 
 
-# UModuleSummary of a_minus(C, k), recorded from the string-keyed kernel
-# that scanned every entry per pivot: (complex, mirrored, k, free, torsion).
+# Free gradings of a_minus(C, k), recorded from the string-keyed kernel
+# that scanned every entry per pivot: (complex, mirrored, k, free).
 FROZEN_SUMMARIES = [
-    ('K45', False, -3, (-6,), ((-3, 1), (-5, 1))),
-    ('K45', False, -2, (-4,), ((-3, 1),)),
-    ('K45', False, -1, (-4,), ((-1, 1), (-1, 1))),
-    ('K45', False, 0, (-2,), ()),
-    ('K45', False, 1, (-2,), ((1, 1), (1, 1))),
-    ('K45', False, 2, (0,), ((1, 1),)),
-    ('K45', False, 3, (0,), ((3, 1), (1, 1))),
-    ('K45', True, -3, (-6,), ((-1, 1), (-3, 1))),
-    ('K45', True, -2, (-4,), ((-1, 1),)),
-    ('K45', True, -1, (-2,), ((1, 2), (-1, 1))),
-    ('K45', True, 0, (0,), ((1, 1),)),
-    ('K45', True, 1, (0,), ((3, 2), (1, 1))),
-    ('K45', True, 2, (0,), ((3, 1),)),
-    ('K45', True, 3, (0,), ((5, 1), (3, 1))),
-    ('K225', False, -3, (-6,), ((-3, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1), (-5, 1))),
-    ('K225', False, -2, (-4,), ((-2, 1), (-2, 1), (-2, 1), (-3, 1), (-4, 1), (-4, 1))),
-    ('K225', False, -1, (-4,), ((-1, 1), (-1, 1), (-1, 1), (-1, 1), (-3, 1))),
-    ('K225', False, 0, (-2,), ((-2, 1), (-2, 1), (-2, 1))),
-    ('K225', False, 1, (-2,), ((1, 1), (1, 1), (1, 1), (1, 1), (-1, 1))),
-    ('K225', False, 2, (0,), ((2, 1), (2, 1), (2, 1), (1, 1), (0, 1), (0, 1))),
-    ('K225', False, 3, (0,), ((3, 1), (3, 1), (3, 1), (3, 1), (3, 1), (1, 1))),
-    ('K225', True, -3, (-6,), ((-1, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1), (-3, 1))),
-    ('K225', True, -2, (-4,), ((0, 1), (0, 1), (-1, 1), (-2, 1), (-2, 1), (-2, 1))),
-    ('K225', True, -1, (-2,), ((1, 1), (1, 2), (-1, 1), (-1, 1), (-1, 1))),
-    ('K225', True, 0, (0,), ((2, 1), (2, 1), (2, 1), (1, 1))),
-    ('K225', True, 1, (0,), ((3, 1), (3, 2), (1, 1), (1, 1), (1, 1))),
-    ('K225', True, 2, (0,), ((4, 1), (4, 1), (3, 1), (2, 1), (2, 1), (2, 1))),
-    ('K225', True, 3, (0,), ((5, 1), (3, 1), (3, 1), (3, 1), (3, 1), (3, 1))),
+    ('K45', False, -3, (-6,)),
+    ('K45', False, -2, (-4,)),
+    ('K45', False, -1, (-4,)),
+    ('K45', False, 0, (-2,)),
+    ('K45', False, 1, (-2,)),
+    ('K45', False, 2, (0,)),
+    ('K45', False, 3, (0,)),
+    ('K45', True, -3, (-6,)),
+    ('K45', True, -2, (-4,)),
+    ('K45', True, -1, (-2,)),
+    ('K45', True, 0, (0,)),
+    ('K45', True, 1, (0,)),
+    ('K45', True, 2, (0,)),
+    ('K45', True, 3, (0,)),
+    ('K225', False, -3, (-6,)),
+    ('K225', False, -2, (-4,)),
+    ('K225', False, -1, (-4,)),
+    ('K225', False, 0, (-2,)),
+    ('K225', False, 1, (-2,)),
+    ('K225', False, 2, (0,)),
+    ('K225', False, 3, (0,)),
+    ('K225', True, -3, (-6,)),
+    ('K225', True, -2, (-4,)),
+    ('K225', True, -1, (-2,)),
+    ('K225', True, 0, (0,)),
+    ('K225', True, 1, (0,)),
+    ('K225', True, 2, (0,)),
+    ('K225', True, 3, (0,)),
 ]
 
 
 def test_frozen_summaries(knot_45, knot_225):
     knots = {"K45": knot_45, "K225": knot_225}
-    for name, mirrored, k, free, torsion in FROZEN_SUMMARIES:
+    for name, mirrored, k, free in FROZEN_SUMMARIES:
         C = dual(knots[name]) if mirrored else knots[name]
-        assert homology_over_U(a_minus(C, k)) == UModuleSummary(free, torsion), (
-            name, mirrored, k)
+        assert homology_over_U(a_minus(C, k)) == free, (name, mirrored, k)
 
 
 def test_v_and_h_frozen_values(trefoil):
@@ -489,7 +476,7 @@ def test_each_complex_reduces_each_level_once(monkeypatch):
 
 def direct_V(C, k):
     """V_k read from a reduction of A^-_k itself."""
-    (d,) = homology_over_U(a_minus(C, k)).free_gradings
+    (d,) = homology_over_U(a_minus(C, k))
     return -d // 2
 
 

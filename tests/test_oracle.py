@@ -1,9 +1,11 @@
 import random
 import time
 
+import pytest
+
 from conftest import cable_staircase, torus_staircase
 from cfk import oracle
-from cfk.complexes import dual, tensor, unknot_complex
+from cfk.complexes import BifilteredComplex, dual, tensor, unknot_complex
 from cfk.invariants import V, a_minus, homology_over_U
 
 
@@ -18,31 +20,12 @@ CURATED = [
 ]
 
 
-def test_truncated_dimensions_trefoil():
-    dims = oracle.truncated_dimensions(a_minus(torus_staircase(2, 3), 0), -9)
-    # one tower with top at -2: odd gradings empty, no class at 0 or -1
-    for m in (0, -1, -3, -5, -7):
-        assert dims.get(m, 0) == 0
-    for m in (-2, -4, -6, -8):
-        assert dims.get(m, 0) == 1
-
-
-def test_summary_predicts_dimensions():
-    for C in CURATED:
-        for k in range(-3, 4):
-            x = a_minus(C, k)
-            summary = homology_over_U(x)
-            dims, lo, top = oracle._window(x)
-            predicted = oracle.dims_from_summary(summary, lo, top)
-            actual = {m: dims.get(m, 0) for m in range(lo, top + 1)}
-            assert predicted == actual, (C.label, k)
-
-
 def test_both_readoffs_agree_on_curated_fixtures():
     for C in CURATED:
         for k in range(-4, 5):
             v = V(C, k)
             assert oracle.v_by_u_rank(C, k) == v, (C.label, k)
+            assert homology_over_U(a_minus(C, k)) == (-2 * v,), (C.label, k)
 
 
 def test_pattern_readoff_counterexample():
@@ -53,9 +36,7 @@ def test_pattern_readoff_counterexample():
     C = tensor(tensor(dual(torus_staircase(2, 3)),
                       torus_staircase(2, 3, prefix="y")),
                torus_staircase(2, 3, prefix="z"))
-    summary = homology_over_U(a_minus(C, 1))
-    assert summary.free_gradings == (0,)
-    assert summary.torsion == ((0, 1),)
+    assert homology_over_U(a_minus(C, 1)) == (0,)
     assert V(C, 1) == 0
     assert oracle.v_by_u_rank(C, 1) == 0
 
@@ -77,8 +58,10 @@ def test_oracle_equivalence_on_random_tensor_products():
         k = rng.randint(-3, 3)
         v = V(C, k)
         assert oracle.v_by_u_rank(C, k) == v, (trial, C.label, k)
-        x = a_minus(C, k)
-        dims, lo, top = oracle._window(x)
-        predicted = oracle.dims_from_summary(homology_over_U(x), lo, top)
-        assert predicted == {m: dims.get(m, 0) for m in range(lo, top + 1)}, trial
+        assert homology_over_U(a_minus(C, k)) == (-2 * v,), (trial, C.label, k)
     assert time.monotonic() - start < 20.0
+
+
+def test_empty_complex_is_refused():
+    with pytest.raises(oracle.OracleError, match="^empty complex$"):
+        oracle.v_by_u_rank(BifilteredComplex([], []), 0)
