@@ -16,7 +16,7 @@ import sys
 from math import gcd
 from typing import Any
 
-from . import __version__, cfkfile, selftest
+from . import __version__, cfkfile
 from .complexes import validate
 from .errors import CfkError, PreconditionError
 from .expr import build_complex, parse, to_text
@@ -303,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = ap.parse_args(argv)
         if args.command == "selftest":
+            # the golden table and the oracle load only for this subcommand
+            from . import selftest
             return 1 if selftest.run() else 0
         if args.command == "validate":
             return _run_validate(args.file, args.json)

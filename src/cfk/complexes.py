@@ -42,7 +42,8 @@ and HFK-hat.
 
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
-homology.  The positional stage's result is the complex's verdict
+homology.  It reports each failure as a Violation, a NamedTuple of a kind
+and a message.  The positional stage's result is the complex's verdict
 (``verdict(C)``), kept next to its structure record once that is clean.
 ``staircase`` seeds it as valid, ``dual`` inherits a valid one, and
 ``tensor`` seeds it as valid when both factors' verdicts are; ``loads``
@@ -55,7 +56,6 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import NamedTuple
 
@@ -91,8 +91,7 @@ class DiffTerm(NamedTuple):
     upower: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
 

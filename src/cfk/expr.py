@@ -12,6 +12,10 @@ Grammar (whitespace-insensitive, # is left-associative):
            | "(" expr ")"
     annots := annot { "," annot };  annot := ident [ "=" int ]
 
+The tree's nodes (Unknot, Torus, Cable, Mirror, Sum, FromFile, and
+Annotated, which keeps its annotations sorted by key) are NamedTuples:
+they compare and hash by value, as plain tuples do, so code tells the
+kinds apart with isinstance.
 Parsing reports positions on syntax errors, among them an expression
 nested deeper than MAX_DEPTH; parameter sanity (coprimality, positive
 strand counts) is checked after the tree is built.  Complexes are
@@ -21,9 +25,8 @@ is an L-space expression and q clears p*(2g - 1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cfkfile import read_complex
 from .complexes import (BifilteredComplex, dual, require_valid, staircase, tensor)
@@ -31,47 +34,50 @@ from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError
 from .laurent import LaurentPoly, cable_alexander, torus_alexander
 
 
-@dataclass(frozen=True)
-class Unknot:
+class Unknot(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(NamedTuple):
     p: int
     q: int
 
 
-@dataclass(frozen=True)
-class Cable:
+class Cable(NamedTuple):
     p: int
     q: int
     companion: "KnotExpr"
 
 
-@dataclass(frozen=True)
-class Mirror:
+class Mirror(NamedTuple):
     child: "KnotExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     left: "KnotExpr"
     right: "KnotExpr"
 
 
-@dataclass(frozen=True)
-class FromFile:
+class FromFile(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class Annotated:
+class _Annotated(NamedTuple):
     child: "KnotExpr"
     annotations: tuple[tuple[str, Union[int, bool]], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "annotations", tuple(sorted(self.annotations)))
+
+class Annotated(_Annotated):
+    """An expression with its annotations, kept sorted by key."""
+    __slots__ = ()
+
+    def __new__(cls, child: "KnotExpr",
+                annotations: tuple[tuple[str, Union[int, bool]], ...]) -> Annotated:
+        return super().__new__(cls, child, tuple(sorted(annotations)))
+
+    @classmethod
+    def _make(cls, fields) -> Annotated:  # so that _replace sorts too
+        return cls(*fields)
 
 
 KnotExpr = Union[Unknot, Torus, Cable, Mirror, Sum, FromFile, Annotated]

@@ -3,13 +3,15 @@ calculus used for genus bounds.
 
 All rational arithmetic is exact (fractions.Fraction).  Formulas with
 hypotheses raise PreconditionError instead of silently extrapolating.
+The records (SurgerySpec, CableBounds, SignatureValue, GenusReport) are
+NamedTuples; SurgerySpec refuses a coefficient that is not a reduced p/q
+with p, q >= 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import BifilteredComplex, dual
 from .errors import PreconditionError
@@ -39,17 +41,25 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class _SurgerySpec(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+
+class SurgerySpec(_SurgerySpec):
+    """A surgery coefficient p/q, reduced, with p, q >= 1."""
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> SurgerySpec:
+        if p < 1 or q < 1:
             raise PreconditionError("surgery coefficient must have p, q >= 1")
-        if gcd(self.p, self.q) != 1:
-            raise PreconditionError(
-                f"surgery coefficient {self.p}/{self.q} is not reduced")
+        if gcd(p, q) != 1:
+            raise PreconditionError(f"surgery coefficient {p}/{q} is not reduced")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, fields) -> SurgerySpec:  # so that _replace checks too
+        return cls(*fields)
 
 
 def surgery_d(C: BifilteredComplex, spec: SurgerySpec, i: int) -> Fraction:
@@ -83,8 +93,7 @@ def cable_tau(tau_k: int, epsilon_k: int, p: int, q: int) -> int:
     return p * tau_k + (p - 1) * (q + 1) // 2
 
 
-@dataclass(frozen=True)
-class CableBounds:
+class CableBounds(NamedTuple):
     """nu_plus bounds for a (p,q) cable; None means no bound available."""
     p: int
     q: int
@@ -114,8 +123,7 @@ def cable_nu_plus_bounds(C: BifilteredComplex, p: int, q: int,
     return CableBounds(p, q, lower, upper)
 
 
-@dataclass(frozen=True)
-class SignatureValue:
+class SignatureValue(NamedTuple):
     """Outcome of the partial signature calculus: the value when the rules
     reach one, None otherwise, plus the derivation or the blocking step."""
     value: Optional[int]
@@ -216,8 +224,7 @@ def g4_upper_annotation(e: "kx.KnotExpr") -> Optional[int]:
     return val
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     tau: int
     nu: int
     nu_plus: int

@@ -351,3 +351,15 @@ def test_selftest_fails_under_optimize_flag():
 def test_all_exported_names_resolve():
     for name in cfk.__all__:
         assert hasattr(cfk, name), name
+
+
+def test_import_loads_no_selftest_machinery():
+    # only `cfk selftest` needs the golden table, the oracle and their
+    # standard-library modules; records are NamedTuples, not dataclasses
+    unwanted = ["cfk.selftest", "cfk.oracle", "dataclasses", "inspect", "tempfile", "random"]
+    code = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport cfk.cli\n"
+            f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -137,6 +137,10 @@ def test_root_annotations_outermost_wins():
     assert kx.root_annotations(e) == {"alt": True, "g4_upper": 1}
     assert kx.root_annotations(kx.parse("unknot")) == {}
     assert kx.strip_annotations(e) == kx.Unknot()
+    direct = kx.Annotated(kx.Unknot(), (("g4_upper", 3), ("alt", True)))
+    assert direct.annotations == (("alt", True), ("g4_upper", 3))
+    assert direct == kx.parse("{unknot @ g4_upper=3, alt}")
+    assert direct._replace(annotations=(("z", 1), ("b", 2))).annotations == (("b", 2), ("z", 1))
 
 
 def test_from_file_builds_and_validates(tmp_path):

@@ -98,12 +98,16 @@ def test_trefoil_surgeries():
 
 
 def test_surgery_spec_rejects_bad_coefficients():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^surgery coefficient must have p, q >= 1$"):
         SurgerySpec(0, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^surgery coefficient must have p, q >= 1$"):
         SurgerySpec(3, -1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^surgery coefficient 4/2 is not reduced$"):
         SurgerySpec(4, 2)
+    assert SurgerySpec(q=2, p=3) == (3, 2)
+    assert SurgerySpec(3, 2)._replace(q=4) == SurgerySpec(3, 4)
+    with pytest.raises(PreconditionError, match=r"^surgery coefficient 3/3 is not reduced$"):
+        SurgerySpec(3, 2)._replace(q=3)
     with pytest.raises(ValueError):
         surgery_d(torus_staircase(2, 3), SurgerySpec(3, 1), 3)
 
@@ -152,6 +156,7 @@ def test_cable_nu_plus_bounds_45_generator_knot(knot_45):
 
 def test_signature_basics():
     assert signature_eval(kx.parse("unknot")).value == 0
+    assert signature_eval(kx.parse("unknot")).known
     assert signature_eval(kx.parse("torus(2,3)")).value == -2
     assert signature_eval(kx.parse("torus(2,7)")).value == -6
     assert signature_eval(kx.parse("torus(3,2)")).value == -2
