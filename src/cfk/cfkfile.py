@@ -15,8 +15,9 @@ that it reads back as one name and never as a term; loads() and dumps()
 both refuse any other.  Writing is canonical: generators in declared
 order, dif lines sorted by source, targets sorted by (U power, name);
 reading a canonical file back is byte-identical under dumps().  dumps()
-refuses a term whose source or target is not a generator, whose U power is
-negative, or that is repeated, since loads() would reject the file.
+refuses a term whose U power is negative or that is repeated, since
+loads() would reject the file; every term of a complex names its own
+generators (see cfk.complexes).
 
 loads() fills the columns of the complex's index (see cfk.complexes)
 directly, and makes no Generator or DiffTerm record: those are made from
@@ -25,8 +26,8 @@ by whole columns repeats no name and no (source, target) pair, so it
 seeds the complex's structure record (C.defects()) as NO_DEFECTS.
 dumps() checks and writes the terms in one pass over their positions,
 reading the record to skip the set of written terms when no term can
-repeat; it raises at the first term it cannot write, and reads C.terms
-only to name an end that is not a generator.
+repeat; it raises at the first term it cannot write, and makes no
+Generator or DiffTerm record.
 
 Files are read and written as UTF-8, whatever the locale; a file that is
 not UTF-8 is a FormatError ("cannot read PATH: ...").
@@ -36,11 +37,11 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
-from .complexes import BifilteredComplex, term_names
+from .complexes import BifilteredComplex
 from .errors import FormatError
 
 HEADER = "cfk v1"
@@ -245,17 +246,14 @@ def dumps(C: BifilteredComplex) -> str:
     # Terms are keyed by their names: a complex built from columns may hold
     # one name at two positions.  With no repeated name and no repeated
     # (source, target) pair, no term repeats.
-    repeated_name, _, repeated_pair = C.defects()
+    repeated_name, repeated_pair = C.defects()
     seen: set[tuple[str, str, int]] | None = (
         None if repeated_name is None and repeated_pair is None else set())
     by_source: dict[str, list[tuple[int, str]]] = {}
-    for p, s, t, n in zip(count(), sources, targets, powers):
-        if s < 0 or t < 0 or n < 0 or seen is not None and (names[s], names[t], n) in seen:
-            source, target = term_names(C, p)
-            problem = ("source is not a generator" if s < 0
-                       else "target is not a generator" if t < 0
-                       else "U power is negative" if n < 0 else "term is repeated")
-            raise FormatError(f"cannot write term U^{n} {source!r}->{target!r}: {problem}")
+    for s, t, n in zip(sources, targets, powers):
+        if n < 0 or seen is not None and (names[s], names[t], n) in seen:
+            problem = "U power is negative" if n < 0 else "term is repeated"
+            raise FormatError(f"cannot write term U^{n} {names[s]!r}->{names[t]!r}: {problem}")
         if seen is not None:
             seen.add((names[s], names[t], n))
         by_source.setdefault(names[s], []).append((n, names[t]))

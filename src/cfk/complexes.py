@@ -15,30 +15,30 @@ a generator position, and the Alexander range.  ``staircase``, ``dual``,
 they make are the names.  ``validate``, every invariant in cfk.invariants
 and ``dumps`` work from the positions.
 
-The named records are made on demand.  ``C.generators`` and ``C.terms``
-are tuples of Generator and DiffTerm NamedTuples, and ``C.by_name`` maps
-each name to its generator; a complex built from columns makes them from
-the columns the first time one is read.  A complex built from records
-(``BifilteredComplex(generators, terms)``) keeps them and indexes them on
-the first call of ``index()``.  That never fails: a name that is not a
-generator gets position -1 and a repeated name maps to its last
-declaration, as ``by_name`` does, so each caller decides how to report
-them.  Only records can carry a term whose name is not a generator.
+``C.generators`` and ``C.terms`` are tuples of Generator and DiffTerm
+NamedTuples.  A complex built from columns makes them from the columns the
+first time one is read; a complex built from records
+(``BifilteredComplex(generators, terms)``) keeps them and builds its index
+when it is made.  There, a term whose source or target names no generator
+raises ValueError, for the first such term in term order, so every
+complex's terms name its own generators.  A repeated name stands for its
+last declaration.
 
 ``first_defects`` decides once per complex whether its index is sound:
-``C.defects()`` keeps the position of the first repeated name, the first
-term with an endpoint at -1 and the first repeated (source, target) pair,
-or None for each, and ``loads`` seeds it as NO_DEFECTS.  ``validate``,
-the invariants, ``dual``, ``tensor`` and ``dumps`` read it, each with its
-own messages and precedence.  ``validate`` and ``dumps`` check a
-complex, defective or not, in one pass over its term positions: they
-build a set of names or terms only when the record holds a repeat, and
-read ``C.terms`` only to name an end at position -1 (``term_names``).  A
+``C.defects()`` keeps the position of the first repeated name and of the
+first repeated (source, target) pair, or None for each, and ``loads``
+seeds it as NO_DEFECTS.  A complex with either defect always has a
+positional violation (a repeated name, a term repeated at one U power or,
+at two powers, a grading mismatch): ``validate`` reports it, and every
+invariant refuses it with validate's first message.  ``dumps`` refuses
+only what would not read back.  ``validate`` and ``dumps`` check a
+complex, defective or not, in one pass over its term positions, and
+build a set of names or terms only when the record holds a repeat.  A
 complex built from columns can hold one name at two positions (a tensor
 with a factor that repeats a name); ``validate`` reads such an end as the
-name's last declaration, as ``by_name`` does.  The vertical slice is
-likewise built once per complex (``vertical_slice``), for validate, tau
-and HFK-hat.
+name's last declaration, as the record constructor does.  The vertical
+slice is likewise built once per complex (``vertical_slice``), for
+validate, tau and HFK-hat.
 
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
@@ -65,7 +65,6 @@ from .laurent import LaurentPoly, is_lspace_form
 
 # Violation kinds reported by validate().
 DUPLICATE_NAME = "duplicate-name"
-UNDECLARED_NAME = "undeclared-name"
 DUPLICATE_TERM = "duplicate-term"
 FILTRATION = "filtration"
 GRADING = "grading"
@@ -98,9 +97,8 @@ class Violation(NamedTuple):
 
 class Index(NamedTuple):
     """A complex by generator position: the generators' columns, every
-    term's U power, each term's source and target position (-1 for a name
-    that is not a generator), and the least and greatest Alexander grading
-    j - i (0 and 0 without generators)."""
+    term's U power, each term's source and target position, and the least
+    and greatest Alexander grading j - i (0 and 0 without generators)."""
     names: Sequence[str]
     i: Sequence[int]
     j: Sequence[int]
@@ -112,29 +110,26 @@ class Index(NamedTuple):
 
 
 class Defects(NamedTuple):
-    """The positions of the first repeated generator name, the first term
-    with an endpoint at -1 and the first repeated (source, target) pair."""
+    """The positions of the first repeated generator name and of the first
+    repeated (source, target) pair."""
     repeated_name: int | None
-    unknown_term: int | None
     repeated_pair: int | None
 
 
-NO_DEFECTS = Defects(None, None, None)
+NO_DEFECTS = Defects(None, None)
 
 
 def first_defects(names: Sequence[str], sources: Sequence[int],
                   targets: Sequence[int]) -> Defects:
     """The Defects (None where none) of an index's names and term positions:
-    a set size or a scan for -1 per kind, and a search only if it fails."""
-    width = len(names) + 1  # one int per pair: positions run from -1
+    a set size per kind, and a search only if it shows a repeat."""
+    width = len(names)  # one int per pair
 
     def pairs() -> Iterable[int]:
         return map(operator.add, map(operator.mul, sources, repeat(width)), targets)
 
     return Defects(
         _first_repeat(names) if len(set(names)) < len(names) else None,
-        next(p for p, ends in enumerate(zip(sources, targets)) if min(ends) < 0)
-        if -1 in sources or -1 in targets else None,
         _first_repeat(pairs()) if len(set(pairs())) < len(sources) else None)
 
 
@@ -144,19 +139,33 @@ def _first_repeat(items: Iterable[Hashable]) -> int:
     return next(p for p, item in enumerate(items) if item in seen or seen.add(item))
 
 
-def _make_index(names, i, j, maslov, powers, sources, targets) -> Index:
-    alexander = list(map(operator.sub, j, i))
-    return Index(names, i, j, maslov, powers, sources, targets,
-                 (min(alexander, default=0), max(alexander, default=0)))
-
-
 class BifilteredComplex:
     def __init__(self, generators, terms, label: str = ""):
-        self._generators: tuple[Generator, ...] | None = tuple(generators)
-        self._terms: tuple[DiffTerm, ...] | None = tuple(terms)
-        self._by_name: dict[str, Generator] | None = None
-        self._index: Index | None = None
-        self._defects: Defects | None = None
+        """A complex from Generator and DiffTerm records.  The first term
+        whose source or target names no generator raises ValueError."""
+        generators, terms = tuple(generators), tuple(terms)
+        names, i, j, maslov = tuple(zip(*generators)) or ((),) * 4
+        source_names, target_names, powers = tuple(zip(*terms)) or ((),) * 3
+        position = dict(zip(names, range(len(names))))
+        sources = list(map(position.get, source_names))
+        targets = list(map(position.get, target_names))
+        if None in sources or None in targets:
+            source, target, n = next(term for term, s, t in zip(terms, sources, targets)
+                                     if s is None or t is None)
+            missing = target if source in position else source
+            raise ValueError(
+                f"term U^{n} {source!r}->{target!r} references unknown generator {missing!r}")
+        self._setup(names, i, j, maslov, powers, sources, targets, label, None)
+        self._generators, self._terms = generators, terms
+
+    def _setup(self, names, i, j, maslov, powers, sources, targets, label: str,
+               defects: Defects | None) -> None:
+        alexander = list(map(operator.sub, j, i))
+        self._index = Index(names, i, j, maslov, powers, sources, targets,
+                            (min(alexander, default=0), max(alexander, default=0)))
+        self._generators: tuple[Generator, ...] | None = None
+        self._terms: tuple[DiffTerm, ...] | None = None
+        self._defects = defects
         self._verdict: tuple[Violation, ...] | None = None
         self.label = label
         # The vertical slice and the results of cfk.invariants for this
@@ -173,12 +182,8 @@ class BifilteredComplex:
         which the caller asserts: no name and no (source, target) pair
         repeats."""
         C = cls.__new__(cls)
-        C._generators = C._terms = C._by_name = None
-        C._index = _make_index(names, i, j, maslov, powers, sources, targets)
-        C._defects = NO_DEFECTS if clean else None
-        C._verdict = None
-        C.label = label
-        C._memo = {}
+        C._setup(names, i, j, maslov, powers, sources, targets, label,
+                 NO_DEFECTS if clean else None)
         return C
 
     @property
@@ -198,21 +203,8 @@ class BifilteredComplex:
                                     zip(map(name, x.sources), map(name, x.targets), x.powers)))
         return self._terms
 
-    @property
-    def by_name(self) -> dict[str, Generator]:
-        if self._by_name is None:
-            self._by_name = {g.name: g for g in self.generators}
-        return self._by_name
-
     def index(self) -> Index:
-        """This complex by generator position, built on the first call."""
-        if self._index is None:
-            names, i, j, maslov = tuple(zip(*self._generators)) or ((),) * 4
-            source_names, target_names, powers = tuple(zip(*self._terms)) or ((),) * 3
-            position = dict(zip(names, range(len(names))))
-            self._index = _make_index(names, i, j, maslov, powers,
-                                 list(map(position.get, source_names, repeat(-1))),
-                                 list(map(position.get, target_names, repeat(-1))))
+        """This complex by generator position."""
         return self._index
 
     def defects(self) -> Defects:
@@ -284,11 +276,9 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
     """The structural checks, then d^2 = 0 once those pass.
 
     The structural checks are one pass over the index: repeated names in
-    declaration order, then each term in order for a repeat, an end that
-    is not a generator, a negative U power, its filtration and its
-    grading.  The name and term sets are built only when C.defects()
-    records a repeat, and only an end at position -1 is named from
-    C.terms.
+    declaration order, then each term in order for a repeat, a negative U
+    power, its filtration and its grading.  The name and term sets are
+    built only when C.defects() records a repeat.
 
     d^2 = 0 is checked over F2 per end generator: each generator's set of
     ends reached by an odd number of two-step paths is the symmetric
@@ -299,34 +289,30 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
     its largest target, would take about n^2/16 bytes over n generators.
     """
     names, I, J, M, powers, sources, targets, _ = C.index()
-    repeated_name, _, repeated_pair = C.defects()
+    repeated_name, repeated_pair = C.defects()
     out: list[Violation] = []
     if repeated_name is not None:
         seen: set[str] = set()  # set.add returns None: each new name is added and passed
         out += [Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice")
                 for name in names if name in seen or seen.add(name)]
-        # An end stands for the last declaration of its name, as in
-        # C.by_name; a complex built from columns may point at another.
+        # An end stands for the last declaration of its name, as in the
+        # record constructor; a complex built from columns may point at another.
         last = dict(zip(names, count()))
-        sources = [last[names[s]] if s >= 0 else s for s in sources]
-        targets = [last[names[t]] if t >= 0 else t for t in targets]
-    # Terms are keyed by their names: ends that are not generators share
-    # position -1, and one name can sit at two positions.  With no repeated
-    # name and no repeated (source, target) pair, no term repeats.
+        sources = [last[names[s]] for s in sources]
+        targets = [last[names[t]] for t in targets]
+    # Terms are keyed by their names: one name can sit at two positions.
+    # With no repeated name and no repeated (source, target) pair, no term
+    # repeats.
     term_seen: set[tuple[str, str, int]] | None = (
         None if repeated_name is None and repeated_pair is None else set())
-    for p, s, t, n in zip(count(), sources, targets, powers):
+    for s, t, n in zip(sources, targets, powers):
         if term_seen is not None:
-            source, target = term_names(C, p)
-            if (source, target, n) in term_seen:
-                out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
+            term = (names[s], names[t], n)
+            if term in term_seen:
+                out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{names[s]}->{names[t]} repeated"))
                 continue
-            term_seen.add((source, target, n))
-        if s < 0 or t < 0:
-            source, target = term_names(C, p)
-            missing = source if s < 0 else target
-            out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
-        elif n < 0:
+            term_seen.add(term)
+        if n < 0:
             out.append(Violation(FILTRATION, f"negative U power on {names[s]}->{names[t]}"))
         else:
             if I[t] - n > I[s] or J[t] - n > J[s]:
@@ -425,29 +411,9 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
-def term_names(C: BifilteredComplex, p: int) -> tuple[str, str]:
-    """The source and target names of C's term p.  An end at position -1
-    is named from C.terms, which a complex with such a term already holds:
-    only the record constructor makes one."""
-    x = C.index()
-    s, t = x.sources[p], x.targets[p]
-    return (x.names[s], x.names[t]) if min(s, t) >= 0 else C.terms[p][:2]
-
-
-def refuse_unknown(C: BifilteredComplex) -> None:
-    """Raise the ValueError for C's first term that names a missing
-    generator (C.defects().unknown_term), if any."""
-    p = C.defects().unknown_term
-    if p is not None:
-        source, target, n = C.terms[p]
-        name = source if C.index().sources[p] < 0 else target
-        raise ValueError(f"term U^{n} {source!r}->{target!r} references unknown generator {name!r}")
-
-
 def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed."""
     x = C.index()
-    refuse_unknown(C)
     neg = operator.neg
     D = BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
@@ -466,8 +432,6 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     h in turn) come before those of C2 (for each g in turn).
     """
     x1, x2 = C1.index(), C2.index()
-    refuse_unknown(C1)
-    refuse_unknown(C2)
     n2 = len(x2.names)
     right = range(n2)
     bases = range(0, len(x1.names) * n2, n2)

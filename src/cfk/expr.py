@@ -29,8 +29,9 @@ from math import gcd
 from typing import NamedTuple, Union
 
 from .cfkfile import read_complex
-from .complexes import (BifilteredComplex, dual, require_valid, staircase, tensor)
-from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError
+from .complexes import (NO_DEFECTS, BifilteredComplex, dual, require_valid, staircase,
+                        tensor, validate)
+from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError, ValidationError
 from .laurent import LaurentPoly, cable_alexander, torus_alexander
 
 
@@ -331,11 +332,15 @@ def build_complex(e: KnotExpr) -> BifilteredComplex:
 
     Cables demand an L-space companion with q >= p*(2g - 1); everything
     else composes structurally (mirror -> dual, sum -> tensor).  Complexes
-    loaded from files are validated before use.  Every complex _build
-    returns is new, so it is relabelled in place and keeps its index and
-    memo, including what validation recorded.
+    loaded from files are validated before use, and a built complex whose
+    structure record is not clean (a sum whose factors' names collide into
+    one product name) raises ValidationError with validate's violations.
+    Every complex _build returns is new, so it is relabelled in place and
+    keeps its index and memo, including what validation recorded.
     """
     built = _build(e)
+    if built.defects() != NO_DEFECTS:
+        raise ValidationError(validate(built))
     built.label = to_text(e)
     return built
 

@@ -31,16 +31,18 @@ reduced in order, pivot at the highest set bit):
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
 and for the named ``basis`` and ``terms`` of a level, which are zipped
-only when a caller reads them.  Every entry point first refuses what the
-complex's structure record (``C.defects()``) shows: a repeated name, a
-term naming a missing generator, a repeated (source, target) pair.  A
-``FreeUComplex`` is only ever a level that ``a_minus`` makes: its
-gradings by position, and the term positions every level of the complex
-shares, so the V ladder makes no per-level names and
-``homology_over_U`` looks up none unless a pivot pair fails.
+only when a caller reads them.  A ``FreeUComplex`` is only ever a level
+that ``a_minus`` makes: its gradings by position, and the term positions
+every level of the complex shares, so the V ladder makes no per-level
+names and ``homology_over_U`` looks up none unless a pivot pair fails.
 
-The V ladder decides validity once per complex, not per level: before it
-builds a level, ``a_minus`` reads the complex's verdict
+Every refusal here that validate would also make uses validate's words.
+Every entry point first reads the complex's structure record
+(``C.defects()``): a repeated name or a repeated (source, target) pair
+raises ValueError with the message of validate's first violation, which
+such a complex always has.  The V
+ladder decides the rest of validity once per complex, not per level:
+before it builds a level, ``a_minus`` reads the complex's verdict
 (cfk.complexes.``verdict``, validate's positional stage: U powers >= 0,
 filtration, homogeneity and d^2 = 0) and raises ValueError with
 validate's message for the first violation.  So V, H, nu+ and the
@@ -48,10 +50,10 @@ surgery formulas refuse what ``validate`` refuses, at every k.
 ``staircase``, ``dual`` and ``tensor`` seed the verdict as valid, so a
 built complex pays for no check; a loaded or record-built one runs the
 positional stage on its first level.  tau, nu, epsilon and HFK-hat read
-no verdict yet: they refuse only what C.defects() shows.  tau and
-HFK-hat read the complex's vertical slice; nu builds the U = 0 slices of
-A^-_k.  Each slice is gradings plus the source and target positions of
-its terms.
+no verdict on a complex with a clean structure record: on one that
+validate refuses they may return numbers.  tau and HFK-hat read the
+complex's vertical slice; nu builds the U = 0 slices of A^-_k.  Each
+slice is gradings plus the source and target positions of its terms.
 
 Each complex object keeps a private memo of its checked index, the free
 gradings of each level, the vertical slice and pairing, nu and the
@@ -67,7 +69,7 @@ from collections.abc import Sequence
 from itertools import compress
 
 from . import f2
-from .complexes import (BifilteredComplex, Index, dual, memoized, refuse_unknown,
+from .complexes import (NO_DEFECTS, BifilteredComplex, Index, dual, memoized,
                         shifted_slice, verdict, vertical_slice)
 from .errors import KnotTypeError, PreconditionError
 
@@ -114,19 +116,12 @@ class FreeUComplex:
 
 @memoized
 def _index(C: BifilteredComplex) -> Index:
-    """C's index, once C.defects() shows no repeated name, no term naming a
-    missing generator and no repeated (source, target) pair; the first of
-    those raises ValueError, in that order."""
-    index = C.index()
-    defects = C.defects()
-    names = index.names
-    if defects.repeated_name is not None:
-        raise ValueError(f"duplicate basis name {names[defects.repeated_name]!r}")
-    refuse_unknown(C)
-    p = defects.repeated_pair
-    if p is not None:
-        raise ValueError(f"duplicate term {names[index.sources[p]]}->{names[index.targets[p]]}")
-    return index
+    """C's index, once C.defects() shows no repeated name and no repeated
+    (source, target) pair; a complex with either raises ValueError with
+    validate's first message (such a complex always has one)."""
+    if C.defects() != NO_DEFECTS:
+        raise ValueError(verdict(C)[0].message)
+    return C.index()
 
 
 def _shift(index: Index, k: int) -> list[int]:
@@ -142,10 +137,9 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     exponent n + c_s - c_t, which is (grading(t) - grading(s) + 1) / 2
     since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings.
 
-    C's verdict (cfk.complexes.verdict) is read first, after the checks of
-    C.defects(): a complex that validate's positional stage refuses raises
-    ValueError with validate's message for its first violation, at every
-    k.  On a complex that passes, every level is a homogeneous subcomplex
+    C's verdict (cfk.complexes.verdict) is read first: a complex that
+    validate's positional stage refuses raises ValueError with validate's
+    message for its first violation, at every k.  On a complex that passes, every level is a homogeneous subcomplex
     with d^2 = 0, and each exponent is nonnegative, since n >= 0 and a
     term lowers neither i nor j.
     """

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 import tempfile
 from fractions import Fraction
-from math import ceil
 from pathlib import Path
 from typing import Callable
 
@@ -128,7 +127,7 @@ def _check_signature_rules() -> None:
     for p in (2, 3):  # on the (p, 3p-1) cables the signature bound stays below g4
         sigma_bound = 4 + (p - 1) * (3 * p - 2)
         g4 = p * (3 * p - 1) // 2 + 1
-        _expect(ceil(sigma_bound / 2) + 2 * p - 2 <= g4, True, p)
+        _expect(sigma_bound // 2 + 2 * p - 2 <= g4, True, p)
 
 
 def _check_lens_recursion() -> None:

@@ -10,7 +10,7 @@ with p, q >= 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .complexes import BifilteredComplex, dual
@@ -240,7 +240,7 @@ def genus_report(C: BifilteredComplex, expression: "kx.KnotExpr | None" = None) 
     """Four-ball genus bounds for the knot of C.
 
     Lower bound: the larger of nu_plus on both sides, improved by
-    ceil(|sigma|/2) when the signature calculus reaches a value.  Upper
+    |sigma|/2 (sigma is even) when the signature calculus reaches a value.  Upper
     bound: Seifert genus from the associated graded homology, improved by a
     g4_upper annotation on the expression.
     """
@@ -259,7 +259,7 @@ def genus_report(C: BifilteredComplex, expression: "kx.KnotExpr | None" = None) 
     lower = max(np_here, np_mirror)
     source = "nu_plus" if np_here >= np_mirror else "nu_plus of the mirror"
     if sigma is not None:
-        half = ceil(abs(sigma) / 2)
+        half = abs(sigma) // 2
         if half > lower:
             lower = half
             source = "signature"

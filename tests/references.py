@@ -23,7 +23,7 @@ import re
 from cfk import expr as kx
 from cfk import f2
 from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
-                           GRADING, UNDECLARED_NAME, VERTICAL_HOMOLOGY,
+                           GRADING, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
 from cfk.errors import FormatError, KnotTypeError, ValidationError
 from cfk.laurent import LaurentPoly, is_lspace_form, torus_alexander
@@ -200,26 +200,18 @@ def validate(C: BifilteredComplex) -> list[Violation]:
             out.append(Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice"))
         seen.add(name)
 
-    gens = C.by_name
-    structural_ok = not out
+    gens = {g.name: g for g in C.generators}  # a repeated name: its last declaration
     term_seen: set[DiffTerm] = set()
     for term in C.terms:
         source, target, n = term
         if term in term_seen:
             out.append(Violation(DUPLICATE_TERM, f"term U^{n}:{source}->{target} repeated"))
-            structural_ok = False
             continue
         term_seen.add(term)
-        if source not in gens or target not in gens:
-            missing = source if source not in gens else target
-            out.append(Violation(UNDECLARED_NAME, f"term references unknown generator {missing!r}"))
-            structural_ok = False
-            continue
         _, si, sj, sm = gens[source]
         _, ti, tj, tm = gens[target]
         if n < 0:
             out.append(Violation(FILTRATION, f"negative U power on {source}->{target}"))
-            structural_ok = False
             continue
         if ti - n > si or tj - n > sj:
             out.append(Violation(
@@ -232,7 +224,7 @@ def validate(C: BifilteredComplex) -> list[Violation]:
                 f"U^{n}:{source}->{target} grading mismatch: "
                 f"M={sm} source vs M={tm}-2*{n} target"))
 
-    if out or not structural_ok:
+    if out:
         return out
 
     outgoing: dict[str, list[tuple[str, int]]] = {}

@@ -145,7 +145,7 @@ def test_file_commands_make_no_records(tmp_path, capsys, monkeypatch):
     def refuse(C):
         raise AssertionError("records were made")
 
-    for attribute in ("generators", "terms", "by_name"):
+    for attribute in ("generators", "terms"):
         monkeypatch.setattr(cfk.BifilteredComplex, attribute, property(refuse))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out == f"{path}: OK (15 generators, 22 terms)\n"
@@ -262,6 +262,45 @@ def test_file_errors_exit_2(tmp_path, capsys):
     invalid.write_text("cfk v1\ngen a 0 0 0\ngen b 0 0 0\ndif a b\n")
     assert main(["invariants", f'file("{invalid}")']) == 2
     assert "[grading]" in capsys.readouterr().err
+
+
+def test_sums_whose_names_collide_exit_2(tmp_path, capsys):
+    """Two valid trefoil files whose product names collide ("x" * "y*z" and
+    "x*y" * "z") make a complex that repeats a name: every report refuses
+    it with validate's violations and exit code 2, as for a bad file."""
+    def trefoil(path, names):
+        a, b, c = names
+        path.write_text(f"cfk v1\ngen {a} 0 1 0\ngen {b} 1 1 1\ngen {c} 1 0 0\ndif {b} {a} {c}\n")
+
+    trefoil(tmp_path / "A.cfk", ["x", "x*y", "a"])
+    trefoil(tmp_path / "B.cfk", ["y*z", "z", "b"])
+    for path in ("A.cfk", "B.cfk"):
+        assert main(["validate", str(tmp_path / path)]) == 0
+    capsys.readouterr()
+    text = f'file("{tmp_path / "A.cfk"}") # file("{tmp_path / "B.cfk"}")'
+    violations = cfk.validate(cfk.tensor(cfk.read_complex(tmp_path / "A.cfk"),
+                                         cfk.read_complex(tmp_path / "B.cfk")))
+    assert violations[0].message == "generator name 'x*y*z' declared twice"
+    message = "; ".join(f"[{v.kind}] {v.message}" for v in violations)
+    for argv in (["invariants", text], ["genus", text], ["hfk", text],
+                 ["dinv", text, "--surgery", "5"], ["cable-bounds", text, "2", "1"]):
+        for json_flag in ([], ["--json"]):
+            assert main(argv + json_flag) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sigma, half", [
+    (-1152921504606846978, 576460752303423489),  # a float rounds it to ...488
+    (-(10 ** 399 + 8), 5 * 10 ** 398 + 4),  # past a float's range
+], ids=["19 digits", "400 digits"])
+def test_signature_bound_is_exact_for_any_even_sigma(capsys, sigma, half):
+    """g4_lower from sigma is |sigma| / 2 in integers: no float rounding
+    and no OverflowError, however many digits sigma has."""
+    rep = run_json(capsys, ["genus", f"{{torus(2,3) @ sigma={sigma}}}"])
+    assert (rep["sigma"], rep["g4_lower"]) == (sigma, half)
+    assert f"signature {sigma} gives lower bound {half}" in rep["notes"]
+    assert main(["genus", f"{{torus(2,3) @ sigma={sigma}}}"]) == 0
+    assert f"g4_lower: {half}\n" in capsys.readouterr().out
 
 
 def test_file_not_in_utf8_exits_2(tmp_path, capsys):

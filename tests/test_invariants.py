@@ -70,11 +70,12 @@ def test_homology_over_u_rejects_inhomogeneous():
         homology_over_U(origin_level((("a", 0), ("b", 0)), (("a", "b", 0),)))
 
 
+# The first two ids name the defect; the message is validate's first.
 @pytest.mark.parametrize("x, message", [
-    ((origin_level, (("a", 0), ("a", 1)), ()),
-     "duplicate basis name 'a'"),
-    ((origin_level, (("a", 1), ("b", 0)), (("a", "b", 0), ("a", "b", 0))),
-     "duplicate term a->b"),
+    pytest.param((origin_level, (("a", 0), ("a", 1)), ()),
+                 "generator name 'a' declared twice", id="x0-duplicate basis name 'a'"),
+    pytest.param((origin_level, (("a", 1), ("b", 0)), (("a", "b", 0), ("a", "b", 0))),
+                 "term U^0:a->b repeated", id="x1-duplicate term a->b"),
     # a -> b -> c: the pivot a -> b leaves b -> c in the cancelled target's column
     ((free_level, (("a", 2), ("b", 1), ("c", 0)), (("a", "b", 0), ("b", "c", 0))),
      "column of the cancelled target is nonzero"),
@@ -104,17 +105,22 @@ def test_homology_over_u_rejects_bad_input(x, message):
     lambda C: V(C, 0), tau, nu, hfk_hat,
 ], ids=["a_minus", "hat_a", "vertical_complex", "V", "tau", "nu", "hfk_hat"])
 def test_term_with_unknown_generator_is_named(entry, ghost):
+    """A term naming no generator is refused, and named, when the complex
+    is made, so no entry ever reads one; without it, the entry reads the
+    one-generator complex."""
     term = DiffTerm("ghost", "a", 0) if ghost == "source" else DiffTerm("a", "ghost", 0)
-    C = BifilteredComplex([Generator("a", 0, 0, 0)], [term])
     message = (f"term U^0 {term.source!r}->{term.target!r} "
                "references unknown generator 'ghost'")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        entry(C)
+        entry(BifilteredComplex([Generator("a", 0, 0, 0)], [term]))
+    entry(BifilteredComplex([Generator("a", 0, 0, 0)], []))
 
 
+# Each id names the defect; the message is validate's first.
 @pytest.mark.parametrize("defect, message", [
-    ("name", "duplicate basis name 'x0'"),
-    ("term", "duplicate term x1->x0"),
+    pytest.param("name", "generator name 'x0' declared twice",
+                 id="name-duplicate basis name 'x0'"),
+    pytest.param("term", "term U^0:x1->x0 repeated", id="term-duplicate term x1->x0"),
 ])
 @pytest.mark.parametrize("entry", [
     lambda C: a_minus(C, 0), lambda C: V(C, 0), nu_plus, tau, nu, epsilon, hfk_hat,
@@ -128,18 +134,17 @@ def test_repeated_name_or_term_is_refused(entry, defect, message):
         C = BifilteredComplex(list(T.generators) + [Generator("x0", 7, 7, 0)], T.terms)
     else:
         C = BifilteredComplex(T.generators, list(T.terms) + [DiffTerm("x1", "x0", 0)])
-    assert validate(C)  # a complex validate rejects is still checked
+    assert validate(C)[0].message == message
     for _ in range(2):  # a refusal leaves nothing in the memo
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(C)
 
 
 def test_missing_generator_is_reported_before_an_escaping_term():
-    # the index of C is built before any level, so the ghost comes first
-    C = BifilteredComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)],
-                          [DiffTerm("a", "b", 0), DiffTerm("b", "ghost", 0)])
+    # the index of C is built when C is made, so the ghost comes first
     with pytest.raises(ValueError, match="references unknown generator 'ghost'"):
-        V(C, 0)
+        V(BifilteredComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)],
+                            [DiffTerm("a", "b", 0), DiffTerm("b", "ghost", 0)]), 0)
 
 
 def test_level_independent_checks_do_not_stick_after_a_failure(knot_45):
