@@ -26,11 +26,14 @@ last declaration.
 
 ``first_defects`` decides once per complex whether its index is sound:
 ``C.defects()`` keeps the position of the first repeated name and of the
-first repeated (source, target) pair, or None for each, and ``loads``
-seeds it as NO_DEFECTS.  A complex with either defect always has a
-positional violation (a repeated name, a term repeated at one U power or,
-at two powers, a grading mismatch): ``validate`` reports it, and every
-invariant refuses it with validate's first message.  ``dumps`` refuses
+first repeated (source, target) pair, or None for each.  Where the build
+already knows it, the build seeds it: ``loads`` and ``staircase`` as
+NO_DEFECTS, ``dual`` as its source's record, and ``tensor`` of two clean
+factors by a search of the product's names alone (see ``tensor``).  A
+complex with either defect always has a positional violation (a repeated
+name, a term repeated at one U power or, at two powers, a grading
+mismatch): ``validate`` reports it, and every invariant refuses it with
+validate's first message.  ``dumps`` refuses
 only what would not read back.  ``validate`` and ``dumps`` check a
 complex, defective or not, in one pass over its term positions, and
 build a set of names or terms only when the record holds a repeat.  A
@@ -44,12 +47,13 @@ validate, tau and HFK-hat.
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
 homology.  It reports each failure as a Violation, a NamedTuple of a kind
 and a message.  The positional stage's result is the complex's verdict
-(``verdict(C)``), kept next to its structure record once that is clean.
+(``verdict(C)``), kept next to its structure record for every complex.
 ``staircase`` seeds it as valid, ``dual`` inherits a valid one, and
-``tensor`` seeds it as valid when both factors' verdicts are; ``loads``
-and the record constructor leave it to the first call.  The V ladder in
-cfk.invariants reads it before it builds a level, so a built complex is
-never checked, and any other is checked once.
+``tensor`` seeds it as valid when both factors' verdicts are and the
+product's record is clean; ``loads`` and the record constructor leave it
+to the first call.  The V ladder in cfk.invariants reads it before it
+builds a level, so a built complex is never checked, and any other is
+checked once.  ``dual(C)`` is kept in C's memo, so C has one mirror.
 """
 from __future__ import annotations
 
@@ -128,9 +132,14 @@ def first_defects(names: Sequence[str], sources: Sequence[int],
     def pairs() -> Iterable[int]:
         return map(operator.add, map(operator.mul, sources, repeat(width)), targets)
 
-    return Defects(
-        _first_repeat(names) if len(set(names)) < len(names) else None,
-        _first_repeat(pairs()) if len(set(pairs())) < len(sources) else None)
+    return Defects(_repeated_name(names),
+                   _first_repeat(pairs()) if len(set(pairs())) < len(sources) else None)
+
+
+def _repeated_name(names: Sequence[str]) -> int | None:
+    """The position of the first repeated name, or None: a set size, and a
+    search only if it shows a repeat."""
+    return _first_repeat(names) if len(set(names)) < len(names) else None
 
 
 def _first_repeat(items: Iterable[Hashable]) -> int:
@@ -256,17 +265,15 @@ def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
     """validate's positional stage on C: () when C is valid but for its
     vertical homology, else the violations validate reports.
 
-    It is kept on C and read only while C.defects() is clean, so it runs
-    at most once per such complex.  staircase seeds it as (), dual of a
-    complex whose verdict is () inherits it, and so does tensor of two
-    such factors, since filtration, gradings, U powers and d^2 = 0 carry
-    over; loads and the record constructor leave it to the first call.  It
-    holds positional facts only: a tensor of valid factors can still
-    repeat a name, and then validate reports by name, as it does for any
-    complex with a defect.
+    It is kept on C, so it runs at most once per complex.  staircase seeds
+    it as (), dual of a complex whose verdict is () inherits it, and so
+    does tensor of two such factors when the product's structure record
+    is clean, since filtration, gradings, U powers and d^2 = 0 carry over;
+    loads and the record constructor leave it to the first call.  So a
+    verdict of () always comes with a clean record: a tensor of valid
+    factors that repeats a name is checked by name, as any complex with a
+    defect is.
     """
-    if C.defects() != NO_DEFECTS:
-        return tuple(_positional_stage(C))
     if C._verdict is None:
         C._verdict = tuple(_positional_stage(C))
     return C._verdict
@@ -331,10 +338,10 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
         odd: set[int] = set()
         for mid in ends:
             odd ^= outgoing[mid]
-        for e in sorted(odd, key=names.__getitem__):
-            out.append(Violation(
-                D_SQUARED,
-                f"d^2({names[s]}) contains U^{(M[e] - M[s] + 2) // 2}*{names[e]}"))
+        if odd:
+            out += [Violation(D_SQUARED,
+                              f"d^2({names[s]}) contains U^{(M[e] - M[s] + 2) // 2}*{names[e]}")
+                    for e in sorted(odd, key=names.__getitem__)]
     return out
 
 
@@ -402,7 +409,7 @@ def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -
     targets = [t for s in odd for t in (s - 1, s + 1)]
     C = BifilteredComplex.from_columns(
         [f"{prefix}{idx}" for idx in range(len(exps))], i, j, m, [0] * len(sources),
-        sources, targets, label)
+        sources, targets, label, clean=True)
     C._verdict = ()
     return C
 
@@ -411,13 +418,20 @@ def unknot_complex(prefix: str = "x") -> BifilteredComplex:
     return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
 
 
+@memoized
 def dual(C: BifilteredComplex) -> BifilteredComplex:
-    """Mirror complex: positions and gradings negated, arrows reversed."""
+    """Mirror complex: positions and gradings negated, arrows reversed.
+
+    It is kept in C's memo, so each complex has one mirror.  The mirror
+    has C's names and C's pairs reversed, so the same first repeats: it
+    takes C's structure record as it stands, and C's verdict when that is
+    valid.  It holds no reference to C."""
     x = C.index()
     neg = operator.neg
     D = BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
         x.powers, x.targets, x.sources, f"dual({C.label})")
+    D._defects = C._defects
     if C._verdict == ():
         D._verdict = ()
     return D
@@ -430,6 +444,13 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     ordering is by factor index pairs, so the result is deterministic:
     g*h is at position p1 * n2 + p2, and the terms of C1 (each with every
     h in turn) come before those of C2 (for each g in turn).
+
+    When neither factor repeats a name or a pair, neither does the product
+    by position: a term of C1 times h and g times a term of C2 share a
+    pair only when both terms are loops (s -> s), so the pair record is
+    seeded then, and only the product's names are searched.  Those can
+    still repeat ("x" * "y*z" and "x*y" * "z").  The verdict is seeded
+    valid when both factors' are and the product's record is clean.
     """
     x1, x2 = C1.index(), C2.index()
     n2 = len(x2.names)
@@ -448,6 +469,9 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
         ends(x1.sources, x2.sources), ends(x1.targets, x2.targets),
         f"tensor({C1.label}, {C2.label})")
-    if C1._verdict == C2._verdict == ():
-        C._verdict = ()
+    if C1.defects() == C2.defects() == NO_DEFECTS and not all(
+            any(map(operator.eq, x.sources, x.targets)) for x in (x1, x2)):
+        C._defects = Defects(_repeated_name(C.index().names), None)
+        if C1._verdict == C2._verdict == () and C._defects == NO_DEFECTS:
+            C._verdict = ()
     return C

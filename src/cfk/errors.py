@@ -27,11 +27,18 @@ class FormatError(CfkError):
 
 
 class ValidationError(CfkError):
+    """A complex that validate refuses.  The message joins the first
+    SHOWN violations on one line and counts the rest; .violations keeps
+    them all."""
     exit_code = 2
+    SHOWN = 10
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("; ".join(f"[{v.kind}] {v.message}" for v in self.violations))
+        parts = [f"[{v.kind}] {v.message}" for v in self.violations[:self.SHOWN]]
+        if len(self.violations) > self.SHOWN:
+            parts.append(f"… and {len(self.violations) - self.SHOWN} more")
+        super().__init__("; ".join(parts))
 
 
 class NoConstructorError(CfkError):

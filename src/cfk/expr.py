@@ -323,8 +323,15 @@ def lspace_alexander(e: KnotExpr) -> LaurentPoly:
 
 
 def _lspace_genus(e: KnotExpr) -> int:
-    delta = lspace_alexander(e)
-    return delta.degree()
+    """The genus of an L-space expression, the degree of its Alexander
+    polynomial: (p-1)(q-1)/2 for torus(p,q), and p*g + (p-1)(q-1)/2 for
+    the (p,q) cable of a genus-g companion."""
+    node = strip_annotations(e)
+    if isinstance(node, Cable):
+        return node.p * _lspace_genus(node.companion) + (node.p - 1) * (node.q - 1) // 2
+    if isinstance(node, Torus):
+        return (node.p - 1) * (node.q - 1) // 2
+    return 0
 
 
 def build_complex(e: KnotExpr) -> BifilteredComplex:

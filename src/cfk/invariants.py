@@ -49,18 +49,20 @@ validate's message for the first violation.  So V, H, nu+ and the
 surgery formulas refuse what ``validate`` refuses, at every k.
 ``staircase``, ``dual`` and ``tensor`` seed the verdict as valid, so a
 built complex pays for no check; a loaded or record-built one runs the
-positional stage on its first level.  tau, nu, epsilon and HFK-hat read
+positional stage once, on its first level or its first refusal, and
+keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
 no verdict on a complex with a clean structure record: on one that
 validate refuses they may return numbers.  tau and HFK-hat read the
 complex's vertical slice; nu builds the U = 0 slices of A^-_k.  Each
 slice is gradings plus the source and target positions of its terms.
 
 Each complex object keeps a private memo of its checked index, the free
-gradings of each level, the vertical slice and pairing, nu and the
-HFK-hat table, so every report reduces a given (complex, k) once.  V
-outside the Alexander range reads the boundary level (see ``V``).
-V_{-k} = V_k + k is not used as a shortcut: it stays a check on the
-computed table.
+gradings of each level, the vertical slice and pairing, nu, the HFK-hat
+table and its mirror (``dual``), so every report reduces a given
+(complex, k) once, and epsilon and the genus report's nu+ of the mirror
+read one mirror complex.  V outside the Alexander range reads the
+boundary level (see ``V``).  V_{-k} = V_k + k is not used as a shortcut:
+it stays a check on the computed table.
 """
 from __future__ import annotations
 

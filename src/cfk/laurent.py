@@ -2,7 +2,11 @@
 
 Polynomials are stored sparsely as {exponent: coefficient} with zero
 coefficients dropped, so equality is structural.  Everything here is exact
-integer arithmetic; no floats anywhere.
+integer arithmetic; no floats anywhere.  A torus knot's polynomial is read
+off the semigroup <p, q> of the singularity x^p = y^q, whose Poincare
+series is Delta(t) / (1 - t) (Campillo, Delgado and Gusein-Zade, "The
+Alexander polynomial of a plane curve singularity via the ring of
+functions on it", 2003), so no polynomial is divided.
 """
 from __future__ import annotations
 
@@ -141,47 +145,25 @@ def substitute_power(p: LaurentPoly, m: int) -> LaurentPoly:
     return LaurentPoly({e * m: c for e, c in p.coeffs.items()})
 
 
-def _exact_div(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    # Long division in Z[t] (nonnegative exponents), exact by construction
-    # of the callers; a nonzero remainder means a caller bug.
-    num = dict(num)
-    dtop = max(den)
-    dlead = den[dtop]
-    quot: dict[int, int] = {}
-    while num:
-        ntop = max(num)
-        if ntop < dtop:
-            raise ArithmeticError("inexact polynomial division")
-        c, r = divmod(num[ntop], dlead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        shift = ntop - dtop
-        quot[shift] = c
-        for e, dc in den.items():
-            e2 = e + shift
-            s = num.get(e2, 0) - c * dc
-            if s:
-                num[e2] = s
-            elif e2 in num:
-                del num[e2]
-    return quot
-
-
 def torus_alexander(p: int, q: int) -> LaurentPoly:
     """Symmetrized Alexander polynomial of the (p,q) torus knot.
 
-    Computed as (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), shifted so the
-    exponents are symmetric about zero.  Requires coprime p, q >= 1.
+    Read off the semigroup S = <p, q> = {ap + bq : a, b >= 0}: since
+    Delta(t) / (1 - t) = sum of t^s over s in S, the coefficient at t^k is
+    [k in S] - [k - 1 in S], and S holds every k >= 2g = (p-1)(q-1), so
+    k runs over 0..2g and is shifted by -g to be symmetric about zero.
+    Requires coprime p, q >= 1.
     """
     if p < 1 or q < 1:
         raise ValueError("torus parameters must be >= 1")
     if gcd(p, q) != 1:
         raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
-    num = LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})
-    den = LaurentPoly({p: 1, 0: -1}) * LaurentPoly({q: 1, 0: -1})
-    quot = _exact_div(num.coeffs, den.coeffs)
-    shift = -((p - 1) * (q - 1) // 2)
-    return LaurentPoly({e + shift: c for e, c in quot.items()})
+    top = (p - 1) * (q - 1)
+    in_s = [False] * (top + 1)
+    for a in range(0, top + 1, p):
+        for k in range(a, top + 1, q):
+            in_s[k] = True
+    return LaurentPoly({k - top // 2: in_s[k] - (k > 0 and in_s[k - 1]) for k in range(top + 1)})
 
 
 def cable_alexander(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:

@@ -13,8 +13,10 @@ read line by line.  The tests compare the library against them, result
 for result and message for message.  ``solve`` and ``kernel_basis`` are
 the back-substituting eliminations that cfk.f2 ran before its one
 reduction kernel, so tau and nu here share no kernel with the library.
-Only f2.rank, the expression parser and the Alexander polynomials are
-shared.
+``torus_alexander`` is the long division cfk.laurent ran before it read
+torus polynomials off the semigroup <p, q>, and the torus factors here
+are built from it.  Only f2.rank, the expression parser and the cable
+polynomials are shared.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION
                            GRADING, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
 from cfk.errors import FormatError, KnotTypeError, ValidationError
-from cfk.laurent import LaurentPoly, is_lspace_form, torus_alexander
+from cfk.laurent import LaurentPoly, is_lspace_form
 
 
 def loads(text, label=""):
@@ -92,6 +94,28 @@ def loads(text, label=""):
     if not header:
         raise FormatError("missing 'cfk v1' header (found 'empty file')")
     return BifilteredComplex(generators, terms, label)
+
+
+def torus_alexander(p, q):
+    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by long division in Z[t],
+    shifted to be symmetric about zero; p, q >= 1 coprime."""
+    num = (LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})).coeffs
+    den = (LaurentPoly({p: 1, 0: -1}) * LaurentPoly({q: 1, 0: -1})).coeffs
+    dtop = max(den)
+    quot = {}
+    while num:
+        ntop = max(num)
+        c, r = divmod(num[ntop], den[dtop])
+        if ntop < dtop or r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[ntop - dtop] = c
+        for e, dc in den.items():
+            e2 = e + ntop - dtop
+            num[e2] = num.get(e2, 0) - c * dc
+            if not num[e2]:
+                del num[e2]
+    shift = -((p - 1) * (q - 1) // 2)
+    return LaurentPoly({e + shift: c for e, c in quot.items()})
 
 
 def staircase(delta, prefix="x", label=None):

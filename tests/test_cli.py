@@ -264,16 +264,19 @@ def test_file_errors_exit_2(tmp_path, capsys):
     assert "[grading]" in capsys.readouterr().err
 
 
-def test_sums_whose_names_collide_exit_2(tmp_path, capsys):
-    """Two valid trefoil files whose product names collide ("x" * "y*z" and
-    "x*y" * "z") make a complex that repeats a name: every report refuses
-    it with validate's violations and exit code 2, as for a bad file."""
-    def trefoil(path, names):
-        a, b, c = names
-        path.write_text(f"cfk v1\ngen {a} 0 1 0\ngen {b} 1 1 1\ngen {c} 1 0 0\ndif {b} {a} {c}\n")
+def colliding_trefoils(tmp_path):
+    """Two valid trefoil files whose product names collide: "x" * "y*z" and
+    "x*y" * "z"."""
+    for path, (a, b, c) in (("A.cfk", ["x", "x*y", "a"]), ("B.cfk", ["y*z", "z", "b"])):
+        (tmp_path / path).write_text(
+            f"cfk v1\ngen {a} 0 1 0\ngen {b} 1 1 1\ngen {c} 1 0 0\ndif {b} {a} {c}\n")
 
-    trefoil(tmp_path / "A.cfk", ["x", "x*y", "a"])
-    trefoil(tmp_path / "B.cfk", ["y*z", "z", "b"])
+
+def test_sums_whose_names_collide_exit_2(tmp_path, capsys):
+    """Two valid trefoil files whose product names collide make a complex
+    that repeats a name: every report refuses it with validate's
+    violations and exit code 2, as for a bad file."""
+    colliding_trefoils(tmp_path)
     for path in ("A.cfk", "B.cfk"):
         assert main(["validate", str(tmp_path / path)]) == 0
     capsys.readouterr()
@@ -287,6 +290,23 @@ def test_sums_whose_names_collide_exit_2(tmp_path, capsys):
         for json_flag in ([], ["--json"]):
             assert main(argv + json_flag) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_refusal_names_the_first_ten_violations_and_counts_the_rest(tmp_path, capsys):
+    """A four-factor sum whose names collide has 425 violations: the error
+    line shows the first ten and counts the rest (it was 31,538 bytes), and
+    the ValidationError keeps them all."""
+    colliding_trefoils(tmp_path)
+    text = f'file("{tmp_path / "A.cfk"}") # file("{tmp_path / "B.cfk"}") # torus(2,9) # torus(2,7)'
+    with pytest.raises(cfk.ValidationError) as refused:
+        cfk.build_complex(cfk.parse(text))
+    violations = refused.value.violations
+    assert len(violations) == 425
+    shown = "; ".join(f"[{v.kind}] {v.message}" for v in violations[:10])
+    assert str(refused.value) == f"{shown}; … and 415 more"
+    assert cfk.ValidationError(violations[:10]).args == (shown,)
+    assert main(["genus", text]) == 2
+    assert capsys.readouterr() == ("", f"error: {shown}; … and 415 more\n")
 
 
 @pytest.mark.parametrize("sigma, half", [

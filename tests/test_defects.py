@@ -1,15 +1,20 @@
 """The structure record (cfk.complexes.first_defects): which reader reports
 which defect when a complex has several, frozen message by message; the
-record constructor refusing a term that names no generator; loads seeding
-the record; and one vertical slice per complex."""
+record constructor refusing a term that names no generator; loads,
+staircase, dual and tensor seeding the record; one mirror per complex;
+and one vertical slice per complex."""
+import gc
+import random
 import re
+import weakref
 
 import pytest
 
-from cfk import complexes, invariants
+from cfk import complexes, expr, invariants
 from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import NO_DEFECTS, BifilteredComplex, DiffTerm as D, Defects
-from cfk.complexes import Generator as G, dual, first_defects, tensor, validate
+from cfk.cli import main
+from cfk.complexes import Generator as G, dual, first_defects, tensor, validate, verdict
 from cfk.expr import build_complex, parse
 from cfk.invariants import V, hfk_hat, nu, nu_plus, tau
 from cfk.surgery import SurgerySpec, d_invariants
@@ -337,9 +342,10 @@ def test_file_and_loaded_complexes_run_the_positional_stage_once(text, tmp_path,
 
 
 def test_a_tensor_of_valid_factors_can_repeat_a_name():
-    """Both factors pass validate, so the tensor's verdict is seeded valid;
-    its names still repeat ("x*y" + "z" against "x" + "y*z"), and validate
-    reports that by name, as for a complex built from records."""
+    """Both factors pass validate, but the tensor's names repeat ("x*y" +
+    "z" against "x" + "y*z"): its record shows it, its verdict is not
+    seeded, and validate reports the repeat by name, as for a complex
+    built from records."""
     def trefoil(names):
         rename = dict(zip(["x0", "x1", "x2"], names))
         return BifilteredComplex([G(rename[g.name], *g[1:]) for g in GENS],
@@ -348,6 +354,7 @@ def test_a_tensor_of_valid_factors_can_repeat_a_name():
     A, B = trefoil(["x", "x*y", "a"]), trefoil(["y*z", "z", "b"])
     assert validate(A) == validate(B) == []
     C = tensor(A, B)
+    assert C._defects == Defects(4, None) and C._verdict is None
     found = [(v.kind, v.message) for v in validate(C)]
     assert found[0] == ("duplicate-name", "generator name 'x*y*z' declared twice")
     records = BifilteredComplex(C.generators, C.terms)
@@ -369,3 +376,120 @@ def test_one_vertical_slice_per_complex(text, monkeypatch):
     C = loads(text)
     assert validate(C) == [] and (tau(C), nu(C)) == (0, 1) and hfk_hat(C)
     assert vertical == [1]
+
+
+def test_a_defective_complex_runs_the_positional_stage_once(text, monkeypatch):
+    """The verdict is kept for every complex, so seven V calls on a
+    record-built complex with a repeated name check it once and refuse
+    each time with validate's first message."""
+    built = loads(text)
+    C = BifilteredComplex(built.generators + built.generators[:1], built.terms)
+    ran = []
+    positional_stage = complexes._positional_stage
+
+    def counted(C):
+        ran.append(C)
+        return positional_stage(C)
+
+    monkeypatch.setattr(complexes, "_positional_stage", counted)
+    for k in range(-3, 4):
+        assert outcome(lambda C: V(C, k), C) == "ValueError: generator name 'x0*x0' declared twice"
+    assert len(ran) == 1
+
+
+def test_each_complex_has_one_mirror_and_it_holds_no_reference_back(text):
+    C = loads(text)
+    assert dual(C) is dual(C) and C._memo[("dual",)] is dual(C)
+    assert dual(dual(C)) is not C
+    gone = weakref.ref(C)
+    mirror = dual(C)
+    gc.disable()
+    try:
+        del C
+        assert gone() is None  # freed by its reference count: no cycle
+    finally:
+        gc.enable()
+    assert tau(mirror) == 0
+
+
+def test_one_invariants_report_makes_two_mirrors_and_no_defect_pass(capsys, monkeypatch):
+    """On the 225-generator paper knot: the mirror in the expression and
+    the one the report reads for nu+ and epsilon, and every structure
+    record seeded by the build."""
+    mirrors, passes = [], []
+    from_columns = BifilteredComplex.from_columns.__func__
+
+    def counted_columns(cls, *args, **kwargs):
+        C = from_columns(cls, *args, **kwargs)
+        if C.label.startswith("dual("):
+            mirrors.append(C)
+        return C
+
+    def counted_defects(*args):
+        passes.append(1)
+        return first_defects(*args)
+
+    monkeypatch.setattr(BifilteredComplex, "from_columns", classmethod(counted_columns))
+    monkeypatch.setattr(complexes, "first_defects", counted_defects)
+    assert main(["invariants", "torus(2,5) # torus(2,3) # torus(2,3) # "
+                               "mirror(cable(2,5,torus(2,3)))", "--json"]) == 0
+    assert '"nu_plus": 2' in capsys.readouterr().out
+    assert (len(mirrors), len(passes)) == (2, 0)
+
+
+def _cfk_trefoil(path, names):
+    a, b, c = names
+    path.write_text(f"cfk v1\ngen {a} 0 1 0\ngen {b} 1 1 1\ngen {c} 1 0 0\ndif {b} {a} {c}\n")
+    return f'file("{path}")'
+
+
+def _random_expression(rng, leaves, factors):
+    """A sum of that many leaves, some mirrored, in a random grouping."""
+    if factors == 1:
+        leaf = rng.choice(leaves)
+        return f"mirror({leaf})" if rng.random() < 0.3 else leaf
+    left = rng.randint(1, factors - 1)
+    text = (f"({_random_expression(rng, leaves, left)}) # "
+            f"({_random_expression(rng, leaves, factors - left)})")
+    return f"mirror({text})" if rng.random() < 0.2 else text
+
+
+def test_seeded_records_match_a_fresh_computation(tmp_path):
+    """Every structure record and verdict a build seeds (staircase, dual,
+    tensor, loads) equals first_defects and the positional stage run on
+    the complex afresh: on random sums, mirrors and cables with file
+    factors whose names contain "*", so that product names collide, on
+    their mirrors, and on tensors of defective factors, loops among them."""
+    fa, fb, fc, fd = (_cfk_trefoil(tmp_path / f"{file}.cfk", names) for file, names in [
+        ("A", ["x", "x*y", "a"]), ("B", ["y*z", "z", "b"]),
+        ("C", ["x0", "x0*x1", "x2"]), ("D", ["x1*x2", "x2", "d"])])
+    # x * y*z = x*y * z, x0 * x1*x2 = x0*x1 * x2, and (x0 * x1) * x1*x2 = (x0*x1 * x1) * x2
+    colliding = [f"{fa} # {fb}", f"mirror({fa} # {fb})", f"torus(2,3) # ({fa} # {fb})",
+                 f"{fc} # {fd}", f"({fc} # torus(2,3)) # {fd}", f"{fc} # {fd} # mirror({fa})"]
+    leaves = ["unknot", "torus(2,3)", "torus(3,4)", "cable(2,5,torus(2,3))",
+              "cable(3,7,torus(2,3))", fa, fb, fc, fd]
+    rng = random.Random(20)
+
+    def made(C):
+        """C with the record and the verdict it was made with."""
+        return C, C._defects, C._verdict
+
+    built = [made(expr._build(parse(text))) for text in colliding + [
+        _random_expression(rng, leaves, rng.randint(1, 3)) for _ in range(60)]]
+    loop = BifilteredComplex([G("a", 0, 0, 0)], [D("a", "a", 0)])
+    defective = [C for C, *_ in built if C.defects() != NO_DEFECTS]
+    assert sum(C.defects().repeated_name is not None for C in defective) >= len(colliding)
+    defective += [loop] + [BifilteredComplex(*spec) for spec in COMPLEXES.values()]
+    cases = built + [made(dual(C)) for C in [C for C, *_ in built] + defective]
+    cases += [made(tensor(A, B)) for A in [loop] + defective[-4:]
+              for B in (loop, T, built[0][0], defective[0])]
+    cases += [made(tensor(built[0][0], A)) for A in defective]
+    assert any(C.defects().repeated_pair is not None for C, *_ in cases)
+    for C, seeded, kept in cases:
+        x = C.index()
+        fresh = first_defects(x.names, x.sources, x.targets)
+        assert seeded in (None, fresh), C
+        assert C.defects() == fresh
+        assert kept in (None, tuple(complexes._positional_stage(C))), C
+        assert kept != () or fresh == NO_DEFECTS
+        assert verdict(C) == tuple(complexes._positional_stage(C)), C

@@ -1,5 +1,8 @@
+from math import gcd
+
 import pytest
 
+import references
 from cfk.laurent import (LaurentPoly, cable_alexander, is_lspace_form,
                          substitute_power, torus_alexander)
 
@@ -54,6 +57,14 @@ def test_torus_alexander_symmetry_and_division():
         rhs = (poly({p * q: 1, 0: -1}) * poly({1: 1, 0: -1})
                * LaurentPoly.monomial(-shift))
         assert lhs == rhs
+
+
+def test_torus_alexander_matches_the_division_reference():
+    """The semigroup closed form against (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))."""
+    for p in range(1, 13):
+        for q in range(1, 61):
+            if gcd(p, q) == 1:
+                assert torus_alexander(p, q) == references.torus_alexander(p, q), (p, q)
 
 
 def test_torus_alexander_rejects_bad_parameters():
