@@ -24,10 +24,13 @@ directly, and makes no Generator or DiffTerm record: those are made from
 the columns when a caller reads C.generators or C.terms.  A text it reads
 by whole columns repeats no name and no (source, target) pair, so it
 seeds the complex's structure record (C.defects()) as NO_DEFECTS.
-dumps() checks and writes the terms in one pass over their positions,
-reading the record to skip the set of written terms when no term can
-repeat; it raises at the first term it cannot write, and makes no
-Generator or DiffTerm record.
+dumps() makes no Generator or DiffTerm record.  It checks the terms, in
+term order, only when one has a negative U power or the record holds a
+repeat, and raises at the first term it cannot write.  It ranks the
+names once (a name at two positions gets one rank) and keys each term by
+one int, (source rank, U power, target rank); it sorts the keys only when
+they are out of order, which a written file's never are, and cuts the dif
+lines where the source changes.
 
 Files are read and written as UTF-8, whatever the locale; a file that is
 not UTF-8 is a FormatError ("cannot read PATH: ...").
@@ -37,11 +40,11 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
-from .complexes import BifilteredComplex
+from .complexes import NO_DEFECTS, BifilteredComplex
 from .errors import FormatError
 
 HEADER = "cfk v1"
@@ -241,27 +244,51 @@ def dumps(C: BifilteredComplex) -> str:
             problem = _name_problem(name)
             if problem is not None:
                 raise FormatError(f"cannot write generator {name!r}: name {problem}")
-    lines = [HEADER]
-    lines += map("gen {} {} {} {}".format, names, I, J, M)
+    if C.defects() != NO_DEFECTS or min(powers, default=0) < 0:
+        _refuse_terms(names, powers, sources, targets)
     # Terms are keyed by their names: a complex built from columns may hold
-    # one name at two positions.  With no repeated name and no repeated
-    # (source, target) pair, no term repeats.
-    repeated_name, repeated_pair = C.defects()
-    seen: set[tuple[str, str, int]] | None = (
-        None if repeated_name is None and repeated_pair is None else set())
-    by_source: dict[str, list[tuple[int, str]]] = {}
+    # one name at two positions, and both get the name's one rank.  A term's
+    # key (source rank, U power, target rank) is one int, so the terms are
+    # in dif-line order when their keys ascend, as a written file's do, and
+    # one integer sort puts them in order otherwise.
+    ordered = sorted(set(names))
+    width = len(ordered)
+    rank = list(map(dict(zip(ordered, range(width))).__getitem__, names))
+    heads = list(map(rank.__getitem__, sources))
+    ends = list(map(rank.__getitem__, targets))
+    top = max(powers, default=0) + 1
+    if top > 1:  # heads carry the U power until the keys are in order
+        heads = list(map(operator.add, map(operator.mul, heads, repeat(top)), powers))
+    keys = list(map(operator.add, map(operator.mul, heads, repeat(width)), ends))
+    if any(map(operator.gt, keys, islice(keys, 1, None))):
+        keys.sort()
+        heads = list(map(operator.floordiv, keys, repeat(width)))
+        ends = list(map(operator.mod, keys, repeat(width)))
+    # Each term's text has a space before it, and a dif line starts at each
+    # change of source.
+    parts = list(map([" " + name for name in ordered].__getitem__, ends))
+    if top > 1:
+        heads, powers = zip(*map(divmod, heads, repeat(top)))
+        for p in compress(range(len(parts)), powers):
+            parts[p] = f" U^{powers[p]}.{ordered[ends[p]]}"
+    for p in compress(range(len(parts)), map(operator.ne, heads, chain((None,), heads))):
+        parts[p] = f"\ndif {ordered[heads[p]]}{parts[p]}"
+    gens = [f"gen {name} {i} {j} {m}" for name, i, j, m in zip(names, I, J, M)]
+    return "\n".join([HEADER, *gens]) + "".join(parts) + "\n"
+
+
+def _refuse_terms(names: Sequence[str], powers: Sequence[int], sources: list[int],
+                  targets: list[int]) -> None:
+    """Raise FormatError for the first term, in term order, that dumps
+    cannot write: a negative U power, or a term whose (source name, target
+    name, U power) came before."""
+    seen: set[tuple[str, str, int]] = set()
     for s, t, n in zip(sources, targets, powers):
-        if n < 0 or seen is not None and (names[s], names[t], n) in seen:
+        term = (names[s], names[t], n)
+        if n < 0 or term in seen:
             problem = "U power is negative" if n < 0 else "term is repeated"
             raise FormatError(f"cannot write term U^{n} {names[s]!r}->{names[t]!r}: {problem}")
-        if seen is not None:
-            seen.add((names[s], names[t], n))
-        by_source.setdefault(names[s], []).append((n, names[t]))
-    for source in sorted(by_source):
-        parts = [target if n == 0 else f"U^{n}.{target}"
-                 for n, target in sorted(by_source[source])]
-        lines.append(f"dif {source} {' '.join(parts)}")
-    return "\n".join(lines) + "\n"
+        seen.add(term)
 
 
 def read_complex(path: str | Path) -> BifilteredComplex:

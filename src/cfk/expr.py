@@ -18,13 +18,16 @@ they compare and hash by value, as plain tuples do, so code tells the
 kinds apart with isinstance.
 Parsing reports positions on syntax errors, among them an expression
 nested deeper than MAX_DEPTH; parameter sanity (coprimality, positive
-strand counts) is checked after the tree is built.  Complexes are
+strand counts) is checked after the tree is built, and a torus or cable
+whose (p-1)(q-1) + 1 exceeds sys.maxsize is refused there with
+NoConstructorError, before anything is allocated.  Complexes are
 constructed recursively; a cable only has a constructor when its companion
 is an L-space expression and q clears p*(2g - 1).
 """
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -233,11 +236,13 @@ def _check_semantics(e: KnotExpr) -> None:
             raise ExprSemanticError(f"torus({e.p},{e.q}): parameters must be positive")
         if gcd(e.p, e.q) != 1:
             raise ExprSemanticError(f"torus({e.p},{e.q}): parameters must be coprime")
+        _check_size(e)
     elif isinstance(e, Cable):
         if e.p < 1:
             raise ExprSemanticError(f"cable strand count must be positive, got {e.p}")
         if gcd(e.p, abs(e.q)) != 1:
             raise ExprSemanticError(f"cable({e.p},{e.q},...): parameters must be coprime")
+        _check_size(e)
         _check_semantics(e.companion)
     elif isinstance(e, Mirror):
         _check_semantics(e.child)
@@ -247,6 +252,17 @@ def _check_semantics(e: KnotExpr) -> None:
     elif isinstance(e, Annotated):
         _check_semantics(e.child)
     # Unknot and FromFile carry nothing to check here.
+
+
+def _check_size(e: Torus | Cable) -> None:
+    """Refuse a torus or cable whose torus factor's Alexander polynomial
+    spans (p-1)(q-1) + 1 exponents, more than a Python list can hold, before
+    anything is allocated."""
+    span = (e.p - 1) * (e.q - 1) + 1
+    if span > sys.maxsize:
+        raise NoConstructorError(
+            f"no CFK constructor available for {to_text(e)}: "
+            f"(p-1)(q-1) + 1 = {span} Alexander exponents exceed sys.maxsize")
 
 
 def to_text(e: KnotExpr) -> str:

@@ -5,11 +5,15 @@ elimination loop in cfk.  It reduces a list of columns in order: while an
 earlier column owns a column's highest set bit, that column is XORed in.
 With the bits ordered by a filtration this is the persistence reduction
 (Zomorodian and Carlsson, "Computing persistent homology", 2005), and
-cfk.invariants reads V's free gradings over F2[U] and tau off it.
-Everything else here is a few lines over ``pairs``:
+cfk.invariants reads V's free gradings over F2[U] and tau off it.  The
+caller passes the row count (the widest bit length) it already knows, and
+the pivot table comes back as a list indexed by bit length, with -1 where
+no column owns the bit, so a lookup is one list index.  Everything else
+here is a few lines over ``pairs``:
 
-* ``rank`` counts the owners.  A matrix and its transpose have the same
-  rank, so the rows may be reduced as the columns.
+* ``rank`` counts the columns that reduce to nonzero, one per owner.  A
+  matrix and its transpose have the same rank, so the rows may be reduced
+  as the columns.
 * ``kernel_basis`` and ``solve`` reduce the matrix's columns with identity
   bits below the matrix bits.  The identity bits record which original
   columns each reduced column sums, so a column whose matrix bits vanish
@@ -24,21 +28,22 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 
-def pairs(cols: list[int]) -> dict[int, int]:
-    """Reduce cols in place, in order, and return each pivot's owner.
+def pairs(cols: list[int], width: int) -> list[int]:
+    """Reduce cols in place, in order, and return the pivot table.
 
-    While an earlier column owns the highest set bit of column s, it is
-    XORed into column s, which ends at zero or owning its new highest bit.
-    Each reduced column is its original plus a sum of earlier originals.
-    The map sends each pivot, as a bit length (the pivot bit + 1), to the
-    column that owns it.
+    Every column's bit length is at most width.  While an earlier column
+    owns the highest set bit of column s, it is XORed into column s, which
+    ends at zero or owning its new highest bit.  Each reduced column is its
+    original plus a sum of earlier originals.  The table is a list of
+    width + 1 entries indexed by bit length (the pivot bit + 1): the column
+    that owns that pivot, or -1 where no column does.
     """
-    owner: dict[int, int] = {}
+    owner = [-1] * (width + 1)
     for s, c in enumerate(cols):
         while c:
             lead = c.bit_length()
-            o = owner.get(lead)
-            if o is None:
+            o = owner[lead]
+            if o < 0:
                 owner[lead] = s
                 break
             c ^= cols[o]
@@ -48,7 +53,9 @@ def pairs(cols: list[int]) -> dict[int, int]:
 
 def rank(rows: Iterable[int]) -> int:
     """Rank of the matrix with the given rows."""
-    return len(pairs(list(rows)))
+    rows = list(rows)
+    pairs(rows, max(rows, default=0).bit_length())
+    return len(rows) - rows.count(0)
 
 
 def _augmented(rows: list[int], ncols: int) -> list[int]:
@@ -68,7 +75,7 @@ def _augmented(rows: list[int], ncols: int) -> list[int]:
 def kernel_basis(rows: list[int], ncols: int) -> list[int]:
     """Basis of the null space of A, as column bitmasks."""
     cols = _augmented(rows, ncols)
-    pairs(cols)
+    pairs(cols, ncols + len(rows))
     return [c for c in cols if c.bit_length() <= ncols]
 
 
@@ -79,7 +86,7 @@ def solve(rows: list[int], ncols: int, rhs: int) -> int | None:
     """
     cols = _augmented(rows, ncols)
     cols.append((rhs & ((1 << len(rows)) - 1)) << ncols)
-    pairs(cols)
+    pairs(cols, ncols + len(rows))
     x = cols[-1]
     return None if x >> ncols else x
 

@@ -12,7 +12,8 @@ Two subquotient constructions carry everything:
   HFK-hat is the homology of its Alexander-graded pieces.
 
 All of it runs on one reduction kernel, ``f2.pairs`` (int bitmask columns
-reduced in order, pivot at the highest set bit):
+reduced in order, pivot at the highest set bit, and a pivot table that is
+a list indexed by bit length):
 
 * ``homology_over_U`` is a persistence pairing (Zomorodian and Carlsson,
   "Computing persistent homology", 2005).  Every term's U exponent is
@@ -126,11 +127,6 @@ def _index(C: BifilteredComplex) -> Index:
     return C.index()
 
 
-def _shift(index: Index, k: int) -> list[int]:
-    """max(i, j - k) per generator: the U power that moves it into A^-_k."""
-    return [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
-
-
 def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     """Free F2[U]-model of C{max(i, j - k) <= 0}.
 
@@ -149,7 +145,8 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     refused = verdict(C)
     if refused:
         raise ValueError(refused[0].message)
-    grading = [m - 2 * c for m, c in zip(index.maslov, _shift(index, k))]
+    grading = [m - 2 * (i if i > j - k else j - k)
+               for m, i, j in zip(index.maslov, index.i, index.j)]
     return FreeUComplex(index.names, grading, index.sources, index.targets)
 
 
@@ -164,48 +161,59 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     d(s) -> t, so the highest set bit is the lowest-grading,
     minimal-exponent target.  f2.pairs reduces the columns in order: while
     an earlier column owns the pivot bit, it is XORed in, which is the
-    basis change s -> s + U^f s' with f >= 0.
+    basis change s -> s + U^f s' with f >= 0.  Its pivot table has an
+    entry per row: the column that owns the row as a pivot, or -1.
 
     Each pair (pivot target t, source s) takes t and s out of the free
     part: it is torsion or cancels, and V never reads it, so nothing of it
     is kept.  An element whose reduced column is zero and that is no pivot
-    is a free generator, and its grading is returned.
+    is a free generator, and its grading is returned.  One pass over the
+    rows reads both off the pivot table and the reduced columns.
 
     x is a level that a_minus made, so it is homogeneous and d^2 = 0: that
     was decided once for the complex, and nothing here checks it again.
     One guard stays.  Every reduced column is zero or owns a pivot, so a
     pair is clean unless its target owns a pivot too or its source is
     another pair's target, and either makes some pair's target own a
-    pivot: one pass over the owners finds whether any pair fails, and the
-    first failing pair raises ValueError.  Names are read only then.
+    pivot.  So the same pass finds whether any pair fails: a pivot target
+    whose column is nonzero.  Only then is the first failing pair looked
+    for (_refuse_pairs), and names read.
     """
-    names, grading = x._names, x._grading
+    grading = x._grading
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r
-    grading = list(map(grading.__getitem__, order))
     reduced = [0] * n
     for s, t in zip(x._sources, x._targets):
         reduced[rank[s]] |= 1 << rank[t]
 
-    owner = f2.pairs(reduced)
-    is_target = [False] * n
-    for lead in owner:
-        is_target[lead - 1] = True
-    if any(reduced[lead - 1] for lead in owner):
-        # Report the first failing pair in (exponent, source name, target name) order.
-        *_key, t = min((grading[t] - grading[s], names[order[s]], names[order[t]], t)
-                       for t, s in ((lead - 1, s) for lead, s in owner.items())
-                       if reduced[t] or is_target[s])
-        if reduced[t]:
-            raise ValueError("column of the cancelled target is nonzero; "
-                             "input differential does not square to zero")
-        raise ValueError("row of the cancelled source is nonzero; "
-                         "input differential does not square to zero")
+    owner = f2.pairs(reduced, n)
+    free = []
+    for r, p in enumerate(order):
+        if owner[r + 1] < 0:
+            if not reduced[r]:
+                free.append(grading[p])
+        elif reduced[r]:
+            _refuse_pairs(x, order, reduced, owner)
+    return tuple(free)
 
-    return tuple(m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot)
+
+def _refuse_pairs(x: FreeUComplex, order: list[int], reduced: list[int],
+                  owner: list[int]) -> None:
+    """Raise ValueError for homology_over_U's first failing pair in
+    (exponent, source name, target name) order: a pair whose target owns
+    a pivot too or whose source is another pair's target."""
+    names, grading = x._names, x._grading
+    *_key, t = min((grading[order[t]] - grading[order[s]], names[order[s]], names[order[t]], t)
+                   for t, s in enumerate(owner[1:])
+                   if s >= 0 and (reduced[t] or owner[s + 1] >= 0))
+    if reduced[t]:
+        raise ValueError("column of the cancelled target is nonzero; "
+                         "input differential does not square to zero")
+    raise ValueError("row of the cancelled source is nonzero; "
+                     "input differential does not square to zero")
 
 
 def V(C: BifilteredComplex, k: int) -> int:
@@ -268,7 +276,9 @@ def _slice(C: BifilteredComplex,
     """vertical_slice(C) when k is None, else the U = 0 slice of A^-_k
     (see shifted_slice: g moved to U^{c_g} g, c_g = max(i_g, j_g - k))."""
     index = _index(C)
-    return vertical_slice(C) if k is None else shifted_slice(index, _shift(index, k))
+    if k is None:
+        return vertical_slice(C)
+    return shifted_slice(index, [i if i > j - k else j - k for i, j in zip(index.i, index.j)])
 
 
 def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
@@ -303,9 +313,9 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
             into[column[s]] |= 1 << row[t]
         elif grading[s] == 0 and grading[t] == -1:
             down[row[s]] |= 1 << bit[t]
-    boundary = f2.pairs(into)
-    f2.pairs(down)
-    born = [p for r, p in enumerate(zero) if not down[r] and r + 1 not in boundary]
+    boundary = f2.pairs(into, len(zero))
+    f2.pairs(down, len(bit))
+    born = [p for r, p in enumerate(zero) if not down[r] and boundary[r + 1] < 0]
     if len(born) != 1:
         count = f"{len(born)} grading-zero generators" if born else "no grading-zero generator"
         raise KnotTypeError(f"vertical homology has {count}; complex is not knot-type")
@@ -350,8 +360,8 @@ def nu(C: BifilteredComplex) -> int:
         for s, t in zip(sources, targets):
             if grading[s] == 0 and grading[t] == -1:
                 cols[s] |= 1 << bit[t]
-        hits = f2.pairs(boundaries + list(cols.values()))
-        if sum(lead <= width for lead in hits) > len(boundaries):
+        hits = f2.pairs(boundaries + list(cols.values()), width + len(bit))
+        if width - hits[1:width + 1].count(-1) > len(boundaries):
             return k
     raise KnotTypeError("nu scan found no supporting level")
 

@@ -15,12 +15,17 @@ the back-substituting eliminations that cfk.f2 ran before its one
 reduction kernel, so tau and nu here share no kernel with the library.
 ``torus_alexander`` is the long division cfk.laurent ran before it read
 torus polynomials off the semigroup <p, q>, and the torus factors here
-are built from it.  Only f2.rank, the expression parser and the cable
-polynomials are shared.
+are built from it.  ``pairs`` and ``homology_over_U`` are the reduction
+kernel with a dict pivot table and the U-module tail that read it, as cfk
+ran them before the table became a list indexed by bit length, and
+``dumps`` is the writer that grouped terms by source name and sorted each
+group, as cfk ran it before its one integer sort.  Only f2.rank, the
+expression parser and the cable polynomials are shared.
 """
 from __future__ import annotations
 
 import re
+from operator import methodcaller
 
 from cfk import expr as kx
 from cfk import f2
@@ -451,3 +456,88 @@ def hfk_hat(C):
     grading = {name: (a, m) for (name, m, a) in basis}
     return graded_homology_dims(
         grading, ((s, t) for (s, t) in terms if grading[s][0] == grading[t][0]))
+
+
+def pairs(cols):
+    """Reduce cols in place, in order; each pivot, as a bit length, -> the
+    column that owns it."""
+    owner = {}
+    for s, c in enumerate(cols):
+        while c:
+            lead = c.bit_length()
+            o = owner.get(lead)
+            if o is None:
+                owner[lead] = s
+                break
+            c ^= cols[o]
+        cols[s] = c
+    return owner
+
+
+def homology_over_U(x):
+    """Free gradings of a level that a_minus made, highest first, read off
+    the dict pivot table: a pass that marks the pivot targets, an any(...)
+    pass for a failing pair, the gradings regraded into row order and one
+    zip over rows, columns and marks."""
+    names = [name for name, _g in x.basis]
+    grading = [g for _name, g in x.basis]
+    position = {name: p for p, name in enumerate(names)}
+    n = len(grading)
+    order = sorted(range(n), key=grading.__getitem__, reverse=True)
+    rank = [0] * n
+    for r, p in enumerate(order):
+        rank[p] = r
+    grading = list(map(grading.__getitem__, order))
+    reduced = [0] * n
+    for s, t, _e in x.terms:
+        reduced[rank[position[s]]] |= 1 << rank[position[t]]
+    owner = pairs(reduced)
+    is_target = [False] * n
+    for lead in owner:
+        is_target[lead - 1] = True
+    if any(reduced[lead - 1] for lead in owner):
+        *_key, t = min((grading[t] - grading[s], names[order[s]], names[order[t]], t)
+                       for t, s in ((lead - 1, s) for lead, s in owner.items())
+                       if reduced[t] or is_target[s])
+        if reduced[t]:
+            raise ValueError("column of the cancelled target is nonzero; "
+                             "input differential does not square to zero")
+        raise ValueError("row of the cancelled source is nonzero; "
+                         "input differential does not square to zero")
+    return tuple(m for m, c, pivot in zip(grading, reduced, is_target) if not c and not pivot)
+
+
+def dumps(C):
+    """The cfk v1 text of C: its terms grouped by source name term by term,
+    each group sorted by (U power, target name), the sources sorted."""
+    names, I, J, M, powers, sources, targets, _ = C.index()
+    joined = "".join(names)
+    if "#" in joined or joined.split() != [joined] or not all(names) or any(
+            map(methodcaller("startswith", "U^"), names)):
+        for name in names:
+            if name.startswith("U^"):
+                problem = "collides with term syntax"
+            elif "#" in name:
+                problem = "may not contain '#'"
+            elif name.split() != [name]:
+                problem = "must be nonempty and contain no whitespace"
+            else:
+                continue
+            raise FormatError(f"cannot write generator {name!r}: name {problem}")
+    lines = ["cfk v1"]
+    lines += map("gen {} {} {} {}".format, names, I, J, M)
+    repeated_name, repeated_pair = C.defects()
+    seen = None if repeated_name is None and repeated_pair is None else set()
+    by_source = {}
+    for s, t, n in zip(sources, targets, powers):
+        if n < 0 or seen is not None and (names[s], names[t], n) in seen:
+            problem = "U power is negative" if n < 0 else "term is repeated"
+            raise FormatError(f"cannot write term U^{n} {names[s]!r}->{names[t]!r}: {problem}")
+        if seen is not None:
+            seen.add((names[s], names[t], n))
+        by_source.setdefault(names[s], []).append((n, names[t]))
+    for source in sorted(by_source):
+        parts = [target if n == 0 else f"U^{n}.{target}"
+                 for n, target in sorted(by_source[source])]
+        lines.append(f"dif {source} {' '.join(parts)}")
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,8 @@ import pytest
 import cfk
 from cfk import selftest
 from cfk.cli import _build_argparser, main
+from cfk.errors import NoConstructorError
+from cfk.expr import Torus, parse
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 SRC = Path(__file__).parent.parent / "src"
@@ -355,6 +357,28 @@ def test_unsupported_constructions_exit_3(capsys):
     assert "no CFK constructor" in capsys.readouterr().err
     assert main(["genus", "{unknot @ sigma=3}"]) == 3
     assert "sigma annotation must be an even integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["torus(99999999999999999999,2)",
+                                  f"torus(2,{sys.maxsize + 2})",
+                                  "cable(2,99999999999999999999,torus(2,3))",
+                                  "torus(2,3) # mirror(torus(99999999999999999999,2))"])
+def test_torus_and_cable_past_sys_maxsize_exit_3(capsys, text):
+    """A torus or cable whose (p-1)(q-1) + 1 exceeds sys.maxsize is refused
+    while the expression is parsed, before its polynomial is allocated."""
+    assert main(["genus", text]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: no CFK constructor available for ")
+    assert err.endswith(" Alexander exponents exceed sys.maxsize\n")
+
+
+def test_torus_at_sys_maxsize_parses():
+    """(p-1)(q-1) + 1 = sys.maxsize is not refused; only parsed here, since
+    building it would allocate that many entries."""
+    assert parse(f"torus({sys.maxsize},2)") == Torus(sys.maxsize, 2)
+    with pytest.raises(NoConstructorError, match="exceed sys.maxsize"):
+        parse(f"torus({sys.maxsize + 2},2)")
 
 
 @pytest.mark.parametrize("annotation", ["g4_upper", "g4_upper=-1"])

@@ -81,7 +81,9 @@ def test_rank_nullity_and_solve_random():
 def test_pairs_matches_plain_elimination():
     """Each reduced column is its original plus earlier originals; it is
     zero exactly when the original depends on the earlier ones, and owns
-    its highest bit otherwise."""
+    its highest bit otherwise.  The pivot table lists each column's lead
+    at its bit length, -1 elsewhere, and matches the dict table of the
+    reference kernel."""
     rng = random.Random(3301)
     for _ in range(200):
         width = rng.randint(1, 40)
@@ -91,9 +93,18 @@ def test_pairs_matches_plain_elimination():
             cols.insert(rng.randrange(len(cols) + 1),
                         cols[rng.randrange(len(cols))] ^ cols[rng.randrange(len(cols))])
         reduced = cols[:]
-        owner = pairs(reduced)
-        assert len(owner) == sum(1 for c in reduced if c) == reference_rank(cols)
-        assert owner == {c.bit_length(): s for s, c in enumerate(reduced) if c}
+        owner = pairs(reduced, width)
+        assert len(owner) == width + 1
+        assert width + 1 - owner.count(-1) == sum(1 for c in reduced if c) == reference_rank(cols)
+        table = [-1] * (width + 1)
+        for s, c in enumerate(reduced):
+            if c:
+                table[c.bit_length()] = s
+        assert owner == table
+        dict_reduced = cols[:]
+        by_lead = references.pairs(dict_reduced)
+        assert dict_reduced == reduced
+        assert by_lead == {lead: s for lead, s in enumerate(owner) if s >= 0}
         for s, c in enumerate(reduced):
             before = reference_rank(cols[:s])
             assert reference_rank(cols[:s + 1]) == before + (c != 0)

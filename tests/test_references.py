@@ -1,6 +1,7 @@
 """The position-based validate, tau, nu and HFK-hat against the name-keyed
-references in references.py, and the column-based loads, staircase, dual
-and tensor against the record-based ones."""
+references in references.py, the column-based loads, staircase, dual
+and tensor against the record-based ones, and homology_over_U and dumps
+against the dict-table kernel and the per-term writer they replaced."""
 import random
 import re
 import tracemalloc
@@ -14,7 +15,8 @@ from cfk.complexes import (NO_DEFECTS, BifilteredComplex, DiffTerm, Generator, d
                            tensor, validate)
 from cfk.errors import FormatError
 from cfk.expr import build_complex, parse
-from cfk.invariants import V, epsilon, hfk_hat, nu, nu_plus, tau
+from cfk.invariants import (V, a_minus, epsilon, hfk_hat, homology_over_U, nu, nu_plus,
+                             tau)
 from cfk.surgery import genus_report
 
 PIECES = [lambda p: torus_staircase(2, 3, p), lambda p: torus_staircase(2, 5, p),
@@ -108,6 +110,76 @@ def test_tau_nu_and_hfk_hat_match_the_reference_on_random_sums():
         assert tau(C) == references.tau(C), C
         assert nu(C) == references.nu(C), C
         assert hfk_hat(C) == references.hfk_hat(C), C
+
+
+def test_free_gradings_tau_and_nu_match_the_dict_kernel_on_random_sums():
+    """homology_over_U over the list pivot table gives the very free
+    gradings that the dict-table kernel gave, at every level from two below
+    the Alexander range to two above it, and tau and nu match the
+    name-keyed references."""
+    rng = random.Random(6113)
+    for _ in range(120):
+        C = random_complex(rng)
+        lo, hi = C.index().alexander_range
+        for k in range(lo - 2, hi + 3):
+            level = a_minus(C, k)
+            assert homology_over_U(level) == references.homology_over_U(level), (C, k)
+        assert (tau(C), nu(C)) == (references.tau(C), references.nu(C)), C
+
+
+def unwritable(C, rng):
+    """C's columns with one change dumps must handle: a generator renamed
+    to another's name or to a name that cannot be written, or a term's
+    (source, target) pair repeated with another U power."""
+    x = C.index()
+    names, powers, sources, targets = list(x.names), list(x.powers), x.sources[:], x.targets[:]
+    kind = rng.choice(["rename", "unwritable", "pair"])
+    if kind == "pair" and powers:
+        p = rng.randrange(len(powers))
+        q = rng.randrange(len(powers) + 1)
+        powers.insert(q, powers[p] + rng.randint(1, 2))
+        sources.insert(q, sources[p])
+        targets.insert(q, targets[p])
+    elif kind == "rename":
+        names[rng.randrange(len(names))] = rng.choice(names)
+    else:
+        names[rng.randrange(len(names))] = rng.choice(["U^x", "a#b", "a b", "", "tab\t"])
+    return BifilteredComplex.from_columns(names, x.i, x.j, x.maslov, powers, sources, targets)
+
+
+def written(write, C):
+    try:
+        return "text", write(C)
+    except FormatError as exc:
+        return "FormatError", str(exc)
+
+
+def test_dumps_matches_the_per_term_writer_on_random_complexes():
+    """dumps gives the per-term writer's text or its FormatError, on complexes
+    with U powers, shuffled terms, repeated names and pairs, negative powers
+    and names that cannot be written, built from records, from columns and
+    read back from a file."""
+    rng = random.Random(7219)
+    seen = set()
+    for _ in range(300):
+        C = random_complex(rng)
+        for _defects in range(rng.randint(0, 2)):
+            C = perturb(C, rng)
+        if rng.random() < 0.4:
+            C = unwritable(C, rng)
+        kind, out = written(dumps, C)
+        assert (kind, out) == written(references.dumps, C), C
+        seen.add(out.split(": ")[-1] if kind == "FormatError" else
+                 "U powers" if "U^" in out else "no U power")
+        if kind == "text":
+            seen.update(f"written {field}" for field, value in C.defects()._asdict().items()
+                        if value is not None)
+            R = loads(out)
+            assert dumps(R) == references.dumps(R) == out
+    assert seen >= {"U powers", "no U power", "U power is negative", "term is repeated",
+                    "name collides with term syntax", "name may not contain '#'",
+                    "name must be nonempty and contain no whitespace",
+                    "written repeated_name", "written repeated_pair"}, seen
 
 
 def test_validate_peak_memory_is_no_more_than_the_reference():
