@@ -15,7 +15,6 @@ from .expr import build_complex, parse, to_text
 from .cfkfile import dumps, loads, read_complex, write_complex
 from .invariants import (H, V, epsilon, hfk_hat, nu, nu_plus, seifert_genus,
                          tau)
-from .laurent import LaurentPoly, cable_alexander, is_lspace_form, torus_alexander
 from .surgery import (CableBounds, GenusReport, SignatureValue, SurgerySpec,
                       cable_nu_plus_bounds, cable_tau, d_invariants,
                       genus_report, lens_d, qa_nu_plus, signature_eval,
@@ -32,7 +31,6 @@ __all__ = [
     "build_complex", "parse", "to_text",
     "dumps", "loads", "read_complex", "write_complex",
     "H", "V", "epsilon", "hfk_hat", "nu", "nu_plus", "seifert_genus", "tau",
-    "LaurentPoly", "cable_alexander", "is_lspace_form", "torus_alexander",
     "CableBounds", "GenusReport", "SignatureValue", "SurgerySpec",
     "cable_nu_plus_bounds", "cable_tau", "d_invariants", "genus_report",
     "lens_d", "qa_nu_plus", "signature_eval", "surgery_d",

@@ -232,9 +232,9 @@ def _render_text(cmd: str, report: dict[str, Any]) -> None:
         print(f"epsilon: {report['epsilon']}")
         ct = report["cable_tau"]
         print(f"cable_tau: {ct if ct is not None else 'unknown (epsilon != -1)'}")
-        print(f"nu_plus_lower: {report['lower']}")
-        upper = report["upper"]
-        print(f"nu_plus_upper: {upper if upper is not None else 'unknown'}")
+        for key in ("lower", "upper"):
+            bound = report[key]
+            print(f"nu_plus_{key}: {bound if bound is not None else 'unknown'}")
     elif cmd == "hfk":
         _print_hfk(report["hfk"])
         print(f"total_rank: {report['total_rank']}")

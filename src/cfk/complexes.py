@@ -7,6 +7,10 @@ by two, which forces M(source) - 1 = M(target) - 2n on every term.  The
 knot-type condition (vertical homology one-dimensional, in grading zero)
 is part of validation because every invariant downstream assumes it.
 
+``staircase`` builds an L-space knot's complex from the decreasing
+exponents of its Alexander polynomial, which cfk.expr reads off the knot's
+semigroup; it refuses a tuple that is no such exponent list.
+
 A complex is stored as its index (``C.index()``): the generator names and
 (i, j, M) columns, every term's U power, each term's source and target as
 a generator position, and the Alexander range.  ``staircase``, ``dual``,
@@ -65,7 +69,6 @@ from typing import NamedTuple
 
 from . import f2
 from .errors import ValidationError
-from .laurent import LaurentPoly, is_lspace_form
 
 # Violation kinds reported by validate().
 DUPLICATE_NAME = "duplicate-name"
@@ -385,19 +388,24 @@ def require_valid(C: BifilteredComplex) -> BifilteredComplex:
     return C
 
 
-def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -> BifilteredComplex:
-    """Staircase complex of an L-space-form Alexander polynomial.
+def staircase(exponents: Sequence[int], prefix: str = "x",
+              label: str | None = None) -> BifilteredComplex:
+    """Staircase complex of an L-space knot, from the decreasing exponents
+    a_0 > ... > a_{2m} of its Alexander polynomial (cfk.expr's
+    ``lspace_exponents``).  A tuple of even length, not strictly
+    decreasing, or not symmetric about 0 raises ValueError.
 
-    With exponents a_0 > ... > a_{2m}, generator 0 sits at (0, a_0) and the
-    walk alternates rightward steps (odd generators, arrow sources) and
-    downward steps; every arrow has U power zero and the Maslov grading
-    alternates 0, 1 starting from M = 0 at the top left.
+    Generator 0 sits at (0, a_0) and the walk alternates rightward steps
+    (odd generators, arrow sources) and downward steps; every arrow has U
+    power zero and the Maslov grading alternates 0, 1 starting from M = 0
+    at the top left.
     """
-    ok, exps = is_lspace_form(delta)
-    if not ok:
-        raise ValueError(f"polynomial is not in L-space staircase form: {delta!r}")
+    exps = tuple(exponents)
+    if (len(exps) % 2 == 0 or any(map(operator.le, exps, exps[1:]))
+            or exps != tuple(map(operator.neg, reversed(exps)))):
+        raise ValueError(f"not the exponents of an L-space staircase: {exps}")
     if label is None:
-        label = f"staircase({delta!r})"
+        label = f"staircase{exps}"
     walk = [(0, exps[0], 0)]
     for idx in range(1, len(exps)):
         i, j, m = walk[-1]
@@ -415,7 +423,7 @@ def staircase(delta: LaurentPoly, prefix: str = "x", label: str | None = None) -
 
 
 def unknot_complex(prefix: str = "x") -> BifilteredComplex:
-    return staircase(LaurentPoly.one(), prefix=prefix, label="unknot")
+    return staircase((0,), prefix=prefix, label="unknot")
 
 
 @memoized

@@ -22,7 +22,11 @@ strand counts) is checked after the tree is built, and a torus or cable
 whose (p-1)(q-1) + 1 exceeds sys.maxsize is refused there with
 NoConstructorError, before anything is allocated.  Complexes are
 constructed recursively; a cable only has a constructor when its companion
-is an L-space expression and q clears p*(2g - 1).
+is an L-space expression and q clears p*(2g - 1).  An L-space expression
+(the unknot, a torus knot, or such a cable) becomes a staircase through
+its semigroup: ``lspace_exponents`` walks the expression to the semigroup
+below the conductor 2g and reads the staircase exponents off it, with no
+Alexander polynomial in between.
 """
 from __future__ import annotations
 
@@ -35,7 +39,6 @@ from .cfkfile import read_complex
 from .complexes import (NO_DEFECTS, BifilteredComplex, dual, require_valid, staircase,
                         tensor, validate)
 from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError, ValidationError
-from .laurent import LaurentPoly, cable_alexander, torus_alexander
 
 
 class Unknot(NamedTuple):
@@ -255,9 +258,9 @@ def _check_semantics(e: KnotExpr) -> None:
 
 
 def _check_size(e: Torus | Cable) -> None:
-    """Refuse a torus or cable whose torus factor's Alexander polynomial
-    spans (p-1)(q-1) + 1 exponents, more than a Python list can hold, before
-    anything is allocated."""
+    """Refuse a torus or cable whose torus factor spans (p-1)(q-1) + 1
+    Alexander exponents, more than its semigroup's bytearray can index,
+    before anything is allocated."""
     span = (e.p - 1) * (e.q - 1) + 1
     if span > sys.maxsize:
         raise NoConstructorError(
@@ -326,18 +329,6 @@ def is_lspace_expr(e: KnotExpr) -> bool:
     return False
 
 
-def lspace_alexander(e: KnotExpr) -> LaurentPoly:
-    node = strip_annotations(e)
-    if isinstance(node, Unknot):
-        return LaurentPoly.one()
-    if isinstance(node, Torus):
-        return torus_alexander(node.p, node.q)
-    if isinstance(node, Cable):
-        return cable_alexander(lspace_alexander(node.companion), node.p, node.q)
-    raise NoConstructorError(
-        f"{to_text(e)} is not an L-space expression; no Alexander polynomial rule")
-
-
 def _lspace_genus(e: KnotExpr) -> int:
     """The genus of an L-space expression, the degree of its Alexander
     polynomial: (p-1)(q-1)/2 for torus(p,q), and p*g + (p-1)(q-1)/2 for
@@ -348,6 +339,53 @@ def _lspace_genus(e: KnotExpr) -> int:
     if isinstance(node, Torus):
         return (node.p - 1) * (node.q - 1) // 2
     return 0
+
+
+def _semigroup(e: KnotExpr) -> bytearray:
+    """The semigroup S of an L-space expression below its conductor 2g, as
+    a bytearray of length 2g with a 1 at each member; S holds every k >= 2g.
+
+    S is the set of exponents of Delta(t) / (1 - t) with Delta shifted to
+    start at t^0.  The unknot's S is all of N.  The cable formula
+    Delta(t) = Delta_K(t^p) Delta_T(p,q)(t) turns that series into
+    {p*s + q*m : s in S_K, 0 <= m < p}, for every coprime p, q >= 1; the
+    part for each m fills the residue class of q*m mod p from q*m on, so
+    no two parts meet.  torus(p,q) is the (p,q) cable of the unknot, whose
+    S is <p, q>.
+    """
+    node = strip_annotations(e)
+    if isinstance(node, Unknot):
+        return bytearray()
+    inner = _semigroup(node.companion) if isinstance(node, Cable) else bytearray()
+    p, q = node.p, node.q
+    conductor = p * len(inner) + (p - 1) * (q - 1)
+    members = bytearray(conductor)
+    for start in range(0, min(p * q, conductor), q):
+        end = start + p * len(inner)  # p times S_K's conductor, moved by q*m
+        members[start:end:p] = inner
+        members[end:conductor:p] = b"\x01" * len(range(end, conductor, p))
+    return members
+
+
+def lspace_exponents(e: KnotExpr) -> tuple[int, ...]:
+    """The decreasing exponents a_0 > ... > a_2m of the Alexander polynomial
+    of an L-space expression, read off its semigroup S: they are where S's
+    runs and gaps start below the conductor 2g, and 2g itself, moved by -g.
+    Any other expression raises NoConstructorError."""
+    if not is_lspace_expr(e):
+        raise NoConstructorError(
+            f"no CFK constructor available for {to_text(e)}: the companion must "
+            "be an L-space expression (unknot, torus, or such a cable) with "
+            "q >= p*(2g - 1)")
+    members = _semigroup(e)
+    conductor = len(members)
+    starts, k, bit = [0], 0, 0
+    while k < conductor:
+        k = members.find(bit, k)  # a gap (bit 0) or a run (bit 1) starts here
+        k = conductor if k < 0 else k  # or at 2g, where every run ends
+        starts.append(k)
+        bit ^= 1
+    return tuple(conductor // 2 - k for k in starts)
 
 
 def build_complex(e: KnotExpr) -> BifilteredComplex:
@@ -371,17 +409,8 @@ def build_complex(e: KnotExpr) -> BifilteredComplex:
 def _build(e: KnotExpr) -> BifilteredComplex:
     if isinstance(e, Annotated):
         return _build(e.child)
-    if isinstance(e, Unknot):
-        return staircase(LaurentPoly.one(), label="unknot")
-    if isinstance(e, Torus):
-        return staircase(torus_alexander(e.p, e.q), label=to_text(e))
-    if isinstance(e, Cable):
-        if not is_lspace_expr(e):
-            raise NoConstructorError(
-                f"no CFK constructor available for {to_text(e)}: the companion must "
-                "be an L-space expression (unknot, torus, or such a cable) with "
-                "q >= p*(2g - 1)")
-        return staircase(lspace_alexander(e), label=to_text(e))
+    if isinstance(e, (Unknot, Torus, Cable)):
+        return staircase(lspace_exponents(e), label=to_text(e))
     if isinstance(e, Mirror):
         return dual(_build(e.child))
     if isinstance(e, Sum):

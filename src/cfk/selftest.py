@@ -24,9 +24,8 @@ from . import cfkfile, oracle
 from .complexes import (BifilteredComplex, DiffTerm, Generator, dual,
                         staircase, tensor, validate)
 from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError
-from .expr import build_complex, parse
+from .expr import build_complex, lspace_exponents, parse
 from .invariants import V, epsilon, hfk_hat, nu, nu_plus, seifert_genus, tau
-from .laurent import cable_alexander, torus_alexander
 from .surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
                       d_invariants, lens_d, qa_nu_plus, signature_eval,
                       surgery_d)
@@ -58,8 +57,7 @@ def _complex(text: str) -> BifilteredComplex:
 def _check_staircase_goldens() -> None:
     _expect(tau(_complex("torus(2,9)")), 4)
     _expect(tau(_complex(f"mirror({_CABLE})")), -4)
-    cable = staircase(cable_alexander(torus_alexander(2, 3), 2, 5))
-    _expect([(g.i, g.j) for g in cable.generators], [(0, 4), (1, 4), (1, 1), (4, 1), (4, 0)])
+    _expect([(g.i, g.j) for g in _complex(_CABLE).generators], [(0, 4), (1, 4), (1, 1), (4, 1), (4, 0)])
     table = hfk_hat(_complex(_SUM45))
     _expect(sum(table.values()), 45)
     _expect(max(a for (a, _m) in table), 8)
@@ -148,10 +146,10 @@ def _check_engine_agreement() -> None:
         for k in range(-3, 4):
             _expect(oracle.v_by_u_rank(C, k), V(C, k), (text, k))
     # random sums of T(2,3), T(2,5) and their mirrors; two pools
-    alexanders = [torus_alexander(2, 3), torus_alexander(2, 5)]
+    exponents = [lspace_exponents(parse(text)) for text in ("torus(2,3)", "torus(2,5)")]
     for seed, trials, prefix in [(20260819, 8, "x"), (1603, 20, "y")]:
-        pool = ([staircase(a) for a in alexanders]
-                + [dual(staircase(a, prefix=prefix)) for a in alexanders])
+        pool = ([staircase(a) for a in exponents]
+                + [dual(staircase(a, prefix=prefix)) for a in exponents])
         rng = random.Random(seed)
         for trial in range(trials):
             C = pool[rng.randrange(len(pool))]
@@ -181,7 +179,7 @@ def _check_file_roundtrip() -> None:
 
 
 def _check_error_classes() -> None:
-    base = staircase(torus_alexander(2, 3))
+    base = _complex("torus(2,3)")
     cases = {
         "duplicate-name": BifilteredComplex(
             list(base.generators) + [Generator("x0", 5, 5, 0)], base.terms),

@@ -101,6 +101,19 @@ class CableBounds(NamedTuple):
     upper: Optional[int]
 
 
+def _every_residue_positive(C: BifilteredComplex, p: int, q: int) -> bool:
+    """Whether max(V_{floor(s/p)}, H_{floor((s-q)/p)}) > 0 for every s in [0, q)."""
+    last_b = h = None
+    for a in range((q - 1) // p + 1):
+        v = V(C, a)
+        for b in range((a * p - q) // p, (min(a * p + p, q) - 1 - q) // p + 1):
+            if b != last_b:
+                last_b, h = b, H(C, b)
+            if max(v, h) <= 0:
+                return False
+    return True
+
+
 def cable_nu_plus_bounds(C: BifilteredComplex, p: int, q: int,
                          g4_upper: Optional[int] = None) -> CableBounds:
     """Bounds on nu_plus of the (p,q) cable of the knot of C.
@@ -109,12 +122,15 @@ def cable_nu_plus_bounds(C: BifilteredComplex, p: int, q: int,
     max(V_{floor(s/p)}, H_{floor((s-q)/p)}) positive; upper bound comes from
     the slice-genus estimate g4(cable) <= p*g4 + (p-1)(q-1)/2 when a g4
     upper bound for the companion is supplied.
+
+    The residues s with one quotient a = floor(s/p), at most p of them,
+    share V_a, and floor((s-q)/p) takes at most two values over them and
+    never decreases with s, so the scan reads each V and each H once, in
+    residue order, and stops at the first residue that fails.
     """
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError(f"cable parameters must be coprime and >= 1, got ({p},{q})")
-    lower: Optional[int] = None
-    if all(max(V(C, s // p), H(C, (s - q) // p)) > 0 for s in range(q)):
-        lower = p * q // 2 + 1
+    lower = p * q // 2 + 1 if _every_residue_positive(C, p, q) else None
     upper: Optional[int] = None
     if g4_upper is not None:
         if g4_upper < 0:

@@ -1,16 +1,16 @@
 import pytest
 
 from cfk.complexes import dual, staircase, tensor
-from cfk.laurent import cable_alexander, torus_alexander
+from cfk.expr import Cable, Torus, lspace_exponents
 
 
 def torus_staircase(p, q, prefix="x"):
-    return staircase(torus_alexander(p, q), prefix=prefix)
+    return staircase(lspace_exponents(Torus(p, q)), prefix=prefix)
 
 
 def cable_staircase(prefix="x"):
     # the (2,5)-cable of the trefoil
-    return staircase(cable_alexander(torus_alexander(2, 3), 2, 5), prefix=prefix)
+    return staircase(lspace_exponents(Cable(2, 5, Torus(2, 3))), prefix=prefix)
 
 
 @pytest.fixture(scope="session")

@@ -13,27 +13,35 @@ read line by line.  The tests compare the library against them, result
 for result and message for message.  ``solve`` and ``kernel_basis`` are
 the back-substituting eliminations that cfk.f2 ran before its one
 reduction kernel, so tau and nu here share no kernel with the library.
-``torus_alexander`` is the long division cfk.laurent ran before it read
-torus polynomials off the semigroup <p, q>, and the torus factors here
+The Laurent polynomials are the route from an expression to its
+staircase that cfk ran before it read the exponents off the knot's
+semigroup: ``LaurentPoly``, ``substitute_power``, ``torus_alexander``
+(read off <p, q>), ``cable_alexander``, ``is_lspace_form`` and
+``lspace_alexander``.  ``torus_alexander_by_division`` is the long
+division that came before the semigroup form, and the torus factors here
 are built from it.  ``pairs`` and ``homology_over_U`` are the reduction
 kernel with a dict pivot table and the U-module tail that read it, as cfk
 ran them before the table became a list indexed by bit length, and
 ``dumps`` is the writer that grouped terms by source name and sorted each
-group, as cfk ran it before its one integer sort.  Only f2.rank, the
-expression parser and the cable polynomials are shared.
+group, as cfk ran it before its one integer sort.  ``cable_nu_plus_lower``
+is the per-residue scan that cfk.surgery.cable_nu_plus_bounds ran before
+it took each quotient floor(s/p) once.  Only f2.rank, the expression
+parser, and V and H (in the cable scan) are shared.
 """
 from __future__ import annotations
 
 import re
+from math import gcd
 from operator import methodcaller
+from typing import Iterable, Mapping, Optional
 
 from cfk import expr as kx
 from cfk import f2
 from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
                            GRADING, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
-from cfk.errors import FormatError, KnotTypeError, ValidationError
-from cfk.laurent import LaurentPoly, is_lspace_form
+from cfk.errors import FormatError, KnotTypeError, NoConstructorError, ValidationError
+from cfk.invariants import H, V
 
 
 def loads(text, label=""):
@@ -101,7 +109,202 @@ def loads(text, label=""):
     return BifilteredComplex(generators, terms, label)
 
 
-def torus_alexander(p, q):
+class LaurentPoly:
+    """Laurent polynomial in one variable t with int coefficients, stored
+    sparsely as {exponent: coefficient} with zero coefficients dropped, so
+    equality is structural."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
+        data: dict[int, int] = {}
+        if coeffs is not None:
+            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+            for e, c in items:
+                e = int(e)
+                c = data.get(e, 0) + int(c)
+                if c:
+                    data[e] = c
+                elif e in data:
+                    del data[e]
+        self._coeffs = data
+
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
+        return cls({exponent: coefficient})
+
+    @property
+    def coeffs(self) -> dict[int, int]:
+        return dict(self._coeffs)
+
+    def coeff(self, exponent: int) -> int:
+        return self._coeffs.get(exponent, 0)
+
+    def support(self) -> list[int]:
+        """Exponents with nonzero coefficient, in decreasing order."""
+        return sorted(self._coeffs, reverse=True)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def degree(self) -> int:
+        """Top exponent.  The zero polynomial has no degree."""
+        if not self._coeffs:
+            raise ValueError("zero polynomial has no degree")
+        return max(self._coeffs)
+
+    def min_degree(self) -> int:
+        if not self._coeffs:
+            raise ValueError("zero polynomial has no degree")
+        return min(self._coeffs)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        data = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            s = data.get(e, 0) + c
+            if s:
+                data[e] = s
+            elif e in data:
+                del data[e]
+        out = LaurentPoly()
+        out._coeffs = data
+        return out
+
+    def __neg__(self) -> "LaurentPoly":
+        out = LaurentPoly()
+        out._coeffs = {e: -c for e, c in self._coeffs.items()}
+        return out
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        data: dict[int, int] = {}
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in other._coeffs.items():
+                e = e1 + e2
+                s = data.get(e, 0) + c1 * c2
+                if s:
+                    data[e] = s
+                elif e in data:
+                    del data[e]
+        out = LaurentPoly()
+        out._coeffs = data
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __repr__(self) -> str:
+        if not self._coeffs:
+            return "0"
+        parts = []
+        for e in self.support():
+            c = self._coeffs[e]
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                var = "t" if e == 1 else f"t^{e}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = (first_sign if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
+
+
+def substitute_power(p: LaurentPoly, m: int) -> LaurentPoly:
+    """p(t^m) for m >= 1."""
+    if m < 1:
+        raise ValueError("substitution power must be >= 1")
+    return LaurentPoly({e * m: c for e, c in p.coeffs.items()})
+
+
+def torus_alexander(p: int, q: int) -> LaurentPoly:
+    """Symmetrized Alexander polynomial of the (p,q) torus knot.
+
+    Read off the semigroup S = <p, q> = {ap + bq : a, b >= 0}: since
+    Delta(t) / (1 - t) = sum of t^s over s in S, the coefficient at t^k is
+    [k in S] - [k - 1 in S], and S holds every k >= 2g = (p-1)(q-1), so
+    k runs over 0..2g and is shifted by -g to be symmetric about zero.
+    Requires coprime p, q >= 1.
+    """
+    if p < 1 or q < 1:
+        raise ValueError("torus parameters must be >= 1")
+    if gcd(p, q) != 1:
+        raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
+    top = (p - 1) * (q - 1)
+    in_s = [False] * (top + 1)
+    for a in range(0, top + 1, p):
+        for k in range(a, top + 1, q):
+            in_s[k] = True
+    return LaurentPoly({k - top // 2: in_s[k] - (k > 0 and in_s[k - 1]) for k in range(top + 1)})
+
+
+def cable_alexander(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:
+    """Alexander polynomial of the (p,q) cable of a knot with polynomial
+    delta: delta(t^p) * Delta_{T(p,q)}(t).  Requires coprime p, q >= 1."""
+    if p < 1 or q < 1:
+        raise ValueError("cable parameters must be >= 1")
+    if gcd(p, q) != 1:
+        raise ValueError(f"cable parameters must be coprime, got ({p},{q})")
+    return substitute_power(delta, p) * torus_alexander(p, q)
+
+
+def is_lspace_form(p: LaurentPoly) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether p looks like the Alexander polynomial of an L-space knot:
+    coefficients alternate +1, -1, ..., +1 (odd count, leading and trailing
+    +1) and the exponent pattern is symmetric about zero.  Returns the
+    decreasing exponent list on success, None otherwise."""
+    exps = p.support()
+    if not exps or len(exps) % 2 == 0:
+        return False, None
+    for idx, e in enumerate(exps):
+        want = 1 if idx % 2 == 0 else -1
+        if p.coeff(e) != want:
+            return False, None
+        if exps[len(exps) - 1 - idx] != -e:
+            return False, None
+    return True, tuple(exps)
+
+
+def lspace_alexander(e) -> LaurentPoly:
+    """The Alexander polynomial of an L-space expression, by the cable
+    formula; anything else raises NoConstructorError."""
+    node = kx.strip_annotations(e)
+    if isinstance(node, kx.Unknot):
+        return LaurentPoly.one()
+    if isinstance(node, kx.Torus):
+        return torus_alexander(node.p, node.q)
+    if isinstance(node, kx.Cable):
+        return cable_alexander(lspace_alexander(node.companion), node.p, node.q)
+    raise NoConstructorError(
+        f"{kx.to_text(e)} is not an L-space expression; no Alexander polynomial rule")
+
+
+def torus_alexander_by_division(p, q):
     """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by long division in Z[t],
     shifted to be symmetric about zero; p, q >= 1 coprime."""
     num = (LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})).coeffs
@@ -180,9 +383,9 @@ def _build(e):
     if isinstance(e, kx.Unknot):
         return staircase(LaurentPoly.one(), label="unknot")
     if isinstance(e, kx.Torus):
-        return staircase(torus_alexander(e.p, e.q), label=kx.to_text(e))
+        return staircase(torus_alexander_by_division(e.p, e.q), label=kx.to_text(e))
     if isinstance(e, kx.Cable):
-        return staircase(kx.lspace_alexander(e), label=kx.to_text(e))
+        return staircase(lspace_alexander(e), label=kx.to_text(e))
     if isinstance(e, kx.Mirror):
         return dual(_build(e.child))
     if isinstance(e, kx.Sum):
@@ -541,3 +744,12 @@ def dumps(C):
                  for n, target in sorted(by_source[source])]
         lines.append(f"dif {source} {' '.join(parts)}")
     return "\n".join(lines) + "\n"
+
+
+def cable_nu_plus_lower(C, p, q):
+    """The nu_plus lower bound of the (p,q) cable of the knot of C, or None:
+    pq/2 + 1 when max(V_{floor(s/p)}, H_{floor((s-q)/p)}) > 0 for every
+    residue s in [0, q), checked one residue at a time."""
+    if all(max(V(C, s // p), H(C, (s - q) // p)) > 0 for s in range(q)):
+        return p * q // 2 + 1
+    return None

@@ -122,6 +122,18 @@ def test_cable_bounds_json(capsys):
     assert "cable_tau: unknown (epsilon != -1)" in capsys.readouterr().out
 
 
+def test_cable_bounds_text_prints_unknown_for_missing_bounds(capsys):
+    """A missing bound reads "unknown" in text, lower and upper alike, and
+    null in JSON."""
+    rep = run_json(capsys, ["cable-bounds", "unknot", "1", "1"])
+    assert (rep["lower"], rep["upper"]) == (None, None)
+    assert main(["cable-bounds", "unknot", "1", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "expression: unknot\ncable: (1,1)\ntau: 0\nepsilon: 0\n"
+        "cable_tau: unknown (epsilon != -1)\n"
+        "nu_plus_lower: unknown\nnu_plus_upper: unknown\n")
+
+
 def test_hfk_json(capsys):
     rep = run_json(capsys, ["hfk", "torus(2,3)"])
     assert list(rep) == ["expression", "hfk", "total_rank", "seifert_genus"]

@@ -5,7 +5,6 @@ from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual,
                            staircase, tensor, unknot_complex, validate)
 from cfk.errors import ValidationError
 from cfk.invariants import V, epsilon, nu, nu_plus, tau
-from cfk.laurent import LaurentPoly, torus_alexander
 
 
 def positions(C):
@@ -55,10 +54,12 @@ def test_staircase_structure():
 
 
 def test_staircase_rejects_non_lspace_polynomial():
-    with pytest.raises(ValueError):
-        staircase(LaurentPoly({1: 1, 0: 1}))
-    with pytest.raises(ValueError):
-        staircase(LaurentPoly({1: 1, 0: 1, -1: 1}))  # +1,+1,+1 not alternating
+    assert positions(staircase([1, 0, -1])) == [(0, 1), (1, 1), (1, 0)]
+    for exps in [(), (1, -1), (1, 0, 0, -1),  # even length
+                 (0, 0, 0), (-1, 0, 1), (2, -1, 0, 1, -2),  # not strictly decreasing
+                 (1, 0, -2), (3, 1, 0, -2, -3), (1,)]:  # not symmetric about 0
+        with pytest.raises(ValueError, match="not the exponents of an L-space staircase"):
+            staircase(exps)
 
 
 def test_dual_negates_coordinates_and_reverses_arrows():

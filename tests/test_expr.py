@@ -1,3 +1,4 @@
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from cfk import expr as kx
 from cfk.errors import (ExprSemanticError, ExprSyntaxError, NoConstructorError,
                         ValidationError)
-from cfk.invariants import tau
-from cfk.laurent import LaurentPoly
+from cfk.invariants import V, hfk_hat, nu_plus, tau
+from references import is_lspace_form, lspace_alexander
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 
@@ -97,11 +98,51 @@ def test_lspace_gate():
     assert not kx.is_lspace_expr(kx.parse("cable(2,1,torus(2,3))"))
 
 
-def test_lspace_alexander_matches_building_blocks():
-    assert kx.lspace_alexander(kx.parse("unknot")) == LaurentPoly.one()
-    assert kx.lspace_alexander(kx.parse("cable(2,5,torus(2,3))")).degree() == 4
-    with pytest.raises(NoConstructorError):
-        kx.lspace_alexander(kx.parse("mirror(torus(2,3))"))
+def test_lspace_exponents_match_building_blocks():
+    assert kx.lspace_exponents(kx.parse("unknot")) == (0,)
+    assert kx.lspace_exponents(kx.parse("torus(2,3)")) == (1, 0, -1)
+    assert kx.lspace_exponents(kx.parse("{torus(3,4) @ alt}")) == (3, 2, 0, -2, -3)
+    assert kx.lspace_exponents(kx.parse("cable(2,5,torus(2,3))")) == (4, 3, 0, -3, -4)
+    for text in ["mirror(torus(2,3))", "torus(2,3) # unknot", "cable(2,1,torus(2,3))"]:
+        with pytest.raises(NoConstructorError):
+            kx.lspace_exponents(kx.parse(text))
+
+
+def _lspace_grid():
+    """Torus knots with p <= 7 and q < 40, and the cables with p <= 4 and
+    q < 90 of the first 25 of them (all unknotted), of the unknot, of
+    cable(2,5,torus(2,3)) and of four nontrivial torus knots that are
+    L-space expressions."""
+    tori = [kx.Torus(p, q) for p in range(1, 8) for q in range(1, 40) if gcd(p, q) == 1]
+    companions = ([kx.Unknot(), kx.parse("cable(2,5,torus(2,3))")] + tori[:25]
+                  + [kx.Torus(2, 3), kx.Torus(2, 5), kx.Torus(3, 4), kx.Torus(3, 5)])
+    cables = [kx.Cable(p, q, k) for k in companions for p in range(1, 5)
+              for q in range(1, 90) if gcd(p, q) == 1]
+    return tori + [c for c in cables if kx.is_lspace_expr(c)]
+
+
+def test_lspace_exponents_match_the_laurent_reference_on_a_grid():
+    """The semigroup walk against the exponents of the Alexander polynomial
+    by the cable formula, among them p = 1 cables whose q does not lie in
+    the companion's semigroup."""
+    grid = _lspace_grid()
+    assert len(grid) > 7000
+    assert {kx.parse("cable(1,1,torus(2,3))"), kx.parse("cable(1,3,torus(2,5))")} <= set(grid)
+    for e in grid:
+        ok, exps = is_lspace_form(lspace_alexander(e))
+        assert ok and kx.lspace_exponents(e) == exps, kx.to_text(e)
+
+
+@pytest.mark.parametrize("text, companion, tau_k", [
+    ("cable(1,1,torus(2,3))", "torus(2,3)", 1), ("cable(1,3,torus(2,5))", "torus(2,5)", 2)])
+def test_one_strand_cables_are_their_companions(text, companion, tau_k):
+    """p = 1 cables whose q is not in the companion's semigroup: the form
+    p*S_K + q*N would read the first as the unknot."""
+    C, K = kx.build_complex(kx.parse(text)), kx.build_complex(kx.parse(companion))
+    assert tau(C) == tau(K) == tau_k
+    assert nu_plus(C) == nu_plus(K)
+    assert [V(C, k) for k in range(-3, 4)] == [V(K, k) for k in range(-3, 4)]
+    assert hfk_hat(C) == hfk_hat(K)
 
 
 def test_build_complex_smalls():

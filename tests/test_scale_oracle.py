@@ -6,7 +6,10 @@ V_k is the torsion coefficient sum_{j>=1} j * a_{k+j}.  For a connected sum
 of L-space knots, V is the infimal convolution of the summands' V
 (Borodzik-Livingston); for the mirror of such a sum, V_k = max(0, -k).
 The Alexander polynomials are computed here from the semigroup of the torus
-knot and the cabling formula, apart from cfk.laurent.
+knot and the cabling formula, apart from the library's semigroup walk.
+For a positive L-space knot of genus g, V_k for k >= 0 also counts the
+gaps of its semigroup at or above g + k (Borodzik-Livingston); those gaps
+are read off the polynomial of references.lspace_alexander.
 
 A sum of mixed signs has no such closed form, but K # mirror(K) is slice,
 so J # K # mirror(K) is concordant to J and has J's V_k, tau, nu+ and
@@ -14,6 +17,7 @@ epsilon at any size.
 """
 import pytest
 
+import references
 from cfk.expr import build_complex, parse
 from cfk.invariants import V, epsilon, nu, nu_plus, tau
 
@@ -127,3 +131,29 @@ def test_sum_with_a_slice_summand_has_the_invariants_of_j(text, size, deltas, ta
     assert (tau(C), nu_plus(C), epsilon(C)) == (tau_j, least, epsilon_j)
     if not deltas:
         assert nu(C) == 0 and nu_plus(build_complex(parse(f"mirror({text})"))) == 0
+
+
+def semigroup_gaps(text: str) -> tuple[int, list[int]]:
+    """The genus g of an L-space expression and its semigroup's gaps: the
+    k in [0, 2g) where the coefficients of t^g Delta(t) up to t^k sum to 0,
+    Delta from the reference cable formula."""
+    delta = references.lspace_alexander(parse(text))
+    g = delta.degree()
+    gaps, run = [], 0
+    for k in range(2 * g):
+        run += delta.coeff(k - g)
+        if not run:
+            gaps.append(k)
+    return g, gaps
+
+
+@pytest.mark.parametrize("text", ["torus(2,97)", "cable(2,99,torus(2,3))", "torus(3,58)",
+                                  "torus(2,201)"])
+def test_positive_lspace_knot_v_counts_semigroup_gaps(text):
+    """V_k = #{gaps >= g + k} at every k from 0 to g + 1."""
+    g, gaps = semigroup_gaps(text)
+    assert len(gaps) == g and gaps[0] == 1 and gaps[-1] == 2 * g - 1
+    C = build_complex(parse(text))
+    assert [V(C, k) for k in range(g + 2)] == [
+        sum(gap >= g + k for gap in gaps) for k in range(g + 2)]
+

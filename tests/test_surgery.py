@@ -5,10 +5,13 @@ from math import ceil, gcd
 
 import pytest
 
+import references
 from conftest import torus_staircase
 from cfk import expr as kx
+from cfk import surgery
 from cfk.complexes import dual, unknot_complex
 from cfk.errors import PreconditionError
+from cfk.invariants import H, V
 from cfk.surgery import (CableBounds, SurgerySpec, cable_nu_plus_bounds,
                          cable_tau, d_invariants, genus_report, lens_d,
                          qa_nu_plus, signature_eval, surgery_d)
@@ -152,6 +155,57 @@ def test_cable_nu_plus_bounds_45_generator_knot(knot_45):
     for p in (2, 3, 4):
         b = cable_nu_plus_bounds(knot_45, p, 3 * p - 1, g4_upper=2)
         assert b.lower == b.upper == p * (3 * p - 1) // 2 + 1
+
+
+CABLE_COMPANIONS = ["unknot", "torus(2,3)", "torus(2,5)", "torus(3,4)", "mirror(torus(2,3))",
+                    "cable(2,5,torus(2,3))", "torus(2,9) # mirror(cable(2,5,torus(2,3)))",
+                    "torus(2,3) # mirror(torus(2,5))", "torus(2,5) # torus(3,4)"]
+
+
+def test_cable_lower_bound_matches_the_per_residue_scan():
+    """Each quotient floor(s/p) once against every residue in turn, on
+    every coprime (p, q) with p <= 9 and q <= 40."""
+    cases = 0
+    for text in CABLE_COMPANIONS:
+        C = kx.build_complex(kx.parse(text))
+        for p in range(1, 10):
+            for q in range(1, 41):
+                if gcd(p, q) == 1:
+                    got = cable_nu_plus_bounds(C, p, q).lower
+                    assert got == references.cable_nu_plus_lower(C, p, q), (text, p, q)
+                    cases += 1
+    assert cases > 2000
+
+
+def test_cable_lower_bound_reads_each_v_and_h_once_in_residue_order(monkeypatch):
+    """The calls are the per-residue scan's, each at its first use, up to
+    the first residue that fails."""
+    calls = []
+    monkeypatch.setattr(surgery, "V", lambda C, k: calls.append(("V", k)) or V(C, k))
+    monkeypatch.setattr(surgery, "H", lambda C, k: calls.append(("H", k)) or H(C, k))
+    for text in CABLE_COMPANIONS:
+        C = kx.build_complex(kx.parse(text))
+        for p, q in [(1, 7), (2, 5), (2, 13), (3, 2), (3, 16), (5, 3), (7, 30), (8, 9)]:
+            calls.clear()
+            cable_nu_plus_bounds(C, p, q)
+            want = []
+            for s in range(q):
+                want += [("V", s // p), ("H", (s - q) // p)]
+                if max(V(C, s // p), H(C, (s - q) // p)) <= 0:
+                    break
+            assert calls == list(dict.fromkeys(want)), (text, p, q)
+
+
+def test_cable_lower_bound_at_large_q_reads_few_levels(monkeypatch):
+    """q = 10^9 reads one V and one H per quotient; the scan used to take
+    one step per residue."""
+    calls = []
+    monkeypatch.setattr(surgery, "V", lambda C, k: calls.append(k) or V(C, k))
+    T = torus_staircase(2, 3)
+    assert cable_nu_plus_bounds(T, 10**9 + 1, 10**9).lower == (10**9 + 1) * 10**9 // 2 + 1
+    assert cable_nu_plus_bounds(T, 1000001, 1000000).lower == 500000500001
+    assert cable_nu_plus_bounds(T, 2, 10**9 + 1).lower is None
+    assert len(calls) <= 6
 
 
 def test_signature_basics():
