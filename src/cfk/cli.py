@@ -87,12 +87,24 @@ def _hfk_rows(C) -> list[dict[str, int]]:
 
 
 def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
+    """The invariants report, with V and H over the window [lo, hi]
+    (default [-g, g], g the Seifert genus).
+
+    V is nonincreasing and >= 0, so V_k = 0 for every k >= nu+, which the
+    genus report already holds: those levels are filled with 0, in V and
+    in H_k = V_{-k}, and only levels below nu+ are reduced.  Every level
+    below nu+ in the window is reduced, so the V(-k) = V(k) + k warning
+    still compares each computed level with its partner."""
     e = parse(text)
     C = build_complex(e)
     rep = genus_report(C, e)
     genus = rep.seifert_genus
     lo, hi = vk if vk is not None else (-genus, genus)
-    vals = {k: V(C, k) for k in range(lo, hi + 1)}
+
+    def level(k: int) -> int:
+        return V(C, k) if k < rep.nu_plus else 0
+
+    vals = {k: level(k) for k in range(lo, hi + 1)}
     warnings = []
     for k in vals:
         if -k in vals and vals[-k] != vals[k] + k:
@@ -105,7 +117,7 @@ def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
         "nu_plus": rep.nu_plus,
         "epsilon": epsilon(C),
         "V": {str(k): vals[k] for k in sorted(vals)},
-        "H": {str(k): V(C, -k) for k in sorted(vals)},
+        "H": {str(k): level(-k) for k in sorted(vals)},
         "hfk": _hfk_rows(C),
         "sigma": rep.sigma,
         "g4_lower": rep.g4_lower,

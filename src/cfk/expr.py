@@ -19,8 +19,9 @@ kinds apart with isinstance.
 Parsing reports positions on syntax errors, among them an expression
 nested deeper than MAX_DEPTH; parameter sanity (coprimality, positive
 strand counts) is checked after the tree is built, and a torus or cable
-whose (p-1)(q-1) + 1 exceeds sys.maxsize is refused there with
-NoConstructorError, before anything is allocated.  Complexes are
+whose (p-1)(q-1) + 1 exceeds sys.maxsize, or an L-space cable of a
+genus-g companion whose p*2g + (p-1)(q-1) + 1 does, is refused there
+with NoConstructorError, before anything is allocated.  Complexes are
 constructed recursively; a cable only has a constructor when its companion
 is an L-space expression and q clears p*(2g - 1).  An L-space expression
 (the unknot, a torus knot, or such a cable) becomes a staircase through
@@ -247,6 +248,8 @@ def _check_semantics(e: KnotExpr) -> None:
             raise ExprSemanticError(f"cable({e.p},{e.q},...): parameters must be coprime")
         _check_size(e)
         _check_semantics(e.companion)
+        if is_lspace_expr(e):
+            _check_size(e, _lspace_genus(e.companion))
     elif isinstance(e, Mirror):
         _check_semantics(e.child)
     elif isinstance(e, Sum):
@@ -257,15 +260,18 @@ def _check_semantics(e: KnotExpr) -> None:
     # Unknot and FromFile carry nothing to check here.
 
 
-def _check_size(e: Torus | Cable) -> None:
-    """Refuse a torus or cable whose torus factor spans (p-1)(q-1) + 1
-    Alexander exponents, more than its semigroup's bytearray can index,
-    before anything is allocated."""
-    span = (e.p - 1) * (e.q - 1) + 1
+def _check_size(e: Torus | Cable, g: int = 0) -> None:
+    """Refuse a torus, or a cable of a genus-g companion K, whose
+    staircase spans more Alexander exponents, p*2g + (p-1)(q-1) + 1 (its
+    semigroup's conductor plus one), than the semigroup's bytearray can
+    index, before anything is allocated.  With g = 0 that counts the
+    torus factor alone."""
+    span = e.p * 2 * g + (e.p - 1) * (e.q - 1) + 1
     if span > sys.maxsize:
+        terms = "p*2g(K) + (p-1)(q-1) + 1" if g else "(p-1)(q-1) + 1"
         raise NoConstructorError(
             f"no CFK constructor available for {to_text(e)}: "
-            f"(p-1)(q-1) + 1 = {span} Alexander exponents exceed sys.maxsize")
+            f"{terms} = {span} Alexander exponents exceed sys.maxsize")
 
 
 def to_text(e: KnotExpr) -> str:

@@ -57,13 +57,20 @@ validate refuses they may return numbers.  tau and HFK-hat read the
 complex's vertical slice; nu builds the U = 0 slices of A^-_k.  Each
 slice is gradings plus the source and target positions of its terms.
 
-Each complex object keeps a private memo of its checked index, the free
-gradings of each level, the vertical slice and pairing, nu, the HFK-hat
-table and its mirror (``dual``), so every report reduces a given
-(complex, k) once, and epsilon and the genus report's nu+ of the mirror
-read one mirror complex.  V outside the Alexander range reads the
-boundary level (see ``V``).  V_{-k} = V_k + k is not used as a shortcut:
-it stays a check on the computed table.
+Each complex object keeps a private memo of its checked index, the two
+columns its levels are graded from, the free gradings of each level, the
+vertical slice and pairing, nu, the HFK-hat table and its mirror
+(``dual``), so every report reduces a given (complex, k) once, and
+epsilon and the genus report's nu+ of the mirror read one mirror complex.
+V outside the Alexander range reads the boundary level (see ``V``).
+
+Callers skip levels by two facts about V (Rasmussen's thesis): it is
+nonincreasing in k, with V_{k+1} >= V_k - 1, and it is >= 0, so V_k = 0
+for every k >= nu+.  nu_plus steps by the first; cfk.surgery's
+``surgery_d`` reads the larger of V_a and H_b = V_{-b} as V at
+min(a, -b); and the CLI's invariants report fills V_k = 0 for k >= nu+
+without reducing those levels.  V_{-k} = V_k + k is not used as a
+shortcut: it stays a check on the computed table.
 """
 from __future__ import annotations
 
@@ -134,20 +141,33 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     grading M(g) - 2 c_g, by position; a term U^n: s -> t turns into
     exponent n + c_s - c_t, which is (grading(t) - grading(s) + 1) / 2
     since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings.
+    With A = j - i, c_g = i_g + max(A_g - k, 0), so the grading is
+    M - 2i, less 2(A - k) where A > k: two columns, M - 2i and A, that are
+    built once per complex and kept in its memo (``_level_columns``).
 
     C's verdict (cfk.complexes.verdict) is read first: a complex that
     validate's positional stage refuses raises ValueError with validate's
-    message for its first violation, at every k.  On a complex that passes, every level is a homogeneous subcomplex
-    with d^2 = 0, and each exponent is nonnegative, since n >= 0 and a
-    term lowers neither i nor j.
+    message for its first violation, at every k.  On a complex that
+    passes, every level is a homogeneous subcomplex with d^2 = 0, and each
+    exponent is nonnegative, since n >= 0 and a term lowers neither i nor
+    j.
     """
     index = _index(C)
     refused = verdict(C)
     if refused:
         raise ValueError(refused[0].message)
-    grading = [m - 2 * (i if i > j - k else j - k)
-               for m, i, j in zip(index.maslov, index.i, index.j)]
+    moved, alexander = _level_columns(C)
+    grading = [b - 2 * (a - k) if a > k else b for b, a in zip(moved, alexander)]
     return FreeUComplex(index.names, grading, index.sources, index.targets)
+
+
+@memoized
+def _level_columns(C: BifilteredComplex) -> tuple[list[int], list[int]]:
+    """M - 2i and the Alexander grading A = j - i of each generator, by
+    position: level k grades g as M - 2i - 2(A - k) when A > k, else M - 2i."""
+    index = _index(C)
+    return ([m - 2 * i for m, i in zip(index.maslov, index.i)],
+            [j - i for i, j in zip(index.i, index.j)])
 
 
 def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:

@@ -64,12 +64,18 @@ class SurgerySpec(_SurgerySpec):
 
 def surgery_d(C: BifilteredComplex, spec: SurgerySpec, i: int) -> Fraction:
     """Correction term of p/q surgery along the knot of C in spin-c slot i:
-    the lens-space value shifted by the larger of two stable towers."""
+    the lens-space value shifted by the larger of two stable towers,
+    d(L(p, q), i) - 2 max(V_a, H_b) with a = floor(i/q) and
+    b = floor((i - p)/q) (Ni-Wu, "Cosmetic surgeries on knots in S^3").
+
+    H_b = V_{-b} and V is nonincreasing, so the larger tower is V at
+    min(a, -b), and only that level is read.  Over all p slots that is
+    at most floor(p/(2q)) + 2 distinct levels, since min(a, -b) <= (p/q + 1)/2.
+    """
     p, q = spec.p, spec.q
     if not 0 <= i < p:
         raise ValueError(f"spin-c slot {i} out of range for p={p}")
-    shift = max(V(C, i // q), H(C, (i - p) // q))
-    return lens_d(p, q, i) - 2 * shift
+    return lens_d(p, q, i) - 2 * V(C, min(i // q, -((i - p) // q)))
 
 
 def d_invariants(C: BifilteredComplex, spec: SurgerySpec) -> list[Fraction]:

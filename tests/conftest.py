@@ -13,6 +13,25 @@ def cable_staircase(prefix="x"):
     return staircase(lspace_exponents(Cable(2, 5, Torus(2, 3))), prefix=prefix)
 
 
+LSPACE_KNOTS = ("torus(2,3)", "torus(2,5)", "torus(3,4)", "torus(2,7)",
+                "cable(2,5,torus(2,3))")
+
+
+def random_sums(rng, count):
+    """count expressions: sums of one to three of LSPACE_KNOTS, each
+    mirrored at random, then K # mirror(K) for each K, and J # K # mirror(K)
+    for a random J and K."""
+    def signed(knot):
+        return f"mirror({knot})" if rng.random() < 0.5 else knot
+
+    texts = [" # ".join(signed(rng.choice(LSPACE_KNOTS)) for _ in range(rng.randint(1, 3)))
+             for _ in range(count)]
+    texts += [f"{knot} # mirror({knot})" for knot in LSPACE_KNOTS]
+    texts += [f"{signed(rng.choice(LSPACE_KNOTS))} # {knot} # mirror({knot})"
+              for knot in LSPACE_KNOTS]
+    return texts
+
+
 @pytest.fixture(scope="session")
 def trefoil():
     return torus_staircase(2, 3)

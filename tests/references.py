@@ -25,8 +25,13 @@ ran them before the table became a list indexed by bit length, and
 ``dumps`` is the writer that grouped terms by source name and sorted each
 group, as cfk ran it before its one integer sort.  ``cable_nu_plus_lower``
 is the per-residue scan that cfk.surgery.cable_nu_plus_bounds ran before
-it took each quotient floor(s/p) once.  Only f2.rank, the expression
-parser, and V and H (in the cable scan) are shared.
+it took each quotient floor(s/p) once.  ``d_invariants`` reads both
+stable towers of every spin-c slot, as cfk.surgery.surgery_d did before
+it read V at min(a, -b) only, and ``invariants_report`` is the CLI's
+invariants report with every level of its V window reduced, as cfk.cli
+made it before it filled V_k = 0 for k >= nu+.  Only f2.rank, the
+expression parser, V and H (in the cable scan and the surgery towers),
+lens_d, and the report's readers other than its V window are shared.
 """
 from __future__ import annotations
 
@@ -41,7 +46,9 @@ from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION
                            GRADING, VERTICAL_HOMOLOGY,
                            BifilteredComplex, DiffTerm, Generator, Violation)
 from cfk.errors import FormatError, KnotTypeError, NoConstructorError, ValidationError
-from cfk.invariants import H, V
+from cfk.cli import _hfk_rows
+from cfk.invariants import H, V, epsilon
+from cfk.surgery import genus_report, lens_d
 
 
 def loads(text, label=""):
@@ -753,3 +760,31 @@ def cable_nu_plus_lower(C, p, q):
     if all(max(V(C, s // p), H(C, (s - q) // p)) > 0 for s in range(q)):
         return p * q // 2 + 1
     return None
+
+
+def d_invariants(C, spec):
+    """The d-invariants of p/q surgery, each slot i shifted by the larger
+    of V_{floor(i/q)} and H_{floor((i-p)/q)}, both read."""
+    p, q = spec
+    return [lens_d(p, q, i) - 2 * max(V(C, i // q), H(C, (i - p) // q)) for i in range(p)]
+
+
+def invariants_report(text, vk):
+    """cfk invariants' report on text over the window vk (None: the
+    Seifert-genus window), with V and H reduced at every k of the window."""
+    e = kx.parse(text)
+    C = kx.build_complex(e)
+    rep = genus_report(C, e)
+    genus = rep.seifert_genus
+    lo, hi = vk if vk is not None else (-genus, genus)
+    vals = {k: V(C, k) for k in range(lo, hi + 1)}
+    warnings = [f"V table violates V(-k) = V(k) + k at k={k}"
+                for k in vals if -k in vals and vals[-k] != vals[k] + k]
+    return {
+        "expression": kx.to_text(e), "generators": len(C.index().names), "tau": rep.tau,
+        "nu": rep.nu, "nu_plus": rep.nu_plus, "epsilon": epsilon(C),
+        "V": {str(k): vals[k] for k in sorted(vals)},
+        "H": {str(k): V(C, -k) for k in sorted(vals)},
+        "hfk": _hfk_rows(C), "sigma": rep.sigma, "g4_lower": rep.g4_lower,
+        "g4_upper": rep.g4_upper, "seifert_genus": genus, "warnings": warnings,
+    }

@@ -10,7 +10,7 @@ import cfk
 from cfk import selftest
 from cfk.cli import _build_argparser, main
 from cfk.errors import NoConstructorError
-from cfk.expr import Torus, parse
+from cfk.expr import Torus, parse, to_text
 
 DATA = Path(__file__).parent / "data" / "mirror_cable_2_5_trefoil.cfk"
 SRC = Path(__file__).parent.parent / "src"
@@ -383,6 +383,28 @@ def test_torus_and_cable_past_sys_maxsize_exit_3(capsys, text):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: no CFK constructor available for ")
     assert err.endswith(" Alexander exponents exceed sys.maxsize\n")
+
+
+@pytest.mark.parametrize("text, span", [
+    (f"cable(2,{sys.maxsize},torus(2,3))", sys.maxsize + 4),
+    # the companion's genus is 2^60 + 2, so the span is 2^62 + 8 + (2^62 + 6) + 1
+    (f"cable(2,{2 ** 62 + 7},cable(2,{2 ** 61 + 1},torus(2,3)))", 2 ** 63 + 15)])
+def test_cable_whose_whole_span_passes_sys_maxsize_exits_3(capsys, text, span):
+    """Each torus factor alone fits, but the cable's span
+    p*2g(K) + (p-1)(q-1) + 1 does not: the cable at the top is refused
+    while the expression is parsed, before its semigroup is allocated."""
+    assert main(["genus", text]) == 3
+    assert capsys.readouterr() == ("", (
+        f"error: no CFK constructor available for {text}: "
+        f"p*2g(K) + (p-1)(q-1) + 1 = {span} Alexander exponents exceed sys.maxsize\n"))
+
+
+def test_cable_just_under_sys_maxsize_parses():
+    """A cable whose span 4 + (q-1) + 1 is sys.maxsize - 2, and the
+    companion of the nested case above, are not refused; only parsed here,
+    since building either would allocate about that many entries."""
+    for text in (f"cable(2,{sys.maxsize - 6},torus(2,3))", f"cable(2,{2 ** 61 + 1},torus(2,3))"):
+        assert to_text(parse(text)) == text
 
 
 def test_torus_at_sys_maxsize_parses():

@@ -1,5 +1,6 @@
 import gc
 import heapq
+import json
 import random
 import re
 import time
@@ -9,8 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 import references
-from conftest import cable_staircase, torus_staircase
+import test_references
+from conftest import cable_staircase, random_sums, torus_staircase
 from cfk import invariants, selftest
+from cfk.cli import main
 from cfk.cfkfile import dumps, loads
 from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor,
                            unknot_complex, validate)
@@ -513,6 +516,68 @@ def test_surgery_reduces_no_level_outside_the_alexander_range(monkeypatch):
     monkeypatch.setattr(invariants, "homology_over_U", counting_kernel)
     assert d_invariants(C, spec) == expected
     assert len(calls) <= hi - lo + 1
+
+
+def counted_levels(monkeypatch):
+    """The list that gets (C.label, k) for each level that homology_over_U
+    reduces, from here on."""
+    built, levels = {}, []
+
+    def recording(C, k):
+        x = a_minus(C, k)
+        built[id(x)] = (C.label, k)
+        return x
+
+    def counting_kernel(x):
+        levels.append(built[id(x)])
+        return homology_over_U(x)
+
+    monkeypatch.setattr(invariants, "a_minus", recording)
+    monkeypatch.setattr(invariants, "homology_over_U", counting_kernel)
+    return levels
+
+
+@pytest.mark.parametrize("text, p, q", [
+    ("torus(2,97)", 48, 1), ("torus(2,97)", 97, 2), ("torus(2,97)", 61, 4),
+    ("torus(2,97)", 199, 1), ("torus(2,9) # mirror(cable(2,5,torus(2,3)))", 17, 1),
+    ("torus(2,9) # mirror(cable(2,5,torus(2,3)))", 17, 3), ("torus(2,3)", 5, 4)])
+def test_d_invariants_reduce_at_most_half_as_many_levels_as_slots(monkeypatch, text, p, q):
+    """Slot i reads only V at min(floor(i/q), -floor((i-p)/q)), which is at
+    most (p/q + 1)/2: at most floor(p/(2q)) + 2 levels in all."""
+    C = build_complex(parse(text))
+    levels = counted_levels(monkeypatch)
+    assert len(d_invariants(C, SurgerySpec(p, q))) == p
+    assert 0 < len(levels) <= p // (2 * q) + 2, levels
+
+
+@pytest.mark.parametrize("text", ["mirror(torus(2,7))", "torus(2,5) # mirror(torus(2,5))",
+                                  "torus(2,7)", "torus(2,9) # mirror(cable(2,5,torus(2,3)))"])
+@pytest.mark.parametrize("window", [[], ["--vk=-9..12"]])
+def test_invariants_report_reduces_no_level_past_nu_plus(monkeypatch, capsys, text, window):
+    """V_k = 0 for k >= nu+, so the report reduces no level of C above
+    nu+, which nu_plus itself probes: with nu+ = 0, none at k >= 1."""
+    levels = counted_levels(monkeypatch)
+    assert main(["invariants", text, *window, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    reduced = {k for label, k in levels if label == text}
+    assert reduced and max(reduced) == report["nu_plus"], (sorted(reduced), report["nu_plus"])
+
+
+def test_v_is_nonnegative_and_drops_by_at_most_one_per_step():
+    """V_k >= 0 and V_k - 1 <= V_{k+1} <= V_k at every k in
+    [A_min - 2, A_max + 2], on both sides of the golden expressions and of
+    random sums with mixed signs (K # -K and J # K # -K among them), and on
+    shuffled U-shifted sums: the facts by which surgery_d reads one level
+    per slot and the invariants report stops reducing at nu+."""
+    rng = random.Random(3141)
+    complexes = [build_complex(parse(text))
+                 for text in selftest._SUITE + random_sums(rng, 30)]
+    complexes += [test_references.random_complex(rng) for _ in range(20)]
+    for C in complexes + [dual(C) for C in complexes]:
+        lo, hi = alexander_range(C)
+        ladder = [V(C, k) for k in range(lo - 2, hi + 4)]
+        assert min(ladder) >= 0, (C, ladder)
+        assert all(v - 1 <= w <= v for v, w in zip(ladder, ladder[1:])), (C, lo, ladder)
 
 
 def test_v_memo_stays_within_the_alexander_range():

@@ -1,15 +1,21 @@
 """The position-based validate, tau, nu and HFK-hat against the name-keyed
 references in references.py, the column-based loads, staircase, dual
-and tensor against the record-based ones, and homology_over_U and dumps
-against the dict-table kernel and the per-term writer they replaced."""
+and tensor against the record-based ones, homology_over_U and dumps
+against the dict-table kernel and the per-term writer they replaced, and
+d_invariants and the invariants report against the ones that reduced
+every level they name."""
+import json
 import random
 import re
 import tracemalloc
+from math import gcd
 
 import pytest
 
 import references
-from conftest import cable_staircase, torus_staircase
+from conftest import cable_staircase, random_sums, torus_staircase
+from cfk import selftest
+from cfk.cli import main
 from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import (NO_DEFECTS, BifilteredComplex, DiffTerm, Generator, dual,
                            tensor, validate)
@@ -17,7 +23,7 @@ from cfk.errors import FormatError
 from cfk.expr import build_complex, parse
 from cfk.invariants import (V, a_minus, epsilon, hfk_hat, homology_over_U, nu, nu_plus,
                              tau)
-from cfk.surgery import genus_report
+from cfk.surgery import SurgerySpec, d_invariants, genus_report
 
 PIECES = [lambda p: torus_staircase(2, 3, p), lambda p: torus_staircase(2, 5, p),
           lambda p: torus_staircase(3, 4, p), lambda p: cable_staircase(p)]
@@ -414,3 +420,57 @@ def test_validate_and_dumps_make_no_records_on_defective_columns():
         assert violations(validate, C) == violations(references.validate, R) != []
         assert written(C) == written(R)
         assert (C._generators, C._terms) == (None, None)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_d_invariants_match_the_two_tower_reference():
+    """d_invariants reads one level per spin-c slot, V at min(a, -b); the
+    reference reads V_a and H_b.  Same list, or the same exception type,
+    at every p <= 2 A_max + 3 and q <= 4, on sums of one to three
+    staircases with random mirrors (K # -K and J # K # -K among them),
+    shuffled U-shifted sums, and the ones of those with defects that
+    validate refuses before its vertical-homology stage."""
+    rng = random.Random(1618)
+    complexes = [build_complex(parse(text)) for text in random_sums(rng, 40)]
+    complexes += [random_complex(rng) for _ in range(20)]
+    for _ in range(60):
+        C = perturb(random_complex(rng), rng)
+        if "vertical-homology" not in {v.kind for v in validate(C)}:
+            complexes.append(C)
+    seen = set()
+    for C in complexes:
+        for p in range(1, 2 * max(C.max_alexander, 0) + 4):
+            for q in range(1, 5):
+                if gcd(p, q) == 1:
+                    spec = SurgerySpec(p, q)
+                    expected = outcome(references.d_invariants, C, spec)
+                    assert outcome(d_invariants, C, spec) == expected, (C, spec)
+                    seen.add(expected if isinstance(expected, type) else list)
+    assert seen == {list, ValueError}
+
+
+def test_invariants_json_matches_the_full_window_reference(tmp_path, capsys):
+    """cfk invariants --json fills V_k = 0 from nu+ on; the reference
+    reduces every level of the window.  Identical JSON on the golden
+    expressions, and on random sums and a shuffled file complex with the
+    default window and with a random window, often asymmetric."""
+    rng = random.Random(2357)
+    path = tmp_path / "k.cfk"
+    path.write_text(dumps(random_complex(rng)))
+    cases = [(text, None) for text in selftest._SUITE]
+    for text in random_sums(rng, 30) + [f'file("{path}")', f'mirror(file("{path}")) # torus(2,3)']:
+        g = build_complex(parse(text)).max_alexander
+        lo = rng.randint(-g - 3, g + 2)
+        cases += [(text, None), (text, (lo, rng.randint(lo, g + 3)))]
+    for text, vk in cases:
+        window = [f"--vk={vk[0]}..{vk[1]}"] if vk else []
+        assert main(["invariants", text, *window, "--json"]) == 0
+        expected = json.dumps(references.invariants_report(text, vk), indent=2) + "\n"
+        assert capsys.readouterr() == (expected, ""), (text, vk)
