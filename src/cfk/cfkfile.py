@@ -23,10 +23,10 @@ loads() fills the columns of the complex's index (see cfk.complexes)
 directly, and makes no Generator or DiffTerm record: those are made from
 the columns when a caller reads C.generators or C.terms.  A text it reads
 by whole columns repeats no name and no (source, target) pair, so it
-seeds the complex's structure record (C.defects()) as NO_DEFECTS.
+seeds the complex's repeat flag (C.repeats()) as False.
 dumps() makes no Generator or DiffTerm record.  It checks the terms, in
-term order, only when one has a negative U power or the record holds a
-repeat, and raises at the first term it cannot write.  It ranks the
+term order, only when one has a negative U power or C.repeats(), and
+raises at the first term it cannot write.  It ranks the
 names once (a name at two positions gets one rank) and keys each term by
 one int, (source rank, U power, target rank); it sorts the keys only when
 they are out of order, which a written file's never are, and cuts the dif
@@ -44,7 +44,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
-from .complexes import NO_DEFECTS, BifilteredComplex
+from .complexes import BifilteredComplex
 from .errors import FormatError
 
 HEADER = "cfk v1"
@@ -76,8 +76,8 @@ def loads(text: str, label: str = "") -> BifilteredComplex:
 
     A text with no error, every generator declared before the first dif
     line and no name or (source, target) pair repeated, as dumps() writes,
-    is read by whole columns (_read_columns), with C.defects() seeded as
-    NO_DEFECTS.  Any other text, including every text with an error, is
+    is read by whole columns (_read_columns), with C.repeats() seeded as
+    False.  Any other text, including every text with an error, is
     read line by line (_read_lines), which raises the first error.
     """
     columns = _read_columns(text)
@@ -244,7 +244,7 @@ def dumps(C: BifilteredComplex) -> str:
             problem = _name_problem(name)
             if problem is not None:
                 raise FormatError(f"cannot write generator {name!r}: name {problem}")
-    if C.defects() != NO_DEFECTS or min(powers, default=0) < 0:
+    if C.repeats() or min(powers, default=0) < 0:
         _refuse_terms(names, powers, sources, targets)
     # Terms are keyed by their names: a complex built from columns may hold
     # one name at two positions, and both get the name's one rank.  A term's

@@ -147,19 +147,7 @@ def _dinv_report(text: str, spec: SurgerySpec, spinc: int | None) -> dict[str, A
 def _genus_report(text: str) -> dict[str, Any]:
     e = parse(text)
     C = build_complex(e)
-    rep = genus_report(C, e)
-    return {
-        "expression": to_text(e),
-        "tau": rep.tau,
-        "nu": rep.nu,
-        "nu_plus": rep.nu_plus,
-        "nu_plus_mirror": rep.nu_plus_mirror,
-        "sigma": rep.sigma,
-        "seifert_genus": rep.seifert_genus,
-        "g4_lower": rep.g4_lower,
-        "g4_upper": rep.g4_upper,
-        "notes": list(rep.notes),
-    }
+    return {"expression": to_text(e), **genus_report(C, e)._asdict()}
 
 
 def _cable_bounds_report(text: str, p: int, q: int) -> dict[str, Any]:

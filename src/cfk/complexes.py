@@ -28,42 +28,41 @@ raises ValueError, for the first such term in term order, so every
 complex's terms name its own generators.  A repeated name stands for its
 last declaration.
 
-``first_defects`` decides once per complex whether its index is sound:
-``C.defects()`` keeps the position of the first repeated name and of the
-first repeated (source, target) pair, or None for each.  Where the build
-already knows it, the build seeds it: ``loads`` and ``staircase`` as
-NO_DEFECTS, ``dual`` as its source's record, and ``tensor`` of two clean
-factors by a search of the product's names alone (see ``tensor``).  A
-complex with either defect always has a positional violation (a repeated
-name, a term repeated at one U power or, at two powers, a grading
-mismatch): ``validate`` reports it, and every invariant refuses it with
-validate's first message.  ``dumps`` refuses
+``C.repeats()`` decides once per complex whether its index is sound: it
+is True when a generator name or a (source, target) pair repeats.  Where
+the build already knows it, the build seeds it: ``loads`` and
+``staircase`` as False, ``dual`` as its source's flag, and ``tensor`` of
+two factors with a verdict of () by a look at the product's names alone
+(see ``tensor``).  A complex that repeats either always has a positional
+violation (a repeated name, a term repeated at one U power or, at two
+powers, a grading mismatch): ``validate`` reports it, and every
+invariant refuses it with validate's first message.  ``dumps`` refuses
 only what would not read back.  ``validate`` and ``dumps`` check a
-complex, defective or not, in one pass over its term positions, and
-build a set of names or terms only when the record holds a repeat.  A
-complex built from columns can hold one name at two positions (a tensor
-with a factor that repeats a name); ``validate`` reads such an end as the
-name's last declaration, as the record constructor does.  The vertical
-slice is likewise built once per complex (``vertical_slice``), for
-validate, tau and HFK-hat.
+complex in one pass over its term positions, and build a set of names or
+terms only when it repeats.  A complex built from columns can hold one
+name at two positions (a tensor with a factor that repeats a name);
+``validate`` reads such an end as the name's last declaration, as the
+record constructor does.  The vertical slice is likewise built once per
+complex (``vertical_slice``), for validate, tau and HFK-hat.
 
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
 homology.  It reports each failure as a Violation, a NamedTuple of a kind
 and a message.  The positional stage's result is the complex's verdict
-(``verdict(C)``), kept next to its structure record for every complex.
+(``verdict(C)``), kept next to its repeat flag for every complex.
 ``staircase`` seeds it as valid, ``dual`` inherits a valid one, and
 ``tensor`` seeds it as valid when both factors' verdicts are and the
-product's record is clean; ``loads`` and the record constructor leave it
-to the first call.  The V ladder in cfk.invariants reads it before it
-builds a level, so a built complex is never checked, and any other is
-checked once.  ``dual(C)`` is kept in C's memo, so C has one mirror.
+product's names do not repeat; ``loads`` and the record constructor
+leave it to the first call.  The V ladder in cfk.invariants reads it
+before it builds a level, so a built complex is never checked, and any
+other is checked once.  ``dual(C)`` is kept in C's memo, so C has one
+mirror.
 """
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Sequence
 from itertools import compress, count, repeat
 from typing import NamedTuple
 
@@ -116,41 +115,6 @@ class Index(NamedTuple):
     alexander_range: tuple[int, int]
 
 
-class Defects(NamedTuple):
-    """The positions of the first repeated generator name and of the first
-    repeated (source, target) pair."""
-    repeated_name: int | None
-    repeated_pair: int | None
-
-
-NO_DEFECTS = Defects(None, None)
-
-
-def first_defects(names: Sequence[str], sources: Sequence[int],
-                  targets: Sequence[int]) -> Defects:
-    """The Defects (None where none) of an index's names and term positions:
-    a set size per kind, and a search only if it shows a repeat."""
-    width = len(names)  # one int per pair
-
-    def pairs() -> Iterable[int]:
-        return map(operator.add, map(operator.mul, sources, repeat(width)), targets)
-
-    return Defects(_repeated_name(names),
-                   _first_repeat(pairs()) if len(set(pairs())) < len(sources) else None)
-
-
-def _repeated_name(names: Sequence[str]) -> int | None:
-    """The position of the first repeated name, or None: a set size, and a
-    search only if it shows a repeat."""
-    return _first_repeat(names) if len(set(names)) < len(names) else None
-
-
-def _first_repeat(items: Iterable[Hashable]) -> int:
-    """The position of the first item equal to an earlier one (there is one)."""
-    seen: set[Hashable] = set()  # set.add returns None: each new item is added and passed
-    return next(p for p, item in enumerate(items) if item in seen or seen.add(item))
-
-
 class BifilteredComplex:
     def __init__(self, generators, terms, label: str = ""):
         """A complex from Generator and DiffTerm records.  The first term
@@ -171,13 +135,13 @@ class BifilteredComplex:
         self._generators, self._terms = generators, terms
 
     def _setup(self, names, i, j, maslov, powers, sources, targets, label: str,
-               defects: Defects | None) -> None:
+               repeats: bool | None) -> None:
         alexander = list(map(operator.sub, j, i))
         self._index = Index(names, i, j, maslov, powers, sources, targets,
                             (min(alexander, default=0), max(alexander, default=0)))
         self._generators: tuple[Generator, ...] | None = None
         self._terms: tuple[DiffTerm, ...] | None = None
-        self._defects = defects
+        self._repeats = repeats
         self._verdict: tuple[Violation, ...] | None = None
         self.label = label
         # The vertical slice and the results of cfk.invariants for this
@@ -190,12 +154,12 @@ class BifilteredComplex:
                      targets: list[int], label: str = "",
                      clean: bool = False) -> BifilteredComplex:
         """A complex stored as its index alone.  Every source and target
-        must be a generator position; clean seeds defects() as NO_DEFECTS,
+        must be a generator position; clean seeds repeats() as False,
         which the caller asserts: no name and no (source, target) pair
         repeats."""
         C = cls.__new__(cls)
         C._setup(names, i, j, maslov, powers, sources, targets, label,
-                 NO_DEFECTS if clean else None)
+                 False if clean else None)
         return C
 
     @property
@@ -219,12 +183,15 @@ class BifilteredComplex:
         """This complex by generator position."""
         return self._index
 
-    def defects(self) -> Defects:
-        """first_defects of this complex's index, found on the first call."""
-        if self._defects is None:
+    def repeats(self) -> bool:
+        """Whether a generator name or a (source, target) pair repeats,
+        decided on the first call unless the build seeded it."""
+        if self._repeats is None:
             x = self.index()
-            self._defects = first_defects(x.names, x.sources, x.targets)
-        return self._defects
+            width = len(x.names)  # one int per pair
+            pairs = map(operator.add, map(operator.mul, x.sources, repeat(width)), x.targets)
+            self._repeats = len(set(x.names)) < width or len(set(pairs)) < len(x.sources)
+        return self._repeats
 
     @property
     def max_alexander(self) -> int:
@@ -270,12 +237,12 @@ def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
 
     It is kept on C, so it runs at most once per complex.  staircase seeds
     it as (), dual of a complex whose verdict is () inherits it, and so
-    does tensor of two such factors when the product's structure record
-    is clean, since filtration, gradings, U powers and d^2 = 0 carry over;
-    loads and the record constructor leave it to the first call.  So a
-    verdict of () always comes with a clean record: a tensor of valid
-    factors that repeats a name is checked by name, as any complex with a
-    defect is.
+    does tensor of two such factors when the product's names do not
+    repeat, since filtration, gradings, U powers and d^2 = 0 carry over;
+    loads and the record constructor leave it to the first call.  A
+    verdict of () means C.repeats() is False: a repeated name is a
+    violation, and a repeated (source, target) pair is one too, at one U
+    power a repeated term and at two a grading mismatch.
     """
     if C._verdict is None:
         C._verdict = tuple(_positional_stage(C))
@@ -288,7 +255,9 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
     The structural checks are one pass over the index: repeated names in
     declaration order, then each term in order for a repeat, a negative U
     power, its filtration and its grading.  The name and term sets are
-    built only when C.defects() records a repeat.
+    built only when C.repeats(); without a repeated name the name scan
+    would find nothing and the remap to last declarations would change no
+    end, and without a repeated pair no term repeats.
 
     d^2 = 0 is checked over F2 per end generator: each generator's set of
     ends reached by an odd number of two-step paths is the symmetric
@@ -299,9 +268,10 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
     its largest target, would take about n^2/16 bytes over n generators.
     """
     names, I, J, M, powers, sources, targets, _ = C.index()
-    repeated_name, repeated_pair = C.defects()
     out: list[Violation] = []
-    if repeated_name is not None:
+    # Terms are keyed by their names: one name can sit at two positions.
+    term_seen: set[tuple[str, str, int]] | None = None
+    if C.repeats():
         seen: set[str] = set()  # set.add returns None: each new name is added and passed
         out += [Violation(DUPLICATE_NAME, f"generator name {name!r} declared twice")
                 for name in names if name in seen or seen.add(name)]
@@ -310,11 +280,7 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
         last = dict(zip(names, count()))
         sources = [last[names[s]] for s in sources]
         targets = [last[names[t]] for t in targets]
-    # Terms are keyed by their names: one name can sit at two positions.
-    # With no repeated name and no repeated (source, target) pair, no term
-    # repeats.
-    term_seen: set[tuple[str, str, int]] | None = (
-        None if repeated_name is None and repeated_pair is None else set())
+        term_seen = set()
     for s, t, n in zip(sources, targets, powers):
         if term_seen is not None:
             term = (names[s], names[t], n)
@@ -431,15 +397,15 @@ def dual(C: BifilteredComplex) -> BifilteredComplex:
     """Mirror complex: positions and gradings negated, arrows reversed.
 
     It is kept in C's memo, so each complex has one mirror.  The mirror
-    has C's names and C's pairs reversed, so the same first repeats: it
-    takes C's structure record as it stands, and C's verdict when that is
+    has C's names and C's pairs reversed, so it repeats what C repeats: it
+    takes C's repeat flag as it stands, and C's verdict when that is
     valid.  It holds no reference to C."""
     x = C.index()
     neg = operator.neg
     D = BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
         x.powers, x.targets, x.sources, f"dual({C.label})")
-    D._defects = C._defects
+    D._repeats = C._repeats
     if C._verdict == ():
         D._verdict = ()
     return D
@@ -453,12 +419,13 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     g*h is at position p1 * n2 + p2, and the terms of C1 (each with every
     h in turn) come before those of C2 (for each g in turn).
 
-    When neither factor repeats a name or a pair, neither does the product
-    by position: a term of C1 times h and g times a term of C2 share a
-    pair only when both terms are loops (s -> s), so the pair record is
-    seeded then, and only the product's names are searched.  Those can
-    still repeat ("x" * "y*z" and "x*y" * "z").  The verdict is seeded
-    valid when both factors' are and the product's record is clean.
+    When both factors' verdicts are () (see ``verdict``), neither factor
+    repeats a name or a pair, and neither holds a loop (s -> s), since
+    M(s) - 1 = M(s) - 2n has no integer solution n.  A term of C1 times h
+    and g times a term of C2 share a pair only when both terms are loops,
+    so the product repeats no pair by position, and its repeat flag is
+    whether its names repeat ("x" * "y*z" and "x*y" * "z" do).  Its
+    verdict is () when they do not.
     """
     x1, x2 = C1.index(), C2.index()
     n2 = len(x2.names)
@@ -477,9 +444,9 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
         ends(x1.sources, x2.sources), ends(x1.targets, x2.targets),
         f"tensor({C1.label}, {C2.label})")
-    if C1.defects() == C2.defects() == NO_DEFECTS and not all(
-            any(map(operator.eq, x.sources, x.targets)) for x in (x1, x2)):
-        C._defects = Defects(_repeated_name(C.index().names), None)
-        if C1._verdict == C2._verdict == () and C._defects == NO_DEFECTS:
+    if C1._verdict == C2._verdict == ():
+        names = C.index().names
+        C._repeats = len(set(names)) < len(names)
+        if not C._repeats:
             C._verdict = ()
     return C

@@ -37,8 +37,7 @@ from math import gcd
 from typing import NamedTuple, Union
 
 from .cfkfile import read_complex
-from .complexes import (NO_DEFECTS, BifilteredComplex, dual, require_valid, staircase,
-                        tensor, validate)
+from .complexes import BifilteredComplex, dual, require_valid, staircase, tensor, validate
 from .errors import ExprSemanticError, ExprSyntaxError, NoConstructorError, ValidationError
 
 
@@ -399,14 +398,14 @@ def build_complex(e: KnotExpr) -> BifilteredComplex:
 
     Cables demand an L-space companion with q >= p*(2g - 1); everything
     else composes structurally (mirror -> dual, sum -> tensor).  Complexes
-    loaded from files are validated before use, and a built complex whose
-    structure record is not clean (a sum whose factors' names collide into
-    one product name) raises ValidationError with validate's violations.
+    loaded from files are validated before use, and a built complex that
+    repeats a name (a sum whose factors' names collide into one product
+    name) raises ValidationError with validate's violations.
     Every complex _build returns is new, so it is relabelled in place and
     keeps its index and memo, including what validation recorded.
     """
     built = _build(e)
-    if built.defects() != NO_DEFECTS:
+    if built.repeats():
         raise ValidationError(validate(built))
     built.label = to_text(e)
     return built

@@ -38,10 +38,9 @@ every level of the complex shares, so the V ladder makes no per-level
 names and ``homology_over_U`` looks up none unless a pivot pair fails.
 
 Every refusal here that validate would also make uses validate's words.
-Every entry point first reads the complex's structure record
-(``C.defects()``): a repeated name or a repeated (source, target) pair
-raises ValueError with the message of validate's first violation, which
-such a complex always has.  The V
+Every entry point first asks ``C.repeats()``: a repeated name or a
+repeated (source, target) pair raises ValueError with the message of
+validate's first violation, which such a complex always has.  The V
 ladder decides the rest of validity once per complex, not per level:
 before it builds a level, ``a_minus`` reads the complex's verdict
 (cfk.complexes.``verdict``, validate's positional stage: U powers >= 0,
@@ -52,10 +51,11 @@ surgery formulas refuse what ``validate`` refuses, at every k.
 built complex pays for no check; a loaded or record-built one runs the
 positional stage once, on its first level or its first refusal, and
 keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
-no verdict on a complex with a clean structure record: on one that
-validate refuses they may return numbers.  tau and HFK-hat read the
-complex's vertical slice; nu builds the U = 0 slices of A^-_k.  Each
-slice is gradings plus the source and target positions of its terms.
+no verdict on a complex that repeats nothing: on one that validate
+refuses they may return numbers.  tau and HFK-hat read the complex's
+vertical slice (cfk.complexes.``vertical_slice``); nu builds the U = 0
+slices of A^-_k with ``shifted_slice``.  Each slice is gradings plus the
+source and target positions of its terms.
 
 Each complex object keeps a private memo of its checked index, the two
 columns its levels are graded from, the free gradings of each level, the
@@ -79,8 +79,8 @@ from collections.abc import Sequence
 from itertools import compress
 
 from . import f2
-from .complexes import (NO_DEFECTS, BifilteredComplex, Index, dual, memoized,
-                        shifted_slice, verdict, vertical_slice)
+from .complexes import (BifilteredComplex, Index, dual, memoized, shifted_slice, verdict,
+                        vertical_slice)
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -126,10 +126,10 @@ class FreeUComplex:
 
 @memoized
 def _index(C: BifilteredComplex) -> Index:
-    """C's index, once C.defects() shows no repeated name and no repeated
+    """C's index, once C.repeats() shows no repeated name and no repeated
     (source, target) pair; a complex with either raises ValueError with
     validate's first message (such a complex always has one)."""
-    if C.defects() != NO_DEFECTS:
+    if C.repeats():
         raise ValueError(verdict(C)[0].message)
     return C.index()
 
@@ -291,16 +291,6 @@ def nu_plus(C: BifilteredComplex) -> int:
     return k
 
 
-def _slice(C: BifilteredComplex,
-           k: int | None = None) -> tuple[list[int], list[int], list[int]]:
-    """vertical_slice(C) when k is None, else the U = 0 slice of A^-_k
-    (see shifted_slice: g moved to U^{c_g} g, c_g = max(i_g, j_g - k))."""
-    index = _index(C)
-    if k is None:
-        return vertical_slice(C)
-    return shifted_slice(index, [i if i > j - k else j - k for i, j in zip(index.i, index.j)])
-
-
 def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
     """Each position -> its place in the list, counted from start."""
     return dict(zip(positions, range(start, start + len(positions))))
@@ -321,7 +311,7 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     Alexander grading.
     """
     index = _index(C)
-    grading, sources, targets = _slice(C)
+    grading, sources, targets = vertical_slice(C)
     alexander = list(map(operator.sub, index.j, index.i))
     zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
     row = _numbered(zero)
@@ -368,7 +358,9 @@ def nu(C: BifilteredComplex) -> int:
     index = _index(C)
     width = len(zero)
     for k in range(least, index.alexander_range[1] + 1):
-        grading, sources, targets = _slice(C, k)
+        # g moved to U^{c_g} g, c_g = max(i_g, j_g - k)
+        grading, sources, targets = shifted_slice(
+            index, [i if i > j - k else j - k for i, j in zip(index.i, index.j)])
         bit = _numbered([p for p, m in enumerate(grading) if m == -1], width)
         cols = dict.fromkeys([p for p, m in enumerate(grading) if m == 0], 0)
         # P_k: an element with Alexander grading <= k has shift i, so the
@@ -412,7 +404,7 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
 @memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     index = _index(C)
-    grading, sources, targets = _slice(C)
+    grading, sources, targets = vertical_slice(C)
     alexander = [j - i for i, j in zip(index.i, index.j)]
     keep = [alexander[s] == alexander[t] for s, t in zip(sources, targets)]
     return f2.graded_homology_dims(list(zip(alexander, grading)),

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from .complexes import BifilteredComplex, dual
 from .errors import PreconditionError
 from . import expr as kx
-from .invariants import H, V, nu, nu_plus, seifert_genus, tau
+from .invariants import V, nu, nu_plus, seifert_genus, tau
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
@@ -107,19 +107,6 @@ class CableBounds(NamedTuple):
     upper: Optional[int]
 
 
-def _every_residue_positive(C: BifilteredComplex, p: int, q: int) -> bool:
-    """Whether max(V_{floor(s/p)}, H_{floor((s-q)/p)}) > 0 for every s in [0, q)."""
-    last_b = h = None
-    for a in range((q - 1) // p + 1):
-        v = V(C, a)
-        for b in range((a * p - q) // p, (min(a * p + p, q) - 1 - q) // p + 1):
-            if b != last_b:
-                last_b, h = b, H(C, b)
-            if max(v, h) <= 0:
-                return False
-    return True
-
-
 def cable_nu_plus_bounds(C: BifilteredComplex, p: int, q: int,
                          g4_upper: Optional[int] = None) -> CableBounds:
     """Bounds on nu_plus of the (p,q) cable of the knot of C.
@@ -129,14 +116,14 @@ def cable_nu_plus_bounds(C: BifilteredComplex, p: int, q: int,
     the slice-genus estimate g4(cable) <= p*g4 + (p-1)(q-1)/2 when a g4
     upper bound for the companion is supplied.
 
-    The residues s with one quotient a = floor(s/p), at most p of them,
-    share V_a, and floor((s-q)/p) takes at most two values over them and
-    never decreases with s, so the scan reads each V and each H once, in
-    residue order, and stops at the first residue that fails.
+    H_b = V_{-b} and V is nonincreasing, so residue s reads V at
+    m(s) = min(floor(s/p), ceil((q-s)/p)), and every residue passes exactly
+    when V is positive at the largest m(s), which is ceil(q/p) // 2: only
+    that level is read.
     """
     if p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError(f"cable parameters must be coprime and >= 1, got ({p},{q})")
-    lower = p * q // 2 + 1 if _every_residue_positive(C, p, q) else None
+    lower = p * q // 2 + 1 if V(C, -(-q // p) // 2) > 0 else None
     upper: Optional[int] = None
     if g4_upper is not None:
         if g4_upper < 0:

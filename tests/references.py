@@ -736,15 +736,13 @@ def dumps(C):
             raise FormatError(f"cannot write generator {name!r}: name {problem}")
     lines = ["cfk v1"]
     lines += map("gen {} {} {} {}".format, names, I, J, M)
-    repeated_name, repeated_pair = C.defects()
-    seen = None if repeated_name is None and repeated_pair is None else set()
+    seen = set()
     by_source = {}
     for s, t, n in zip(sources, targets, powers):
-        if n < 0 or seen is not None and (names[s], names[t], n) in seen:
+        if n < 0 or (names[s], names[t], n) in seen:
             problem = "U power is negative" if n < 0 else "term is repeated"
             raise FormatError(f"cannot write term U^{n} {names[s]!r}->{names[t]!r}: {problem}")
-        if seen is not None:
-            seen.add((names[s], names[t], n))
+        seen.add((names[s], names[t], n))
         by_source.setdefault(names[s], []).append((n, names[t]))
     for source in sorted(by_source):
         parts = [target if n == 0 else f"U^{n}.{target}"

@@ -1,7 +1,7 @@
-"""The structure record (cfk.complexes.first_defects): which reader reports
+"""The repeat flag (BifilteredComplex.repeats): which reader reports
 which defect when a complex has several, frozen message by message; the
 record constructor refusing a term that names no generator; loads,
-staircase, dual and tensor seeding the record; one mirror per complex;
+staircase, dual and tensor seeding the flag; one mirror per complex;
 and one vertical slice per complex."""
 import gc
 import random
@@ -12,9 +12,9 @@ import pytest
 
 from cfk import complexes, expr, invariants
 from cfk.cfkfile import _read_columns, dumps, loads
-from cfk.complexes import NO_DEFECTS, BifilteredComplex, DiffTerm as D, Defects
+from cfk.complexes import BifilteredComplex, DiffTerm as D
 from cfk.cli import main
-from cfk.complexes import Generator as G, dual, first_defects, tensor, validate, verdict
+from cfk.complexes import Generator as G, dual, tensor, validate, verdict
 from cfk.expr import build_complex, parse
 from cfk.invariants import V, hfk_hat, nu, nu_plus, tau
 from cfk.surgery import SurgerySpec, d_invariants
@@ -51,13 +51,13 @@ ENTRIES = {
     "dumps": dumps,
 }
 
-# Each entry's result or error on each complex, recorded before the
-# structure record existed, when every reader ran its own checks; since
-# then V, tau and HFK-hat refuse a complex whose record shows a repeated
-# name or pair with validate's first message.  From "inhomogeneous only"
-# on, the rows have no defect that C.defects() records, and V refuses each
-# with validate's first message (the complex's verdict), where tau and
-# HFK-hat, which read no verdict, still give numbers.
+# Each entry's result or error on each complex, recorded when every reader
+# ran its own checks; since then V, tau and HFK-hat refuse a complex that
+# repeats a name or a pair with validate's first message.  From
+# "inhomogeneous only" on, the rows repeat nothing (C.repeats() is False),
+# and V refuses each with validate's first message (the complex's
+# verdict), where tau and HFK-hat, which read no verdict, still give
+# numbers.
 FROZEN = {
     "inhomogeneous before repeated term": {
         "validate": [
@@ -192,7 +192,7 @@ def outcome(entry, C):
 def test_frozen_precedence_of_several_defects():
     assert list(FROZEN) == list(COMPLEXES)
     for label, spec in COMPLEXES.items():
-        shared = BifilteredComplex(*spec)  # every reader in turn, one record
+        shared = BifilteredComplex(*spec)  # every reader in turn, one flag and verdict
         for name, entry in ENTRIES.items():
             want = FROZEN[label][name]
             assert outcome(entry, BifilteredComplex(*spec)) == want, (label, name)
@@ -202,7 +202,7 @@ def test_frozen_precedence_of_several_defects():
 def test_every_reader_refusal_is_validates_first_message():
     """V, tau and HFK-hat refuse in validate's words: each ValueError they
     raise on a frozen row is validate's first message.  All three refuse
-    the six rows whose record shows a repeat; V alone the other four."""
+    the six rows that repeat a name or a pair; V alone the other four."""
     refused = []
     for label, spec in COMPLEXES.items():
         first = validate(BifilteredComplex(*spec))[0].message
@@ -248,13 +248,35 @@ def test_v_refuses_what_validate_refuses_at_every_level(label):
         assert outcome(entry, BifilteredComplex(*COMPLEXES[label])) == f"ValueError: {message}"
 
 
-def test_first_defects_gives_the_first_position_of_each_kind():
-    assert first_defects([], [], []) == NO_DEFECTS
-    assert first_defects(["a", "b"], [1, 1], [0, 0]) == Defects(None, 1)
-    assert first_defects(["a", "b", "c", "b", "a"], [0, 1, 2, 0, 4, 0],
-                         [1, 0, 3, 2, 0, 1]) == Defects(3, 5)
+def test_repeats_finds_a_repeated_name_or_pair():
+    def columns(names, sources, targets):
+        zeros = [0] * len(names)
+        return BifilteredComplex.from_columns(names, zeros, zeros, zeros, [0] * len(sources),
+                                              sources, targets)
+
+    assert not columns([], [], []).repeats()
+    assert columns(["a", "b"], [1, 1], [0, 0]).repeats()
+    assert columns(["a", "b", "a"], [0], [1]).repeats()
+    assert columns(["a", "b", "c", "b", "a"], [0, 1, 2, 0, 4, 0],
+                   [1, 0, 3, 2, 0, 1]).repeats()
     # every (source, target) pair over two generators, none repeated
-    assert first_defects(["a", "b"], [0, 1, 1, 0], [1, 0, 1, 0]) == NO_DEFECTS
+    assert not columns(["a", "b"], [0, 1, 1, 0], [1, 0, 1, 0]).repeats()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The complexes whose repeats() looks at the index, in call order:
+    those no build seeded, on their first call."""
+    found = []
+    repeats = BifilteredComplex.repeats
+
+    def counted(C):
+        if C._repeats is None:
+            found.append(C)
+        return repeats(C)
+
+    monkeypatch.setattr(BifilteredComplex, "repeats", counted)
+    return found
 
 
 PAPER_KNOT = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
@@ -265,35 +287,24 @@ def text():
     return dumps(build_complex(parse(PAPER_KNOT)))
 
 
-def test_loads_seeds_the_record_and_no_reader_runs_the_bulk_pass(text, monkeypatch):
+def test_loads_seeds_the_record_and_no_reader_runs_the_bulk_pass(text, passes):
     assert _read_columns(text) is not None
     C = loads(text)
-    assert C._defects == NO_DEFECTS
-
-    def bulk_pass(*args):
-        raise AssertionError("first_defects ran on a complex that loads seeded")
-
-    monkeypatch.setattr(complexes, "first_defects", bulk_pass)
+    assert C._repeats is False
     assert validate(C) == []
     assert (tau(C), nu(C), nu_plus(C), V(C, 0)) == (0, 1, 2, 1)
     assert hfk_hat(C) and dumps(C) == text
+    assert passes == []
 
 
-def test_the_record_is_found_once_per_complex(text, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return first_defects(*args)
-
-    monkeypatch.setattr(complexes, "first_defects", counted)
+def test_the_record_is_found_once_per_complex(text, passes):
     built = loads(text)
     C = BifilteredComplex(built.generators, built.terms)  # from records: not seeded
-    assert C._defects is None
+    assert C._repeats is None
     assert validate(C) == []
     for read in (tau, nu, hfk_hat, lambda C: V(C, 0), dumps, dual, lambda C: tensor(C, C)):
         read(C)
-    assert calls == [1]
+    assert passes == [C]
 
 
 LADDER = {
@@ -343,8 +354,8 @@ def test_file_and_loaded_complexes_run_the_positional_stage_once(text, tmp_path,
 
 def test_a_tensor_of_valid_factors_can_repeat_a_name():
     """Both factors pass validate, but the tensor's names repeat ("x*y" +
-    "z" against "x" + "y*z"): its record shows it, its verdict is not
-    seeded, and validate reports the repeat by name, as for a complex
+    "z" against "x" + "y*z"): its repeat flag shows it, its verdict is
+    not seeded, and validate reports the repeat by name, as for a complex
     built from records."""
     def trefoil(names):
         rename = dict(zip(["x0", "x1", "x2"], names))
@@ -354,7 +365,7 @@ def test_a_tensor_of_valid_factors_can_repeat_a_name():
     A, B = trefoil(["x", "x*y", "a"]), trefoil(["y*z", "z", "b"])
     assert validate(A) == validate(B) == []
     C = tensor(A, B)
-    assert C._defects == Defects(4, None) and C._verdict is None
+    assert C._repeats is True and C._verdict is None
     found = [(v.kind, v.message) for v in validate(C)]
     assert found[0] == ("duplicate-name", "generator name 'x*y*z' declared twice")
     records = BifilteredComplex(C.generators, C.terms)
@@ -412,11 +423,12 @@ def test_each_complex_has_one_mirror_and_it_holds_no_reference_back(text):
     assert tau(mirror) == 0
 
 
-def test_one_invariants_report_makes_two_mirrors_and_no_defect_pass(capsys, monkeypatch):
+def test_one_invariants_report_makes_two_mirrors_and_no_defect_pass(capsys, monkeypatch,
+                                                                    passes):
     """On the 225-generator paper knot: the mirror in the expression and
-    the one the report reads for nu+ and epsilon, and every structure
-    record seeded by the build."""
-    mirrors, passes = [], []
+    the one the report reads for nu+ and epsilon, and every repeat flag
+    seeded by the build."""
+    mirrors = []
     from_columns = BifilteredComplex.from_columns.__func__
 
     def counted_columns(cls, *args, **kwargs):
@@ -425,12 +437,7 @@ def test_one_invariants_report_makes_two_mirrors_and_no_defect_pass(capsys, monk
             mirrors.append(C)
         return C
 
-    def counted_defects(*args):
-        passes.append(1)
-        return first_defects(*args)
-
     monkeypatch.setattr(BifilteredComplex, "from_columns", classmethod(counted_columns))
-    monkeypatch.setattr(complexes, "first_defects", counted_defects)
     assert main(["invariants", "torus(2,5) # torus(2,3) # torus(2,3) # "
                                "mirror(cable(2,5,torus(2,3)))", "--json"]) == 0
     assert '"nu_plus": 2' in capsys.readouterr().out
@@ -455,11 +462,12 @@ def _random_expression(rng, leaves, factors):
 
 
 def test_seeded_records_match_a_fresh_computation(tmp_path):
-    """Every structure record and verdict a build seeds (staircase, dual,
-    tensor, loads) equals first_defects and the positional stage run on
-    the complex afresh: on random sums, mirrors and cables with file
-    factors whose names contain "*", so that product names collide, on
-    their mirrors, and on tensors of defective factors, loops among them."""
+    """Every repeat flag and verdict a build seeds (staircase, dual,
+    tensor, loads) equals a fresh look at the names and (source, target)
+    pairs and the positional stage run on the complex afresh: on random
+    sums, mirrors and cables with file factors whose names contain "*",
+    so that product names collide, on their mirrors, and on tensors of
+    defective factors, loops among them."""
     fa, fb, fc, fd = (_cfk_trefoil(tmp_path / f"{file}.cfk", names) for file, names in [
         ("A", ["x", "x*y", "a"]), ("B", ["y*z", "z", "b"]),
         ("C", ["x0", "x0*x1", "x2"]), ("D", ["x1*x2", "x2", "d"])])
@@ -471,25 +479,30 @@ def test_seeded_records_match_a_fresh_computation(tmp_path):
     rng = random.Random(20)
 
     def made(C):
-        """C with the record and the verdict it was made with."""
-        return C, C._defects, C._verdict
+        """C with the repeat flag and the verdict it was made with."""
+        return C, C._repeats, C._verdict
+
+    def repeated(C):
+        """Whether C repeats a name, and whether it repeats a pair."""
+        x = C.index()
+        return (len(set(x.names)) < len(x.names),
+                len(set(zip(x.sources, x.targets))) < len(x.sources))
 
     built = [made(expr._build(parse(text))) for text in colliding + [
         _random_expression(rng, leaves, rng.randint(1, 3)) for _ in range(60)]]
     loop = BifilteredComplex([G("a", 0, 0, 0)], [D("a", "a", 0)])
-    defective = [C for C, *_ in built if C.defects() != NO_DEFECTS]
-    assert sum(C.defects().repeated_name is not None for C in defective) >= len(colliding)
+    defective = [C for C, *_ in built if C.repeats()]
+    assert sum(repeated(C)[0] for C in defective) >= len(colliding)
     defective += [loop] + [BifilteredComplex(*spec) for spec in COMPLEXES.values()]
     cases = built + [made(dual(C)) for C in [C for C, *_ in built] + defective]
     cases += [made(tensor(A, B)) for A in [loop] + defective[-4:]
               for B in (loop, T, built[0][0], defective[0])]
     cases += [made(tensor(built[0][0], A)) for A in defective]
-    assert any(C.defects().repeated_pair is not None for C, *_ in cases)
+    assert any(repeated(C)[1] for C, *_ in cases)
     for C, seeded, kept in cases:
-        x = C.index()
-        fresh = first_defects(x.names, x.sources, x.targets)
+        fresh = any(repeated(C))
         assert seeded in (None, fresh), C
-        assert C.defects() == fresh
+        assert C.repeats() == fresh
         assert kept in (None, tuple(complexes._positional_stage(C))), C
-        assert kept != () or fresh == NO_DEFECTS
+        assert kept != () or not fresh
         assert verdict(C) == tuple(complexes._positional_stage(C)), C

@@ -17,8 +17,7 @@ from conftest import cable_staircase, random_sums, torus_staircase
 from cfk import selftest
 from cfk.cli import main
 from cfk.cfkfile import _read_columns, dumps, loads
-from cfk.complexes import (NO_DEFECTS, BifilteredComplex, DiffTerm, Generator, dual,
-                           tensor, validate)
+from cfk.complexes import BifilteredComplex, DiffTerm, Generator, dual, tensor, validate
 from cfk.errors import FormatError
 from cfk.expr import build_complex, parse
 from cfk.invariants import (V, a_minus, epsilon, hfk_hat, homology_over_U, nu, nu_plus,
@@ -178,14 +177,17 @@ def test_dumps_matches_the_per_term_writer_on_random_complexes():
         seen.add(out.split(": ")[-1] if kind == "FormatError" else
                  "U powers" if "U^" in out else "no U power")
         if kind == "text":
-            seen.update(f"written {field}" for field, value in C.defects()._asdict().items()
-                        if value is not None)
+            x = C.index()
+            if len(set(x.names)) < len(x.names):
+                seen.add("written repeated name")
+            if len(set(zip(x.sources, x.targets))) < len(x.sources):
+                seen.add("written repeated pair")
             R = loads(out)
             assert dumps(R) == references.dumps(R) == out
     assert seen >= {"U powers", "no U power", "U power is negative", "term is repeated",
                     "name collides with term syntax", "name may not contain '#'",
                     "name must be nonempty and contain no whitespace",
-                    "written repeated_name", "written repeated_pair"}, seen
+                    "written repeated name", "written repeated pair"}, seen
 
 
 def test_validate_peak_memory_is_no_more_than_the_reference():
@@ -309,7 +311,7 @@ def test_loads_matches_the_reference_on_perturbed_texts():
             continue
         C = loads(text, "lbl")
         assert dumps(C) == dumps(references.loads(text))
-        clean = loads(text)._defects == NO_DEFECTS  # seeded by loads, before any reader
+        clean = loads(text)._repeats is False  # seeded by loads, before any reader
         assert clean == (_read_columns(text) is not None)
         if clean:
             by_columns += 1

@@ -177,28 +177,24 @@ def test_cable_lower_bound_matches_the_per_residue_scan():
     assert cases > 2000
 
 
-def test_cable_lower_bound_reads_each_v_and_h_once_in_residue_order(monkeypatch):
-    """The calls are the per-residue scan's, each at its first use, up to
-    the first residue that fails."""
+def test_cable_lower_bound_reads_one_v_level_and_no_h(monkeypatch):
+    """Every residue passes exactly when V is positive at ceil(q/p) // 2,
+    so each bound reads that one level and no H."""
     calls = []
     monkeypatch.setattr(surgery, "V", lambda C, k: calls.append(("V", k)) or V(C, k))
-    monkeypatch.setattr(surgery, "H", lambda C, k: calls.append(("H", k)) or H(C, k))
+    monkeypatch.setattr(surgery, "H", lambda C, k: calls.append(("H", k)) or H(C, k),
+                        raising=False)
     for text in CABLE_COMPANIONS:
         C = kx.build_complex(kx.parse(text))
         for p, q in [(1, 7), (2, 5), (2, 13), (3, 2), (3, 16), (5, 3), (7, 30), (8, 9)]:
             calls.clear()
             cable_nu_plus_bounds(C, p, q)
-            want = []
-            for s in range(q):
-                want += [("V", s // p), ("H", (s - q) // p)]
-                if max(V(C, s // p), H(C, (s - q) // p)) <= 0:
-                    break
-            assert calls == list(dict.fromkeys(want)), (text, p, q)
+            assert calls == [("V", ceil(q / p) // 2)], (text, p, q)
 
 
 def test_cable_lower_bound_at_large_q_reads_few_levels(monkeypatch):
-    """q = 10^9 reads one V and one H per quotient; the scan used to take
-    one step per residue."""
+    """Each bound at q up to 10^9 + 1 reads one V level; a scan by residue
+    would take q steps."""
     calls = []
     monkeypatch.setattr(surgery, "V", lambda C, k: calls.append(k) or V(C, k))
     T = torus_staircase(2, 3)
