@@ -48,8 +48,9 @@ complex (``vertical_slice``), for validate, tau and HFK-hat.
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
 homology.  It reports each failure as a Violation, a NamedTuple of a kind
-and a message.  The positional stage's result is the complex's verdict
-(``verdict(C)``), kept next to its repeat flag for every complex.
+and a message.  validate's whole answer is the complex's verdict
+(``verdict(C)``, and ``validate(C)`` is ``list(verdict(C))``), kept next
+to its repeat flag for every complex, so each stage runs at most once.
 ``staircase`` seeds it as valid, ``dual`` inherits a valid one, and
 ``tensor`` seeds it as valid when both factors' verdicts are and the
 product's names do not repeat; ``loads`` and the record constructor
@@ -193,10 +194,6 @@ class BifilteredComplex:
             self._repeats = len(set(x.names)) < width or len(set(pairs)) < len(x.sources)
         return self._repeats
 
-    @property
-    def max_alexander(self) -> int:
-        return self.index().alexander_range[1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifilteredComplex):
             return NotImplemented
@@ -210,43 +207,43 @@ class BifilteredComplex:
 
 
 def validate(C: BifilteredComplex) -> list[Violation]:
-    """Structural checks plus the knot-type condition.
+    """Structural checks plus the knot-type condition: ``list(verdict(C))``.
 
-    Returns an empty list when C is a valid knot-like complex.  It runs in
-    two stages, each only once the one before passes, since a deeper check
-    would crash or lie on malformed input: the positional stage
-    (``verdict``: the structure, then d^2 = 0) and the vertical homology.
+    Returns an empty list when C is a valid knot-like complex.
     """
-    out = list(verdict(C))
-    if out:
-        return out
-    # Vertical homology: the i-preserving slice at i = 0.
-    dims = f2.graded_homology_dims(*vertical_slice(C))
-    if dims != {0: 1}:
-        total = sum(dims.values())
-        out.append(Violation(
-            VERTICAL_HOMOLOGY,
-            f"vertical homology has total dimension {total} at gradings "
-            f"{sorted(dims)} (want dimension 1 at grading 0)"))
-    return out
+    return list(verdict(C))
 
 
 def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
-    """validate's positional stage on C: () when C is valid but for its
-    vertical homology, else the violations validate reports.
+    """validate's answer on C: () when C is a valid knot-like complex, else
+    the violations validate reports.
 
-    It is kept on C, so it runs at most once per complex.  staircase seeds
-    it as (), dual of a complex whose verdict is () inherits it, and so
-    does tensor of two such factors when the product's names do not
-    repeat, since filtration, gradings, U powers and d^2 = 0 carry over;
-    loads and the record constructor leave it to the first call.  A
-    verdict of () means C.repeats() is False: a repeated name is a
-    violation, and a repeated (source, target) pair is one too, at one U
+    It runs in two stages, the second only once the first passes, since a
+    deeper check would crash or lie on malformed input: the positional
+    stage (the structure, then d^2 = 0) and the vertical homology.  The
+    answer is kept on C, so each stage runs at most once per complex.
+    staircase seeds it as (), dual of a complex whose verdict is ()
+    inherits it, and so does tensor of two such factors when the product's
+    names do not repeat: filtration, gradings, U powers and d^2 = 0 carry
+    over, and by Kunneth and duality the vertical homology is again F2 in
+    grading 0.  loads and the record constructor leave it to the first
+    call.  A verdict of () means C.repeats() is False: a repeated name is
+    a violation, and a repeated (source, target) pair is one too, at one U
     power a repeated term and at two a grading mismatch.
     """
     if C._verdict is None:
-        C._verdict = tuple(_positional_stage(C))
+        C._verdict = tuple(_positional_stage(C) or _vertical_stage(C))
     return C._verdict
+
+
+def _vertical_stage(C: BifilteredComplex) -> list[Violation]:
+    """The knot-type condition: the vertical slice's homology is F2 in grading 0."""
+    dims = f2.graded_homology_dims(*vertical_slice(C))
+    if dims == {0: 1}:
+        return []
+    return [Violation(VERTICAL_HOMOLOGY,
+                      f"vertical homology has total dimension {sum(dims.values())} at "
+                      f"gradings {sorted(dims)} (want dimension 1 at grading 0)")]
 
 
 def _positional_stage(C: BifilteredComplex) -> list[Violation]:
@@ -399,7 +396,8 @@ def dual(C: BifilteredComplex) -> BifilteredComplex:
     It is kept in C's memo, so each complex has one mirror.  The mirror
     has C's names and C's pairs reversed, so it repeats what C repeats: it
     takes C's repeat flag as it stands, and C's verdict when that is
-    valid.  It holds no reference to C."""
+    valid (its vertical homology is the dual of C's).  It holds no
+    reference to C."""
     x = C.index()
     neg = operator.neg
     D = BifilteredComplex.from_columns(
@@ -425,7 +423,8 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     and g times a term of C2 share a pair only when both terms are loops,
     so the product repeats no pair by position, and its repeat flag is
     whether its names repeat ("x" * "y*z" and "x*y" * "z" do).  Its
-    verdict is () when they do not.
+    verdict is () when they do not: the positional checks carry over term
+    by term, and by Kunneth its vertical homology is F2 (x) F2 in grading 0.
     """
     x1, x2 = C1.index(), C2.index()
     n2 = len(x2.names)

@@ -247,8 +247,9 @@ def _check_semantics(e: KnotExpr) -> None:
             raise ExprSemanticError(f"cable({e.p},{e.q},...): parameters must be coprime")
         _check_size(e)
         _check_semantics(e.companion)
-        if is_lspace_expr(e):
-            _check_size(e, _lspace_genus(e.companion))
+        genus = _lspace_genus(e)
+        if genus is not None:
+            _check_size(e, genus)
     elif isinstance(e, Mirror):
         _check_semantics(e.child)
     elif isinstance(e, Sum):
@@ -259,15 +260,19 @@ def _check_semantics(e: KnotExpr) -> None:
     # Unknot and FromFile carry nothing to check here.
 
 
-def _check_size(e: Torus | Cable, g: int = 0) -> None:
-    """Refuse a torus, or a cable of a genus-g companion K, whose
-    staircase spans more Alexander exponents, p*2g + (p-1)(q-1) + 1 (its
-    semigroup's conductor plus one), than the semigroup's bytearray can
-    index, before anything is allocated.  With g = 0 that counts the
-    torus factor alone."""
-    span = e.p * 2 * g + (e.p - 1) * (e.q - 1) + 1
+def _check_size(e: Torus | Cable, genus: int | None = None) -> None:
+    """Refuse a torus or a cable whose staircase spans more Alexander
+    exponents than the semigroup's bytearray can index, before anything
+    is allocated.  Without a genus that counts the torus factor alone,
+    (p-1)(q-1) + 1.  Given the genus of an L-space cable of a genus-g
+    companion K, it counts the cable's whole span 2*genus + 1 =
+    p*2g + (p-1)(q-1) + 1 (its semigroup's conductor plus one; p and q
+    are coprime, so (p-1)(q-1) is even)."""
+    if genus is None:
+        span, terms = (e.p - 1) * (e.q - 1) + 1, "(p-1)(q-1) + 1"
+    else:
+        span, terms = 2 * genus + 1, "p*2g(K) + (p-1)(q-1) + 1"
     if span > sys.maxsize:
-        terms = "p*2g(K) + (p-1)(q-1) + 1" if g else "(p-1)(q-1) + 1"
         raise NoConstructorError(
             f"no CFK constructor available for {to_text(e)}: "
             f"{terms} = {span} Alexander exponents exceed sys.maxsize")
@@ -323,27 +328,24 @@ def is_lspace_expr(e: KnotExpr) -> bool:
     """Whether the expression names a knot whose complex is a staircase:
     the unknot, a positive torus knot, or a sufficiently positive cable of
     such (q >= p*(2g - 1)); mirrors and sums disqualify."""
-    node = strip_annotations(e)
-    if isinstance(node, (Unknot, Torus)):
-        return True
-    if isinstance(node, Cable):
-        if not is_lspace_expr(node.companion):
-            return False
-        g = _lspace_genus(node.companion)
-        return node.q >= 1 and node.q >= node.p * (2 * g - 1)
-    return False
+    return _lspace_genus(e) is not None
 
 
-def _lspace_genus(e: KnotExpr) -> int:
+def _lspace_genus(e: KnotExpr) -> int | None:
     """The genus of an L-space expression, the degree of its Alexander
-    polynomial: (p-1)(q-1)/2 for torus(p,q), and p*g + (p-1)(q-1)/2 for
-    the (p,q) cable of a genus-g companion."""
+    polynomial: 0 for the unknot, (p-1)(q-1)/2 for torus(p,q), and
+    p*g + (p-1)(q-1)/2 for the (p,q) cable of a genus-g L-space companion
+    with q >= 1 and q >= p*(2g - 1).  None for any other expression."""
     node = strip_annotations(e)
-    if isinstance(node, Cable):
-        return node.p * _lspace_genus(node.companion) + (node.p - 1) * (node.q - 1) // 2
+    if isinstance(node, Unknot):
+        return 0
     if isinstance(node, Torus):
         return (node.p - 1) * (node.q - 1) // 2
-    return 0
+    if isinstance(node, Cable):
+        g = _lspace_genus(node.companion)
+        if g is not None and node.q >= 1 and node.q >= node.p * (2 * g - 1):
+            return node.p * g + (node.p - 1) * (node.q - 1) // 2
+    return None
 
 
 def _semigroup(e: KnotExpr) -> bytearray:

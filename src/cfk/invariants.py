@@ -43,13 +43,14 @@ repeated (source, target) pair raises ValueError with the message of
 validate's first violation, which such a complex always has.  The V
 ladder decides the rest of validity once per complex, not per level:
 before it builds a level, ``a_minus`` reads the complex's verdict
-(cfk.complexes.``verdict``, validate's positional stage: U powers >= 0,
-filtration, homogeneity and d^2 = 0) and raises ValueError with
-validate's message for the first violation.  So V, H, nu+ and the
-surgery formulas refuse what ``validate`` refuses, at every k.
+(cfk.complexes.``verdict``, validate's whole answer: U powers >= 0,
+filtration, homogeneity, d^2 = 0 and then the vertical homology) and
+raises ValueError with validate's message for the first violation.  So
+V, H, nu+ and the surgery formulas refuse what ``validate`` refuses, at
+every k, and read each level of a knot-type complex with no check.
 ``staircase``, ``dual`` and ``tensor`` seed the verdict as valid, so a
-built complex pays for no check; a loaded or record-built one runs the
-positional stage once, on its first level or its first refusal, and
+built complex pays for no check; a loaded or record-built one runs
+validate's stages once, on its first level or its first refusal, and
 keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
 no verdict on a complex that repeats nothing: on one that validate
 refuses they may return numbers.  tau and HFK-hat read the complex's
@@ -146,11 +147,10 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     built once per complex and kept in its memo (``_level_columns``).
 
     C's verdict (cfk.complexes.verdict) is read first: a complex that
-    validate's positional stage refuses raises ValueError with validate's
-    message for its first violation, at every k.  On a complex that
-    passes, every level is a homogeneous subcomplex with d^2 = 0, and each
-    exponent is nonnegative, since n >= 0 and a term lowers neither i nor
-    j.
+    validate refuses raises ValueError with validate's message for its
+    first violation, at every k.  On a complex that passes, every level is
+    a homogeneous subcomplex with d^2 = 0, and each exponent is
+    nonnegative, since n >= 0 and a term lowers neither i nor j.
     """
     index = _index(C)
     refused = verdict(C)
@@ -247,19 +247,14 @@ def V(C: BifilteredComplex, k: int) -> int:
     moved by 2(k - A_min): the same exponents, the same order, hence the
     same pairs and errors, and free gradings moved by 2(k - A_min).  So
     V_k = V_{A_max} above the range and V_k = V_{A_min} + A_min - k below
-    it, exactly, and the checks below see the gradings that H(A^-_k)
-    itself has.
+    it, exactly.
+
+    a_minus reads the verdict first, so C is knot-type here: inverting U
+    leaves one free tower, in an even grading <= 0.
     """
     lo, hi = _index(C).alexander_range
-    move = 2 * min(k - lo, 0)
-    free = [d + move for d in _free_gradings(C, min(max(k, lo), hi))]
-    if len(free) != 1:
-        raise KnotTypeError(
-            f"H(A^-_{k}) has free rank {len(free)}, complex is not knot-type")
-    d = free[0]
-    if d > 0 or d % 2:
-        raise KnotTypeError(f"free grading {d} of H(A^-_{k}) is not even <= 0")
-    return -d // 2
+    (d,) = _free_gradings(C, min(max(k, lo), hi))
+    return -d // 2 - min(k - lo, 0)
 
 
 @memoized
@@ -278,15 +273,13 @@ def nu_plus(C: BifilteredComplex) -> int:
     The step is exact: V_{k+1} >= V_k - 1, so V_{k+j} >= V_k - j > 0 for
     every j < V_k and no level below k + V_k can vanish.  The levels probed
     are a subset of the forward scan's 0..nu_plus; on two-strand torus
-    knots there are about log2 of the genus of them.
+    knots there are about log2 of the genus of them.  V_k <= A_max - k,
+    since V_{A_max} = 0, so the step stops by A_max.
     """
-    cap = max(C.max_alexander, 0) + 1
     k = 0
     v = V(C, k)
     while v > 0:
         k += v
-        if k > cap:
-            raise KnotTypeError("V_k failed to vanish by the genus bound")
         v = V(C, k)
     return k
 

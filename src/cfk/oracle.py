@@ -30,9 +30,9 @@ def v_by_u_rank(C: BifilteredComplex, k: int) -> int:
     """V_k via U-action ranks: S is taken past every possible torsion
     exponent, so only the free tower survives U^S; the top grading whose
     homology still maps onto anything under U^S is the tower top."""
-    x = a_minus(C, k)
-    if not x.basis:
+    if not C.index().names:
         raise OracleError("empty complex")
+    x = a_minus(C, k)
     grading = dict(x.basis)
     gradings = list(grading.values())
     top, bottom = max(gradings), min(gradings)

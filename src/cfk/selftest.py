@@ -80,7 +80,7 @@ def _check_ladder_relations() -> None:
             _expect(vals[-k], vals[k] + k, (text, k))
             if k + 1 in vals:
                 _expect(vals[k] - 1 <= vals[k + 1] <= vals[k], True, (text, k))
-            if k >= C.max_alexander:
+            if k >= C.index().alexander_range[1]:
                 _expect(vals[k], 0, (text, k))
         t, n, n_plus = tau(C), nu(C), nu_plus(C)
         _expect(n_plus == 0, vals[0] == 0, text)
@@ -91,7 +91,8 @@ def _check_torus_sharpness() -> None:
     for (p, q) in _TORUS:
         C = _complex(f"torus({p},{q})")
         g = (p - 1) * (q - 1) // 2
-        _expect((tau(C), nu_plus(C), seifert_genus(C), C.max_alexander), (g, g, g, g), (p, q))
+        _expect((tau(C), nu_plus(C), seifert_genus(C), C.index().alexander_range[1]),
+                (g, g, g, g), (p, q))
         _expect(nu_plus(dual(C)), 0, (p, q))
 
 

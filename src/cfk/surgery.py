@@ -6,6 +6,11 @@ hypotheses raise PreconditionError instead of silently extrapolating.
 The records (SurgerySpec, CableBounds, SignatureValue, GenusReport) are
 NamedTuples; SurgerySpec refuses a coefficient that is not a reduced p/q
 with p, q >= 1.
+
+The d-invariants and the cable lower bound read V, which reads the
+complex's verdict (cfk.complexes.verdict, validate's whole answer) before
+it reduces a level: on a complex that validate refuses they raise
+ValueError with validate's first message, however few levels they read.
 """
 from __future__ import annotations
 

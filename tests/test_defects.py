@@ -1,8 +1,9 @@
 """The repeat flag (BifilteredComplex.repeats): which reader reports
 which defect when a complex has several, frozen message by message; the
 record constructor refusing a term that names no generator; loads,
-staircase, dual and tensor seeding the flag; one mirror per complex;
-and one vertical slice per complex."""
+staircase, dual and tensor seeding the flag and the verdict; one mirror
+per complex; one vertical slice per complex; and the V family refusing
+complexes that validate refuses only for their vertical homology."""
 import gc
 import random
 import re
@@ -10,14 +11,15 @@ import weakref
 
 import pytest
 
+import test_references
 from cfk import complexes, expr, invariants
 from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import BifilteredComplex, DiffTerm as D
 from cfk.cli import main
 from cfk.complexes import Generator as G, dual, tensor, validate, verdict
 from cfk.expr import build_complex, parse
-from cfk.invariants import V, hfk_hat, nu, nu_plus, tau
-from cfk.surgery import SurgerySpec, d_invariants
+from cfk.invariants import H, V, hfk_hat, nu, nu_plus, tau
+from cfk.surgery import SurgerySpec, cable_nu_plus_bounds, d_invariants
 
 T = BifilteredComplex([G("x0", 0, 1, 0), G("x1", 1, 1, 1), G("x2", 1, 0, 0)],
                       [D("x1", "x0", 0), D("x1", "x2", 0)])
@@ -319,13 +321,15 @@ LADDER = {
                                         f"{PAPER_KNOT} # torus(2,3)"])
 def test_built_complexes_never_run_the_positional_stage(expression, monkeypatch):
     """staircase, dual and tensor seed the verdict, so the V ladder of a
-    built complex reads it and checks nothing."""
+    built complex reads it and checks nothing: neither of validate's
+    stages runs."""
     expected = {name: read(build_complex(parse(expression))) for name, read in LADDER.items()}
 
-    def positional_stage(C):
-        raise AssertionError("the positional stage ran on a built complex")
+    def stage(C):
+        raise AssertionError("a stage of validate ran on a built complex")
 
-    monkeypatch.setattr(complexes, "_positional_stage", positional_stage)
+    monkeypatch.setattr(complexes, "_positional_stage", stage)
+    monkeypatch.setattr(complexes, "_vertical_stage", stage)
     C = build_complex(parse(expression))
     assert {name: read(C) for name, read in LADDER.items()} == expected
 
@@ -333,14 +337,14 @@ def test_built_complexes_never_run_the_positional_stage(expression, monkeypatch)
 def test_file_and_loaded_complexes_run_the_positional_stage_once(text, tmp_path, monkeypatch):
     path = tmp_path / "k.cfk"
     path.write_text(text)
-    ran = []
-    positional_stage = complexes._positional_stage
+    ran = {"_positional_stage": [], "_vertical_stage": []}
 
-    def counted(C):
-        ran.append(C)
-        return positional_stage(C)
+    def counted(name):
+        stage = getattr(complexes, name)
+        return lambda C: ran[name].append(C) or stage(C)
 
-    monkeypatch.setattr(complexes, "_positional_stage", counted)
+    for name in ran:
+        monkeypatch.setattr(complexes, name, counted(name))
     loaded = loads(text)
     filed = build_complex(parse(f'file("{path}")'))  # validated on the way in
     mirrored = build_complex(parse(f'mirror(file("{path}")) # torus(2,3)'))
@@ -348,8 +352,10 @@ def test_file_and_loaded_complexes_run_the_positional_stage_once(text, tmp_path,
         for read in LADDER.values():
             read(C)
     assert validate(loaded) == [] and validate(filed) == []
-    # once for each file(...) as it is read, and once for loaded on its first V
-    assert len(ran) == 3 and ran[-1] is loaded and ran[0] is filed
+    # each stage once for each file(...) as it is read, and once for
+    # loaded on its first V
+    for stages in ran.values():
+        assert len(stages) == 3 and stages[-1] is loaded and stages[0] is filed
 
 
 def test_a_tensor_of_valid_factors_can_repeat_a_name():
@@ -464,10 +470,12 @@ def _random_expression(rng, leaves, factors):
 def test_seeded_records_match_a_fresh_computation(tmp_path):
     """Every repeat flag and verdict a build seeds (staircase, dual,
     tensor, loads) equals a fresh look at the names and (source, target)
-    pairs and the positional stage run on the complex afresh: on random
-    sums, mirrors and cables with file factors whose names contain "*",
-    so that product names collide, on their mirrors, and on tensors of
-    defective factors, loops among them."""
+    pairs and validate's answer, both stages, on a copy built from the
+    complex's records, which carries no seed: on random sums, mirrors and
+    cables with file factors whose names contain "*", so that product
+    names collide, on their mirrors, on tensors of defective factors,
+    loops among them, and on mirrors and tensors of loaded complexes that
+    fail only at the vertical stage, which must not be seeded."""
     fa, fb, fc, fd = (_cfk_trefoil(tmp_path / f"{file}.cfk", names) for file, names in [
         ("A", ["x", "x*y", "a"]), ("B", ["y*z", "z", "b"]),
         ("C", ["x0", "x0*x1", "x2"]), ("D", ["x1*x2", "x2", "d"])])
@@ -498,11 +506,64 @@ def test_seeded_records_match_a_fresh_computation(tmp_path):
     cases += [made(tensor(A, B)) for A in [loop] + defective[-4:]
               for B in (loop, T, built[0][0], defective[0])]
     cases += [made(tensor(built[0][0], A)) for A in defective]
+    # Two towers, and the trefoil without its term x1 -> x2; each loaded
+    # twice, and the first copy's verdict read before its mirror and
+    # products are made.
+    vertical = [loads(text) for text in ("cfk v1\ngen a 0 0 0\ngen b 0 0 0\n",
+                                         "cfk v1\ngen x0 0 1 0\ngen x1 1 1 1\n"
+                                         "gen x2 1 0 0\ndif x1 x0\n") for _ in (0, 1)]
+    for C in vertical[::2]:
+        assert [v.kind for v in validate(C)] == [complexes.VERTICAL_HOMOLOGY]
+    trefoil = expr._build(parse("torus(2,3)"))
+    products = [made(dual(C)) for C in vertical]
+    products += [made(tensor(A, B)) for C in vertical
+                 for A, B in ((C, trefoil), (trefoil, C), (C, C), (dual(C), trefoil))]
+    assert all(kept is None for _C, _seeded, kept in products)
+    cases += [made(C) for C in vertical] + products
     assert any(repeated(C)[1] for C, *_ in cases)
     for C, seeded, kept in cases:
         fresh = any(repeated(C))
         assert seeded in (None, fresh), C
         assert C.repeats() == fresh
-        assert kept in (None, tuple(complexes._positional_stage(C))), C
+        answer = tuple(validate(BifilteredComplex(C.generators, C.terms)))
+        assert kept in (None, answer), C
         assert kept != () or not fresh
-        assert verdict(C) == tuple(complexes._positional_stage(C)), C
+        assert verdict(C) == answer and validate(C) == list(answer), C
+
+
+def test_the_v_family_refuses_complexes_that_fail_only_at_the_vertical_stage():
+    """Random complexes, most of them perturbed, that validate refuses only
+    for their vertical homology: V at every k in [A_min - 2, A_max + 2], H,
+    nu+, the d-invariants and the cable lower bound each raise ValueError
+    with validate's message, however few levels they read, on the complex
+    and on a copy built from its records.  Every draw that validate passes
+    gives numbers throughout."""
+    rng = random.Random(11)
+    refused = passed = 0
+    for _ in range(1500):
+        C = test_references.random_complex(rng)
+        if rng.random() < 0.8:
+            C = test_references.perturb(C, rng)
+        violations = validate(C)
+        if violations and violations[0].kind != complexes.VERTICAL_HOMOLOGY:
+            continue
+        lo, hi = C.index().alexander_range
+        levels = range(lo - 2, hi + 3)
+        entries = ([lambda C, k=k: V(C, k) for k in levels]
+                   + [lambda C, k=k: H(C, k) for k in levels]
+                   + [nu_plus, lambda C: d_invariants(C, SurgerySpec(1, 1)),
+                      lambda C: d_invariants(C, SurgerySpec(5, 2)),
+                      lambda C: cable_nu_plus_bounds(C, 2, 1),
+                      lambda C: cable_nu_plus_bounds(C, 2, 7)])
+        if not violations:
+            passed += 1
+            for entry in entries:
+                entry(C)
+            continue
+        refused += 1
+        assert [v.kind for v in violations] == [complexes.VERTICAL_HOMOLOGY]
+        want = f"ValueError: {violations[0].message}"
+        for entry in entries:
+            assert outcome(entry, C) == want
+            assert outcome(entry, BifilteredComplex(C.generators, C.terms)) == want
+    assert (refused, passed) == (32, 555)

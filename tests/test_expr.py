@@ -98,6 +98,19 @@ def test_lspace_gate():
     assert not kx.is_lspace_expr(kx.parse("cable(2,1,torus(2,3))"))
 
 
+def test_each_cable_walks_its_companion_chain_once(monkeypatch):
+    """The semantic check reads one L-space walk per cable, so cables
+    nested n deep make about n^2/2 calls, where a gate and a genus walk at
+    every level of every cable made about n^3/6 (129,675 at n = 90)."""
+    walks = []
+    genus = kx._lspace_genus
+    monkeypatch.setattr(kx, "_lspace_genus", lambda e: walks.append(e) or genus(e))
+    for n in (20, 90):
+        walks.clear()
+        kx.parse("cable(1,1," * n + "torus(2,3)" + ")" * n)
+        assert len(walks) <= n * (n + 3) // 2
+
+
 def test_lspace_exponents_match_building_blocks():
     assert kx.lspace_exponents(kx.parse("unknot")) == (0,)
     assert kx.lspace_exponents(kx.parse("torus(2,3)")) == (1, 0, -1)

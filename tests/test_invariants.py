@@ -46,7 +46,7 @@ def test_homology_over_u_examples(trefoil):
     # unknot: the single tower survives untouched
     assert homology_over_U(a_minus(unknot_complex(), 0)) == (0,)
     # one box: a -> U b is pure torsion, so nothing is free
-    assert homology_over_U(origin_level((("a", 1), ("b", 2)), (("a", "b", 1),))) == ()
+    assert homology_over_U(free_level((("a", 1), ("b", 2)), (("a", "b", 1),))) == ()
     # trefoil at k = 0: both arrows have exponent 0, so one pair cancels
     # and one free generator remains in grading -2
     assert homology_over_U(a_minus(trefoil, 0)) == (-2,)
@@ -92,7 +92,7 @@ def test_homology_over_u_rejects_inhomogeneous():
 ])
 def test_homology_over_u_rejects_bad_input(x, message):
     """x is (level, basis, terms): origin_level goes through a_minus, which
-    refuses what C.repeats() and validate's positional stage refuse;
+    refuses what validate refuses;
     free_level builds the level from positions and reaches the pivot-pair
     guard."""
     level, basis, terms = x
@@ -271,24 +271,30 @@ def random_kernel_inputs(rng, count):
 
 
 def test_kernel_matches_reference_on_random_tensor_products():
-    """V refuses exactly the levels whose eager reference reduction
-    refuses, with validate's first message, and on every other level the
-    kernel agrees with the reference."""
-    broken = 0
+    """V refuses every level of a complex that validate refuses, with
+    validate's first message, and d^2 = 0 fails on each level whose eager
+    reference reduction refuses.  On every other level the kernel agrees
+    with the reference: through a_minus on a knot-type complex, and on the
+    level built from positions on one that fails only its vertical
+    homology."""
+    broken = vertical = 0
     for C, k in random_kernel_inputs(random.Random(6021), 60):
         basis, terms = references.a_minus(C, k)
+        violations = validate(C)
         try:
             expected = reference_homology_over_U(SimpleNamespace(basis=basis, terms=terms))
         except ValueError:
             broken += 1
-            message = validate(C)[0].message
-            assert message.startswith("d^2("), message
+            assert violations[0].message.startswith("d^2("), violations[0].message
+        else:
+            vertical += bool(violations)
+            level = free_level(basis, terms) if violations else a_minus(C, k)
+            assert homology_over_U(level) == expected, (basis, terms)
+        if violations:
             with pytest.raises(ValueError) as raised:
                 V(C, k)
-            assert (type(raised.value), str(raised.value)) == (ValueError, message)
-        else:
-            assert homology_over_U(a_minus(C, k)) == expected, (basis, terms)
-    assert broken > 10
+            assert (type(raised.value), str(raised.value)) == (ValueError, violations[0].message)
+    assert broken > 10 and vertical > 10
 
 
 def test_a_minus_records_match_the_eager_reference(knot_45, knot_225):
@@ -299,7 +305,7 @@ def test_a_minus_records_match_the_eager_reference(knot_45, knot_225):
     refused = 0
     for C, k in levels:
         violations = validate(C)
-        if violations and violations[0].kind != "vertical-homology":
+        if violations:
             # the reference builds any level; a_minus refuses the complex
             refused += 1
             with pytest.raises(ValueError, match=f"^{re.escape(violations[0].message)}$"):
@@ -411,13 +417,17 @@ def test_v_and_h_frozen_values(trefoil):
 
 
 def test_v_requires_knot_type():
-    # two parallel towers: validate would reject this, and V refuses too
+    # two parallel towers: validate rejects this, and V refuses in its words
     C = BifilteredComplex([Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], [])
-    with pytest.raises(KnotTypeError):
+    message = ("vertical homology has total dimension 2 at gradings [0] "
+               "(want dimension 1 at grading 0)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         V(C, 0)
-    # one tower at grading -2: V_k = 1 never vanishes, and nu+ says why
+    # one tower at grading -2: V_k = 1 would never vanish, and nu+ refuses it
     C = BifilteredComplex([Generator("a", 0, 0, -2)], [])
-    with pytest.raises(KnotTypeError, match="V_k failed to vanish by the genus bound"):
+    message = ("vertical homology has total dimension 1 at gradings [-2] "
+               "(want dimension 1 at grading 0)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         nu_plus(C)
 
 

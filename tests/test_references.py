@@ -387,7 +387,7 @@ def test_loads_validate_and_invariants_make_no_records(tmp_path):
 
     def report(C):
         return (validate(C), tau(C), nu(C), nu_plus(C), V(C, 1), hfk_hat(C), epsilon(C),
-                genus_report(C), C.max_alexander)
+                genus_report(C), C.index().alexander_range[1])
 
     assert report(C) == report(R)
     assert dumps(C) == text and repr(C) == repr(R)
@@ -448,7 +448,7 @@ def test_d_invariants_match_the_two_tower_reference():
             complexes.append(C)
     seen = set()
     for C in complexes:
-        for p in range(1, 2 * max(C.max_alexander, 0) + 4):
+        for p in range(1, 2 * max(C.index().alexander_range[1], 0) + 4):
             for q in range(1, 5):
                 if gcd(p, q) == 1:
                     spec = SurgerySpec(p, q)
@@ -468,7 +468,7 @@ def test_invariants_json_matches_the_full_window_reference(tmp_path, capsys):
     path.write_text(dumps(random_complex(rng)))
     cases = [(text, None) for text in selftest._SUITE]
     for text in random_sums(rng, 30) + [f'file("{path}")', f'mirror(file("{path}")) # torus(2,3)']:
-        g = build_complex(parse(text)).max_alexander
+        g = build_complex(parse(text)).index().alexander_range[1]
         lo = rng.randint(-g - 3, g + 2)
         cases += [(text, None), (text, (lo, rng.randint(lo, g + 3)))]
     for text, vk in cases:
