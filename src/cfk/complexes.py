@@ -43,7 +43,9 @@ terms only when it repeats.  A complex built from columns can hold one
 name at two positions (a tensor with a factor that repeats a name);
 ``validate`` reads such an end as the name's last declaration, as the
 record constructor does.  The vertical slice is likewise built once per
-complex (``vertical_slice``), for validate, tau and HFK-hat.
+complex (``vertical_slice``), for validate's vertical stage and HFK-hat;
+tau and nu in cfk.invariants read no slice, only the terms out of the
+gradings they pair.
 
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical

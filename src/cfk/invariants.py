@@ -53,16 +53,22 @@ built complex pays for no check; a loaded or record-built one runs
 validate's stages once, on its first level or its first refusal, and
 keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
 no verdict on a complex that repeats nothing: on one that validate
-refuses they may return numbers.  tau and HFK-hat read the complex's
-vertical slice (cfk.complexes.``vertical_slice``); nu builds the U = 0
-slices of A^-_k with ``shifted_slice``.  Each slice is gradings plus the
-source and target positions of its terms.
+refuses they may return numbers.  HFK-hat reads the complex's whole
+vertical slice (cfk.complexes.``vertical_slice``: gradings plus the
+source and target positions of the terms it keeps).  tau and nu build no
+slice: they read the positions of the complex's terms grouped by source
+(``_terms_by_source``) and walk only the terms out of the gradings they
+pair, 1 into 0 and 0 into -1 of the vertical slice for tau, 0 into -1
+of the U = 0 slice of A^-_k for nu at level k.  Each term still passes
+the slice's own test, n + c_s = c_t for the shift c, so a complex that
+validate refuses gets the very numbers and errors the whole slices give.
 
 Each complex object keeps a private memo of its checked index, the two
-columns its levels are graded from, the free gradings of each level, the
-vertical slice and pairing, nu, the HFK-hat table and its mirror
-(``dual``), so every report reduces a given (complex, k) once, and
-epsilon and the genus report's nu+ of the mirror read one mirror complex.
+columns its levels are graded from, the free gradings of each level, its
+term positions by source, the vertical pairing, nu, the vertical slice,
+the HFK-hat table and its mirror (``dual``), so every report reduces a
+given (complex, k) once, and epsilon and the genus report's nu+ of the
+mirror read one mirror complex.
 V outside the Alexander range reads the boundary level (see ``V``).
 
 Callers skip levels by two facts about V (Rasmussen's thesis): it is
@@ -75,13 +81,11 @@ shortcut: it stays a check on the computed table.
 """
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from itertools import compress
 
 from . import f2
-from .complexes import (BifilteredComplex, Index, dual, memoized, shifted_slice, verdict,
-                        vertical_slice)
+from .complexes import BifilteredComplex, Index, dual, memoized, verdict, vertical_slice
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -164,7 +168,8 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
 @memoized
 def _level_columns(C: BifilteredComplex) -> tuple[list[int], list[int]]:
     """M - 2i and the Alexander grading A = j - i of each generator, by
-    position: level k grades g as M - 2i - 2(A - k) when A > k, else M - 2i."""
+    position: level k grades g as M - 2i - 2(A - k) when A > k, else M - 2i,
+    and M - 2i is g's grading in the vertical slice."""
     index = _index(C)
     return ([m - 2 * i for m, i in zip(index.maslov, index.i)],
             [j - i for i, j in zip(index.i, index.j)])
@@ -290,34 +295,60 @@ def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
 
 
 @memoized
+def _terms_by_source(C: BifilteredComplex) -> list[list[int]]:
+    """Each generator's term positions, by source position, in term order."""
+    index = _index(C)
+    by_source: list[list[int]] = [[] for _ in index.names]
+    for q, s in enumerate(index.sources):
+        by_source[s].append(q)
+    return by_source
+
+
+def _slice_columns(C: BifilteredComplex, sources: list[int], shift: Sequence[int],
+                   bit: dict[int, int]) -> list[int]:
+    """For each position s in sources, the int column of the U = 0 slice's
+    map from s to the positions numbered in bit (one grading), with bit
+    bit[t] for target t: the slice moves g to U^{shift[g]} g and keeps a
+    term U^n: s -> t when n + shift[s] == shift[t] (see
+    cfk.complexes.shifted_slice).  Only the terms out of sources are read."""
+    index = _index(C)
+    targets, powers, by_source = index.targets, index.powers, _terms_by_source(C)
+    columns = []
+    for s in sources:
+        lift, column = shift[s], 0
+        for q in by_source[s]:
+            t = targets[q]
+            if t in bit and powers[q] + lift == shift[t]:
+                column |= 1 << bit[t]
+        columns.append(column)
+    return columns
+
+
+@memoized
 def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     """tau, the vertical slice's grading-0 elements in ascending Alexander
     grading (ties in basis order), and the boundaries from grading 1
     reduced by f2.pairs, with bit r for the r-th of those elements.
 
-    The grading-0 rows and columns take that one order.  The pivots of the
-    boundaries into grading 0 are the leads of the boundaries; the columns
-    of the map out of grading 0 that reduce to zero are the leads of the
-    cycles.  A cycle lead that is no boundary lead is born at its Alexander
-    grading and never dies (the elder rule).  On knot-type input there is
-    exactly one, the generator of the vertical homology, and tau is its
-    Alexander grading.
+    The vertical slice grades g as M - 2i (the first of
+    ``_level_columns``) and keeps the terms whose power n + i_s - i_t is
+    zero; only the terms out of gradings 1 and 0 are read.  The grading-0
+    rows and columns take that one order.  The pivots of the boundaries
+    into grading 0 are the leads of the boundaries; the columns of the map
+    out of grading 0 that reduce to zero are the leads of the cycles.  A
+    cycle lead that is no boundary lead is born at its Alexander grading
+    and never dies (the elder rule).  On knot-type input there is exactly
+    one, the generator of the vertical homology, and tau is its Alexander
+    grading.
     """
     index = _index(C)
-    grading, sources, targets = vertical_slice(C)
-    alexander = list(map(operator.sub, index.j, index.i))
+    grading, alexander = _level_columns(C)
     zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
-    row = _numbered(zero)
-    column, bit = (_numbered([p for p, m in enumerate(grading) if m == g]) for g in (1, -1))
-    into = [0] * len(column)
-    down = [0] * len(zero)
-    for s, t in zip(sources, targets):
-        if grading[s] == 1 and grading[t] == 0:
-            into[column[s]] |= 1 << row[t]
-        elif grading[s] == 0 and grading[t] == -1:
-            down[row[s]] |= 1 << bit[t]
+    ones, below = ([p for p, m in enumerate(grading) if m == g] for g in (1, -1))
+    into = _slice_columns(C, ones, index.i, _numbered(zero))
+    down = _slice_columns(C, zero, index.i, _numbered(below))
     boundary = f2.pairs(into, len(zero))
-    f2.pairs(down, len(bit))
+    f2.pairs(down, len(below))
     born = [p for r, p in enumerate(zero) if not down[r] and boundary[r + 1] < 0]
     if len(born) != 1:
         count = f"{len(born)} grading-zero generators" if born else "no grading-zero generator"
@@ -343,28 +374,28 @@ def nu(C: BifilteredComplex) -> int:
     rank [[D_A, 0], [P_k, D_v]] - rank D_A > rank D_v.  D_v comes reduced
     from _vertical_pairing, and a slice column carries D_A above the
     vertical bits, so one f2.pairs over both counts the left side as its
-    pivots among the vertical bits.  On knot-type input the loop stops at
-    tau or tau + 1.
+    pivots among the vertical bits.  Each level reads only the terms out
+    of its grading-0 elements.  On knot-type input the loop stops at tau
+    or tau + 1.
     """
     least, zero, into = _vertical_pairing(C)
     boundaries = [c for c in into if c]
     index = _index(C)
+    alexander = _level_columns(C)[1]
     width = len(zero)
     for k in range(least, index.alexander_range[1] + 1):
         # g moved to U^{c_g} g, c_g = max(i_g, j_g - k)
-        grading, sources, targets = shifted_slice(
-            index, [i if i > j - k else j - k for i, j in zip(index.i, index.j)])
+        shift = [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
+        grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
         bit = _numbered([p for p, m in enumerate(grading) if m == -1], width)
-        cols = dict.fromkeys([p for p, m in enumerate(grading) if m == 0], 0)
+        level = [p for p, m in enumerate(grading) if m == 0]
+        cols = dict(zip(level, _slice_columns(C, level, shift, bit)))
         # P_k: an element with Alexander grading <= k has shift i, so the
         # vertical grading-0 ones up to k (a prefix of zero) are in grading 0.
         for r, p in enumerate(zero):
-            if index.j[p] - index.i[p] > k:
+            if alexander[p] > k:
                 break
-            cols[p] = 1 << r
-        for s, t in zip(sources, targets):
-            if grading[s] == 0 and grading[t] == -1:
-                cols[s] |= 1 << bit[t]
+            cols[p] |= 1 << r
         hits = f2.pairs(boundaries + list(cols.values()), width + len(bit))
         if width - hits[1:width + 1].count(-1) > len(boundaries):
             return k

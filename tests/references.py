@@ -29,9 +29,15 @@ it took each quotient floor(s/p) once.  ``d_invariants`` reads both
 stable towers of every spin-c slot, as cfk.surgery.surgery_d did before
 it read V at min(a, -b) only, and ``invariants_report`` is the CLI's
 invariants report with every level of its V window reduced, as cfk.cli
-made it before it filled V_k = 0 for k >= nu+.  Only f2.rank, the
-expression parser, V and H (in the cable scan and the surgery towers),
-lens_d, and the report's readers other than its V window are shared.
+made it before it filled V_k = 0 for k >= nu+.  ``slice_tau``,
+``slice_nu`` and ``slice_epsilon`` are the positional pairings that cfk
+ran before tau and nu walked each complex's terms by source: they read
+the whole vertical slice and, for each level nu tries, the whole U = 0
+slice of A^-_k, both from cfk.complexes.shifted_slice, and they share
+f2.pairs, the repeat refusal and the mirror with the library.  Only
+f2.rank, the expression parser, V and H (in the cable scan and the
+surgery towers), lens_d, and the report's readers other than its V
+window are shared otherwise.
 """
 from __future__ import annotations
 
@@ -44,8 +50,11 @@ from cfk import expr as kx
 from cfk import f2
 from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
                            GRADING, VERTICAL_HOMOLOGY,
-                           BifilteredComplex, DiffTerm, Generator, Violation)
-from cfk.errors import FormatError, KnotTypeError, NoConstructorError, ValidationError
+                           BifilteredComplex, DiffTerm, Generator, Violation,
+                           shifted_slice, verdict)
+from cfk.complexes import dual as mirror
+from cfk.errors import (FormatError, KnotTypeError, NoConstructorError, PreconditionError,
+                        ValidationError)
 from cfk.cli import _hfk_rows
 from cfk.invariants import H, V, epsilon
 from cfk.surgery import genus_report, lens_d
@@ -666,6 +675,83 @@ def hfk_hat(C):
     grading = {name: (a, m) for (name, m, a) in basis}
     return graded_homology_dims(
         grading, ((s, t) for (s, t) in terms if grading[s][0] == grading[t][0]))
+
+
+def _slice_index(C):
+    """C's index; a complex that repeats a name or a (source, target) pair
+    raises ValueError with validate's first message, as in cfk.invariants."""
+    if C.repeats():
+        raise ValueError(verdict(C)[0].message)
+    return C.index()
+
+
+def _numbered(positions, start=0):
+    return dict(zip(positions, range(start, start + len(positions))))
+
+
+def slice_pairing(C):
+    """tau, the vertical grading-0 positions by Alexander grading and the
+    reduced boundaries into them, read off the whole vertical slice: every
+    term of C is filtered by shifted_slice."""
+    index = _slice_index(C)
+    grading, sources, targets = shifted_slice(index, index.i)
+    alexander = [j - i for i, j in zip(index.i, index.j)]
+    zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
+    row = _numbered(zero)
+    column, bit = (_numbered([p for p, m in enumerate(grading) if m == g]) for g in (1, -1))
+    into = [0] * len(column)
+    down = [0] * len(zero)
+    for s, t in zip(sources, targets):
+        if grading[s] == 1 and grading[t] == 0:
+            into[column[s]] |= 1 << row[t]
+        elif grading[s] == 0 and grading[t] == -1:
+            down[row[s]] |= 1 << bit[t]
+    boundary = f2.pairs(into, len(zero))
+    f2.pairs(down, len(bit))
+    born = [p for r, p in enumerate(zero) if not down[r] and boundary[r + 1] < 0]
+    if len(born) != 1:
+        count = f"{len(born)} grading-zero generators" if born else "no grading-zero generator"
+        raise KnotTypeError(f"vertical homology has {count}; complex is not knot-type")
+    return alexander[born[0]], zero, into
+
+
+def slice_tau(C):
+    return slice_pairing(C)[0]
+
+
+def slice_nu(C):
+    """nu by the ranks of each level's whole U = 0 slice of A^-_k."""
+    least, zero, into = slice_pairing(C)
+    boundaries = [c for c in into if c]
+    index = _slice_index(C)
+    width = len(zero)
+    for k in range(least, index.alexander_range[1] + 1):
+        grading, sources, targets = shifted_slice(
+            index, [i if i > j - k else j - k for i, j in zip(index.i, index.j)])
+        bit = _numbered([p for p, m in enumerate(grading) if m == -1], width)
+        cols = dict.fromkeys([p for p, m in enumerate(grading) if m == 0], 0)
+        for r, p in enumerate(zero):
+            if index.j[p] - index.i[p] > k:
+                break
+            cols[p] = 1 << r
+        for s, t in zip(sources, targets):
+            if grading[s] == 0 and grading[t] == -1:
+                cols[s] |= 1 << bit[t]
+        hits = f2.pairs(boundaries + list(cols.values()), width + len(bit))
+        if width - hits[1:width + 1].count(-1) > len(boundaries):
+            return k
+    raise KnotTypeError("nu scan found no supporting level")
+
+
+def slice_epsilon(C):
+    """epsilon from slice_tau and slice_nu of C and of cfk's mirror of C."""
+    jumps_here = slice_nu(C) == slice_tau(C) + 1
+    Cd = mirror(C)
+    jumps_mirror = slice_nu(Cd) == slice_tau(Cd) + 1
+    if jumps_here and jumps_mirror:
+        raise PreconditionError(
+            "epsilon is ill-defined: both the complex and its mirror jump")
+    return -1 if jumps_here else 1 if jumps_mirror else 0
 
 
 def pairs(cols):

@@ -12,13 +12,13 @@ import weakref
 import pytest
 
 import test_references
-from cfk import complexes, expr, invariants
+from cfk import complexes, expr
 from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import BifilteredComplex, DiffTerm as D
 from cfk.cli import main
 from cfk.complexes import Generator as G, dual, tensor, validate, verdict
 from cfk.expr import build_complex, parse
-from cfk.invariants import H, V, hfk_hat, nu, nu_plus, tau
+from cfk.invariants import H, V, epsilon, hfk_hat, nu, nu_plus, tau
 from cfk.surgery import SurgerySpec, cable_nu_plus_bounds, d_invariants
 
 T = BifilteredComplex([G("x0", 0, 1, 0), G("x1", 1, 1, 1), G("x2", 1, 0, 0)],
@@ -47,6 +47,8 @@ ENTRIES = {
     "validate": lambda C: [(v.kind, v.message) for v in validate(C)],
     "V": lambda C: V(C, 0),
     "tau": tau,
+    "nu": nu,
+    "epsilon": epsilon,
     "hfk_hat": lambda C: sorted(hfk_hat(C).items()),
     "dual": lambda C: len(dual(C).terms),
     "tensor": lambda C: (len(tensor(C, T).terms), len(tensor(T, C).terms)),
@@ -54,12 +56,13 @@ ENTRIES = {
 }
 
 # Each entry's result or error on each complex, recorded when every reader
-# ran its own checks; since then V, tau and HFK-hat refuse a complex that
-# repeats a name or a pair with validate's first message.  From
-# "inhomogeneous only" on, the rows repeat nothing (C.repeats() is False),
-# and V refuses each with validate's first message (the complex's
-# verdict), where tau and HFK-hat, which read no verdict, still give
-# numbers.
+# ran its own checks; since then V, tau, nu, epsilon and HFK-hat refuse a
+# complex that repeats a name or a pair with validate's first message.
+# From "inhomogeneous only" on, the rows repeat nothing (C.repeats() is
+# False), and V refuses each with validate's first message (the complex's
+# verdict), where tau, nu, epsilon and HFK-hat, which read no verdict,
+# still give numbers.  The nu and epsilon cells were recorded later, while
+# tau and nu still read whole U = 0 slices.
 FROZEN = {
     "inhomogeneous before repeated term": {
         "validate": [
@@ -69,6 +72,8 @@ FROZEN = {
         ],
         "V": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
         "tau": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
+        "nu": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
+        "epsilon": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
         "hfk_hat": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
         "dual": 4,
         "tensor": (18, 18),
@@ -82,6 +87,8 @@ FROZEN = {
         ],
         "V": "ValueError: term U^0:x1->x0 repeated",
         "tau": "ValueError: term U^0:x1->x0 repeated",
+        "nu": "ValueError: term U^0:x1->x0 repeated",
+        "epsilon": "ValueError: term U^0:x1->x0 repeated",
         "hfk_hat": "ValueError: term U^0:x1->x0 repeated",
         "dual": 4,
         "tensor": (18, 18),
@@ -94,6 +101,8 @@ FROZEN = {
         ],
         "V": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
         "tau": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
+        "nu": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
+        "epsilon": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
         "hfk_hat": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
         "dual": 4,
         "tensor": (20, 20),
@@ -106,6 +115,8 @@ FROZEN = {
         ],
         "V": "ValueError: negative U power on x0->f",
         "tau": "ValueError: negative U power on x0->f",
+        "nu": "ValueError: negative U power on x0->f",
+        "epsilon": "ValueError: negative U power on x0->f",
         "hfk_hat": "ValueError: negative U power on x0->f",
         "dual": 4,
         "tensor": (20, 20),
@@ -118,6 +129,8 @@ FROZEN = {
         ],
         "V": "ValueError: generator name 'x2' declared twice",
         "tau": "ValueError: generator name 'x2' declared twice",
+        "nu": "ValueError: generator name 'x2' declared twice",
+        "epsilon": "ValueError: generator name 'x2' declared twice",
         "hfk_hat": "ValueError: generator name 'x2' declared twice",
         "dual": 3,
         "tensor": (17, 17),
@@ -130,6 +143,8 @@ FROZEN = {
         ],
         "V": "ValueError: generator name 'x2' declared twice",
         "tau": "ValueError: generator name 'x2' declared twice",
+        "nu": "ValueError: generator name 'x2' declared twice",
+        "epsilon": "ValueError: generator name 'x2' declared twice",
         "hfk_hat": "ValueError: generator name 'x2' declared twice",
         "dual": 3,
         "tensor": (17, 17),
@@ -143,6 +158,8 @@ FROZEN = {
         ],
         "V": "ValueError: U^0:x0->x2 raises filtration: (1,0) from (0,1)",
         "tau": 1,
+        "nu": 1,
+        "epsilon": 1,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((1, 0), 1)],
         "dual": 3,
         "tensor": (15, 15),
@@ -156,6 +173,8 @@ FROZEN = {
         ],
         "V": "ValueError: U^0:e->x0 raises filtration: (0,1) from (-2,-2)",
         "tau": 1,
+        "nu": 1,
+        "epsilon": 1,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((0, 5), 1), ((1, 0), 1)],
         "dual": 4,
         "tensor": (20, 20),
@@ -166,6 +185,8 @@ FROZEN = {
         "validate": [("filtration", "U^0:y->z raises filtration: (0,3) from (0,0)")],
         "V": "ValueError: U^0:y->z raises filtration: (0,3) from (0,0)",
         "tau": 1,
+        "nu": 1,
+        "epsilon": 0,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((0, 1), 1), ((1, 0), 1), ((3, 0), 1)],
         "dual": 3,
         "tensor": (19, 19),
@@ -176,6 +197,8 @@ FROZEN = {
         "validate": [("filtration", "negative U power on u->w")],
         "V": "ValueError: negative U power on u->w",
         "tau": 1,
+        "nu": 1,
+        "epsilon": 1,
         "hfk_hat": [((-1, -2), 1), ((0, -1), 1), ((1, 0), 1)],
         "dual": 3,
         "tensor": (19, 19),
@@ -202,19 +225,20 @@ def test_frozen_precedence_of_several_defects():
 
 
 def test_every_reader_refusal_is_validates_first_message():
-    """V, tau and HFK-hat refuse in validate's words: each ValueError they
-    raise on a frozen row is validate's first message.  All three refuse
-    the six rows that repeat a name or a pair; V alone the other four."""
+    """V, tau, nu, epsilon and HFK-hat refuse in validate's words: each
+    ValueError they raise on a frozen row is validate's first message.  All
+    five refuse the six rows that repeat a name or a pair; V alone the
+    other four."""
     refused = []
     for label, spec in COMPLEXES.items():
         first = validate(BifilteredComplex(*spec))[0].message
-        for name in ("V", "tau", "hfk_hat"):
+        for name in ("V", "tau", "nu", "epsilon", "hfk_hat"):
             try:
                 ENTRIES[name](BifilteredComplex(*spec))
             except ValueError as exc:
                 assert str(exc) == first, (label, name)
                 refused.append(name)
-    assert len(refused) == 6 * 3 + 4
+    assert len(refused) == 6 * 5 + 4
 
 
 @pytest.mark.parametrize("generators, terms, message", [
@@ -380,19 +404,20 @@ def test_a_tensor_of_valid_factors_can_repeat_a_name():
 
 
 def test_one_vertical_slice_per_complex(text, monkeypatch):
+    """validate and HFK-hat share one vertical slice; tau and nu walk the
+    complex's terms by source and build no slice at all."""
     vertical = []
     shifted_slice = complexes.shifted_slice
 
     def counted(index, shift):
-        if shift is index.i:
-            vertical.append(1)
+        vertical.append(shift is index.i)
         return shifted_slice(index, shift)
 
-    for module in (complexes, invariants):
-        monkeypatch.setattr(module, "shifted_slice", counted)
+    monkeypatch.setattr(complexes, "shifted_slice", counted)
     C = loads(text)
-    assert validate(C) == [] and (tau(C), nu(C)) == (0, 1) and hfk_hat(C)
-    assert vertical == [1]
+    assert (tau(C), nu(C)) == (0, 1) and vertical == []
+    assert validate(C) == [] and hfk_hat(C)
+    assert vertical == [True]
 
 
 def test_a_defective_complex_runs_the_positional_stage_once(text, monkeypatch):

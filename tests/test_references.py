@@ -1,10 +1,12 @@
 """The position-based validate, tau, nu and HFK-hat against the name-keyed
 references in references.py, the column-based loads, staircase, dual
 and tensor against the record-based ones, homology_over_U and dumps
-against the dict-table kernel and the per-term writer they replaced, and
+against the dict-table kernel and the per-term writer they replaced,
 d_invariants and the invariants report against the ones that reduced
-every level they name."""
+every level they name, and tau, nu and epsilon against the whole-slice
+pairing they replaced."""
 import json
+from collections import Counter
 import random
 import re
 import tracemalloc
@@ -476,3 +478,45 @@ def test_invariants_json_matches_the_full_window_reference(tmp_path, capsys):
         assert main(["invariants", text, *window, "--json"]) == 0
         expected = json.dumps(references.invariants_report(text, vk), indent=2) + "\n"
         assert capsys.readouterr() == (expected, ""), (text, vk)
+
+
+def said(fn, C):
+    """fn(C), or the type and message of the exception it raises."""
+    try:
+        return fn(C)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_tau_nu_and_epsilon_match_the_slice_reference():
+    """tau and nu walk only the terms out of the gradings they read; the
+    reference filters every term into whole slices.  Same value, or the
+    same exception type and message, on 1,500 random complexes, most of
+    them perturbed (so validate refuses many, and tau, nu and epsilon,
+    which read no verdict, still answer on some), on their mirrors, and
+    on the paper's knots and sums and their mirrors."""
+    rng = random.Random(11)
+    pool = []
+    for _ in range(1500):
+        C = random_complex(rng)
+        pool.append(perturb(C, rng) if rng.random() < 0.8 else C)
+    K = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+    paper = [build_complex(parse(e)) for e in (
+        K, f"{K} # {K}", "torus(2,5) # torus(2,3) # torus(2,3) # mirror(cable(2,5,torus(2,3)))")]
+    readers = ((tau, references.slice_tau), (nu, references.slice_nu),
+               (epsilon, references.slice_epsilon))
+    seen = Counter()
+    for C in pool + paper + [dual(C) for C in pool + paper]:
+        copy = BifilteredComplex.from_columns(*C.index()[:7])  # with a memo of its own
+        found = [said(mine, C) for mine, _reference in readers]
+        assert found == [said(reference, copy) for _mine, reference in readers], C
+        refused = bool(validate(C))
+        for (mine, _reference), result in zip(readers, found):
+            kind = (result.split(":")[0] if isinstance(result, str)
+                    else "number, validate refuses" if refused else "number")
+            seen[mine.__name__, kind] += 1
+    counts = {"number": (1116, 1116, 1116), "number, validate refuses": (1023, 1023, 994),
+              "ValueError": (758, 758, 758), "KnotTypeError": (109, 109, 120),
+              "PreconditionError": (0, 0, 18)}
+    assert seen == {(name, kind): n for kind, row in counts.items()
+                    for name, n in zip(("tau", "nu", "epsilon"), row) if n}
