@@ -42,9 +42,17 @@ complex in one pass over its term positions, and build a set of names or
 terms only when it repeats.  A complex built from columns can hold one
 name at two positions (a tensor with a factor that repeats a name);
 ``validate`` reads such an end as the name's last declaration, as the
-record constructor does.  The vertical slice is likewise built once per
-complex (``vertical_slice``), for validate's vertical stage and HFK-hat;
-tau and nu in cfk.invariants read no slice, only the terms out of the
+record constructor does.
+
+Every slice of a complex is read through one walk.  Each complex keeps
+in its memo its term positions grouped by source (``_terms_by_source``)
+and each generator's vertical grading M - 2i and Alexander grading
+(``_level_columns``).  ``_slice_columns`` builds the columns of one slice
+map from the terms out of the sources it is given, and
+``_slice_homology`` reduces a slice block by block with f2.pairs.
+validate's vertical stage reads the vertical slice with one block per
+grading, HFK-hat in cfk.invariants with one block per (Alexander
+grading, grading) pair, and tau and nu walk only the terms out of the
 gradings they pair.
 
 ``validate`` runs in two stages: the positional stage (the structural
@@ -66,7 +74,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 from . import f2
@@ -147,8 +155,8 @@ class BifilteredComplex:
         self._repeats = repeats
         self._verdict: tuple[Violation, ...] | None = None
         self.label = label
-        # The vertical slice and the results of cfk.invariants for this
-        # complex, keyed by (function, args).
+        # The term table, the grading columns and the results of
+        # cfk.invariants for this complex, keyed by (function, args).
         self._memo: dict[tuple, object] = {}
 
     @classmethod
@@ -239,13 +247,14 @@ def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
 
 
 def _vertical_stage(C: BifilteredComplex) -> list[Violation]:
-    """The knot-type condition: the vertical slice's homology is F2 in grading 0."""
-    dims = f2.graded_homology_dims(*vertical_slice(C))
-    if dims == {0: 1}:
+    """The knot-type condition: the vertical slice's homology is F2 in
+    grading 0, from one block per grading M - 2i."""
+    dims = _slice_homology(C, C.index().i, list(zip(repeat(0), _level_columns(C)[0])))
+    if dims == {(0, 0): 1}:
         return []
     return [Violation(VERTICAL_HOMOLOGY,
                       f"vertical homology has total dimension {sum(dims.values())} at "
-                      f"gradings {sorted(dims)} (want dimension 1 at grading 0)")]
+                      f"gradings {sorted(g for _, g in dims)} (want dimension 1 at grading 0)")]
 
 
 def _positional_stage(C: BifilteredComplex) -> list[Violation]:
@@ -313,20 +322,6 @@ def _positional_stage(C: BifilteredComplex) -> list[Violation]:
     return out
 
 
-def shifted_slice(index: Index,
-                  shift: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """The U = 0 slice of a complex whose generator g is moved to
-    U^{shift[g]} g: each generator's grading M(g) - 2 shift[g] by position,
-    then the source and the target positions, in term order, of the terms
-    U^n: s -> t whose translated power n + shift[s] - shift[t] is zero.
-    Two int lists make no per-term objects for the garbage collector to
-    track, as (source, target) tuples would."""
-    grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
-    keep = [n + shift[s] - shift[t] == 0
-            for s, t, n in zip(index.sources, index.targets, index.powers)]
-    return grading, list(compress(index.sources, keep)), list(compress(index.targets, keep))
-
-
 def memoized(fn):
     """Keep fn(C, *args) in C's private memo, so that each complex object
     computes it once.  A call that raises leaves nothing behind."""
@@ -340,10 +335,75 @@ def memoized(fn):
     return cached
 
 
+def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
+    """Each position -> its place in the list, counted from start."""
+    return dict(zip(positions, range(start, start + len(positions))))
+
+
 @memoized
-def vertical_slice(C: BifilteredComplex) -> tuple[list[int], list[int], list[int]]:
-    """shifted_slice of C by each generator's i: the vertical slice, read only."""
-    return shifted_slice(C.index(), C.index().i)
+def _terms_by_source(C: BifilteredComplex) -> list[list[int]]:
+    """Each generator's term positions, by source position, in term order."""
+    index = C.index()
+    by_source: list[list[int]] = [[] for _ in index.names]
+    for q, s in enumerate(index.sources):
+        by_source[s].append(q)
+    return by_source
+
+
+@memoized
+def _level_columns(C: BifilteredComplex) -> tuple[list[int], list[int]]:
+    """M - 2i and the Alexander grading A = j - i of each generator, by
+    position: M - 2i is g's grading in the vertical slice, and level k of
+    cfk.invariants' a_minus grades g as M - 2i - 2(A - k) when A > k, else
+    M - 2i."""
+    index = C.index()
+    return ([m - 2 * i for m, i in zip(index.maslov, index.i)],
+            [j - i for i, j in zip(index.i, index.j)])
+
+
+def _slice_columns(C: BifilteredComplex, sources: list[int], shift: Sequence[int],
+                   bit: dict[int, int]) -> list[int]:
+    """For each position s in sources, the int column of the U = 0 slice's
+    map from s to the positions numbered in bit (one grading), with bit
+    bit[t] for target t: the slice moves g to U^{shift[g]} g and keeps a
+    term U^n: s -> t when n + shift[s] == shift[t].  Only the terms out of
+    sources are read, through ``_terms_by_source``.  Callers pass a complex
+    that repeats no (source, target) pair: a repeated term would set its
+    bit once."""
+    index = C.index()
+    targets, powers, by_source = index.targets, index.powers, _terms_by_source(C)
+    columns = []
+    for s in sources:
+        lift, column = shift[s], 0
+        for q in by_source[s]:
+            t = targets[q]
+            if t in bit and powers[q] + lift == shift[t]:
+                column |= 1 << bit[t]
+        columns.append(column)
+    return columns
+
+
+def _slice_homology(C: BifilteredComplex, shift: Sequence[int],
+                    key: Sequence[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Nonzero homology dimensions, by key, of the U = 0 slice that moves g
+    to U^{shift[g]} g, cut into blocks: g is in block key[g] = (a, grading),
+    and block (a, g) maps into block (a, g - 1) alone, so a kept term into
+    any other block is dropped.  Each block's columns come from
+    ``_slice_columns`` and f2.pairs reduces them; dim = size - rank out -
+    rank in.  Keys appear in the order of their first generator."""
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for p, k in enumerate(key):
+        blocks.setdefault(k, []).append(p)
+    dims = {k: len(members) for k, members in blocks.items()}
+    for (a, g), members in blocks.items():
+        below = blocks.get((a, g - 1))
+        if below:
+            columns = _slice_columns(C, members, shift, _numbered(below))
+            f2.pairs(columns, len(below))
+            rank = len(columns) - columns.count(0)
+            dims[a, g] -= rank
+            dims[a, g - 1] -= rank
+    return {k: h for k, h in dims.items() if h}
 
 
 def require_valid(C: BifilteredComplex) -> BifilteredComplex:

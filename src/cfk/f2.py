@@ -5,15 +5,17 @@ elimination loop in cfk.  It reduces a list of columns in order: while an
 earlier column owns a column's highest set bit, that column is XORed in.
 With the bits ordered by a filtration this is the persistence reduction
 (Zomorodian and Carlsson, "Computing persistent homology", 2005), and
-cfk.invariants reads V's free gradings over F2[U] and tau off it.  The
-caller passes the row count (the widest bit length) it already knows, and
-the pivot table comes back as a list indexed by bit length, with -1 where
-no column owns the bit, so a lookup is one list index.  Everything else
-here is a few lines over ``pairs``:
+cfk.invariants reads V's free gradings over F2[U], tau and nu off it;
+cfk.complexes reduces each block of a slice with it, for validate's
+vertical stage and HFK-hat.  The caller passes the row count (the
+widest bit length) it already knows, and the pivot table comes back as a
+list indexed by bit length, with -1 where no column owns the bit, so a
+lookup is one list index.  Everything else here is a few lines over
+``pairs``:
 
 * ``rank`` counts the columns that reduce to nonzero, one per owner.  A
   matrix and its transpose have the same rank, so the rows may be reduced
-  as the columns.
+  as the columns.  cfk.oracle calls it.
 * ``kernel_basis`` and ``solve`` reduce the matrix's columns with identity
   bits below the matrix bits.  The identity bits record which original
   columns each reduced column sums, so a column whose matrix bits vanish
@@ -25,7 +27,7 @@ XOR on bigints keeps this fast well past the sizes the invariants need.
 """
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Iterable
 
 
 def pairs(cols: list[int], width: int) -> list[int]:
@@ -90,33 +92,3 @@ def solve(rows: list[int], ncols: int, rhs: int) -> int | None:
     x = cols[-1]
     return None if x >> ncols else x
 
-
-def graded_homology_dims(grading: Sequence[Hashable], sources: Iterable[int],
-                         targets: Iterable[int]) -> dict[Hashable, int]:
-    """Nonzero homology dimensions, by grading key, of a graded F2 complex.
-
-    Basis element p has grading key grading[p]; each pair of basis
-    positions (sources[e], targets[e]) is one entry of the differential,
-    which must carry all of a grading key into a single other key.
-    dim H_key = size - rank(out of key) - rank(into key).
-    """
-    place: list[int] = []  # each element's row in its key's block
-    dims: dict[Hashable, int] = {}
-    for key in grading:
-        count = dims.get(key, 0)
-        place.append(count)
-        dims[key] = count + 1
-    rows = [0] * len(grading)
-    target_key: dict[Hashable, Hashable] = {}
-    for s, t in zip(sources, targets):
-        rows[s] ^= 1 << place[t]
-        target_key[grading[s]] = grading[t]
-    blocks: dict[Hashable, list[int]] = {}
-    for key, row in zip(grading, rows):  # rows in basis order
-        if row:
-            blocks.setdefault(key, []).append(row)
-    for key, block in blocks.items():
-        r = rank(block)
-        dims[key] -= r
-        dims[target_key[key]] -= r
-    return {key: h for key, h in dims.items() if h}

@@ -27,7 +27,8 @@ a list indexed by bit length):
 * tau is one pairing of the vertical slice, grading 0 ordered by
   Alexander grading (the elder rule, see ``_vertical_pairing``).
 * nu compares ranks level by level, with no representative cycle (``nu``).
-* HFK-hat is ranks of the Alexander-graded pieces.
+* HFK-hat is ranks of the Alexander-graded pieces, one block per
+  (Alexander grading, grading) pair (cfk.complexes.``_slice_homology``).
 
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
@@ -53,20 +54,22 @@ built complex pays for no check; a loaded or record-built one runs
 validate's stages once, on its first level or its first refusal, and
 keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
 no verdict on a complex that repeats nothing: on one that validate
-refuses they may return numbers.  HFK-hat reads the complex's whole
-vertical slice (cfk.complexes.``vertical_slice``: gradings plus the
-source and target positions of the terms it keeps).  tau and nu build no
-slice: they read the positions of the complex's terms grouped by source
-(``_terms_by_source``) and walk only the terms out of the gradings they
-pair, 1 into 0 and 0 into -1 of the vertical slice for tau, 0 into -1
-of the U = 0 slice of A^-_k for nu at level k.  Each term still passes
-the slice's own test, n + c_s = c_t for the shift c, so a complex that
-validate refuses gets the very numbers and errors the whole slices give.
+refuses they may return numbers.  None of them builds a whole slice.
+They read the positions of the complex's terms grouped by source
+(cfk.complexes.``_terms_by_source``, the one table validate's vertical
+stage reads too) and walk only the terms out of the gradings they pair:
+1 into 0 and 0 into -1 of the vertical slice for tau, 0 into -1 of the
+U = 0 slice of A^-_k for nu at level k, and each (A, g) into (A, g - 1)
+of the vertical slice for HFK-hat.  Each term still passes the slice's
+own test, n + c_s = c_t for the shift c, so a complex that validate
+refuses gets the numbers and errors the whole slices give; HFK-hat
+drops a kept term that lands outside (A, g - 1), which only a term
+against homogeneity can do.
 
 Each complex object keeps a private memo of its checked index, the two
 columns its levels are graded from, the free gradings of each level, its
-term positions by source, the vertical pairing, nu, the vertical slice,
-the HFK-hat table and its mirror (``dual``), so every report reduces a
+term positions by source, the vertical pairing, nu, the HFK-hat table
+and its mirror (``dual``), so every report reduces a
 given (complex, k) once, and epsilon and the genus report's nu+ of the
 mirror read one mirror complex.
 V outside the Alexander range reads the boundary level (see ``V``).
@@ -82,10 +85,10 @@ shortcut: it stays a check on the computed table.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
 
 from . import f2
-from .complexes import BifilteredComplex, Index, dual, memoized, verdict, vertical_slice
+from .complexes import (BifilteredComplex, Index, _level_columns, _numbered, _slice_columns,
+                        _slice_homology, dual, memoized, verdict)
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -148,7 +151,8 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings.
     With A = j - i, c_g = i_g + max(A_g - k, 0), so the grading is
     M - 2i, less 2(A - k) where A > k: two columns, M - 2i and A, that are
-    built once per complex and kept in its memo (``_level_columns``).
+    built once per complex and kept in its memo
+    (cfk.complexes.``_level_columns``).
 
     C's verdict (cfk.complexes.verdict) is read first: a complex that
     validate refuses raises ValueError with validate's message for its
@@ -163,16 +167,6 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     moved, alexander = _level_columns(C)
     grading = [b - 2 * (a - k) if a > k else b for b, a in zip(moved, alexander)]
     return FreeUComplex(index.names, grading, index.sources, index.targets)
-
-
-@memoized
-def _level_columns(C: BifilteredComplex) -> tuple[list[int], list[int]]:
-    """M - 2i and the Alexander grading A = j - i of each generator, by
-    position: level k grades g as M - 2i - 2(A - k) when A > k, else M - 2i,
-    and M - 2i is g's grading in the vertical slice."""
-    index = _index(C)
-    return ([m - 2 * i for m, i in zip(index.maslov, index.i)],
-            [j - i for i, j in zip(index.i, index.j)])
 
 
 def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
@@ -289,41 +283,6 @@ def nu_plus(C: BifilteredComplex) -> int:
     return k
 
 
-def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
-    """Each position -> its place in the list, counted from start."""
-    return dict(zip(positions, range(start, start + len(positions))))
-
-
-@memoized
-def _terms_by_source(C: BifilteredComplex) -> list[list[int]]:
-    """Each generator's term positions, by source position, in term order."""
-    index = _index(C)
-    by_source: list[list[int]] = [[] for _ in index.names]
-    for q, s in enumerate(index.sources):
-        by_source[s].append(q)
-    return by_source
-
-
-def _slice_columns(C: BifilteredComplex, sources: list[int], shift: Sequence[int],
-                   bit: dict[int, int]) -> list[int]:
-    """For each position s in sources, the int column of the U = 0 slice's
-    map from s to the positions numbered in bit (one grading), with bit
-    bit[t] for target t: the slice moves g to U^{shift[g]} g and keeps a
-    term U^n: s -> t when n + shift[s] == shift[t] (see
-    cfk.complexes.shifted_slice).  Only the terms out of sources are read."""
-    index = _index(C)
-    targets, powers, by_source = index.targets, index.powers, _terms_by_source(C)
-    columns = []
-    for s in sources:
-        lift, column = shift[s], 0
-        for q in by_source[s]:
-            t = targets[q]
-            if t in bit and powers[q] + lift == shift[t]:
-                column |= 1 << bit[t]
-        columns.append(column)
-    return columns
-
-
 @memoized
 def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     """tau, the vertical slice's grading-0 elements in ascending Alexander
@@ -331,7 +290,7 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     reduced by f2.pairs, with bit r for the r-th of those elements.
 
     The vertical slice grades g as M - 2i (the first of
-    ``_level_columns``) and keeps the terms whose power n + i_s - i_t is
+    cfk.complexes.``_level_columns``) and keeps the terms whose power n + i_s - i_t is
     zero; only the terms out of gradings 1 and 0 are read.  The grading-0
     rows and columns take that one order.  The pivots of the boundaries
     into grading 0 are the leads of the boundaries; the columns of the map
@@ -428,11 +387,8 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
 @memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
     index = _index(C)
-    grading, sources, targets = vertical_slice(C)
-    alexander = [j - i for i, j in zip(index.i, index.j)]
-    keep = [alexander[s] == alexander[t] for s, t in zip(sources, targets)]
-    return f2.graded_homology_dims(list(zip(alexander, grading)),
-                                   compress(sources, keep), compress(targets, keep))
+    grading, alexander = _level_columns(C)
+    return _slice_homology(C, index.i, list(zip(alexander, grading)))
 
 
 def seifert_genus(C: BifilteredComplex) -> int:

@@ -33,15 +33,20 @@ made it before it filled V_k = 0 for k >= nu+.  ``slice_tau``,
 ``slice_nu`` and ``slice_epsilon`` are the positional pairings that cfk
 ran before tau and nu walked each complex's terms by source: they read
 the whole vertical slice and, for each level nu tries, the whole U = 0
-slice of A^-_k, both from cfk.complexes.shifted_slice, and they share
-f2.pairs, the repeat refusal and the mirror with the library.  Only
-f2.rank, the expression parser, V and H (in the cable scan and the
-surgery towers), lens_d, and the report's readers other than its V
-window are shared otherwise.
+slice of A^-_k, both from ``shifted_slice``, and they share f2.pairs,
+the repeat refusal and the mirror with the library.  ``shifted_slice``
+is the whole-slice filter that cfk.complexes ran before every slice
+column came from the terms out of one source, and ``slice_hfk_hat`` is
+HFK-hat over it as cfk ran it then: the vertical slice's terms that keep
+the Alexander grading, through ``graded_homology_dims``.  Only f2.rank,
+the expression parser, V and H (in the cable scan and the surgery
+towers), lens_d, and the report's readers other than its V window are
+shared otherwise.
 """
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import gcd
 from operator import methodcaller
 from typing import Iterable, Mapping, Optional
@@ -50,8 +55,7 @@ from cfk import expr as kx
 from cfk import f2
 from cfk.complexes import (D_SQUARED, DUPLICATE_NAME, DUPLICATE_TERM, FILTRATION,
                            GRADING, VERTICAL_HOMOLOGY,
-                           BifilteredComplex, DiffTerm, Generator, Violation,
-                           shifted_slice, verdict)
+                           BifilteredComplex, DiffTerm, Generator, Violation, verdict)
 from cfk.complexes import dual as mirror
 from cfk.errors import (FormatError, KnotTypeError, NoConstructorError, PreconditionError,
                         ValidationError)
@@ -687,6 +691,28 @@ def _slice_index(C):
 
 def _numbered(positions, start=0):
     return dict(zip(positions, range(start, start + len(positions))))
+
+
+def shifted_slice(index, shift):
+    """The U = 0 slice of a complex whose generator g is moved to
+    U^{shift[g]} g: each generator's grading M(g) - 2 shift[g] by position,
+    then the source and the target positions, in term order, of the terms
+    U^n: s -> t whose translated power n + shift[s] - shift[t] is zero."""
+    grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
+    keep = [n + shift[s] - shift[t] == 0
+            for s, t, n in zip(index.sources, index.targets, index.powers)]
+    return grading, list(compress(index.sources, keep)), list(compress(index.targets, keep))
+
+
+def slice_hfk_hat(C):
+    """HFK-hat from the whole vertical slice: its terms that keep the
+    Alexander grading, with each generator keyed by (A, M - 2i)."""
+    index = _slice_index(C)
+    grading, sources, targets = shifted_slice(index, index.i)
+    alexander = [j - i for i, j in zip(index.i, index.j)]
+    return graded_homology_dims(
+        dict(enumerate(zip(alexander, grading))),
+        ((s, t) for s, t in zip(sources, targets) if alexander[s] == alexander[t]))
 
 
 def slice_pairing(C):

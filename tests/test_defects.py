@@ -2,11 +2,13 @@
 which defect when a complex has several, frozen message by message; the
 record constructor refusing a term that names no generator; loads,
 staircase, dual and tensor seeding the flag and the verdict; one mirror
-per complex; one vertical slice per complex; and the V family refusing
+per complex; one term table per complex; and the V family refusing
 complexes that validate refuses only for their vertical homology."""
+import functools
 import gc
 import random
 import re
+import sys
 import weakref
 
 import pytest
@@ -403,21 +405,35 @@ def test_a_tensor_of_valid_factors_can_repeat_a_name():
     assert outcome(lambda C: V(C, 0), C) == f"ValueError: {found[0][1]}"
 
 
-def test_one_vertical_slice_per_complex(text, monkeypatch):
-    """validate and HFK-hat share one vertical slice; tau and nu walk the
-    complex's terms by source and build no slice at all."""
-    vertical = []
-    shifted_slice = complexes.shifted_slice
+def test_one_term_table_per_complex(text, monkeypatch):
+    """validate's vertical stage, HFK-hat, tau and nu build their slice
+    columns from one table of the complex's term positions by source,
+    built once; past validate's positional stage, nothing else reads the
+    term lists whole."""
+    readers = []
 
-    def counted(index, shift):
-        vertical.append(shift is index.i)
-        return shifted_slice(index, shift)
+    class Watched(list):
+        def __iter__(self):
+            readers.append(sys._getframe(1).f_code.co_name)
+            return super().__iter__()
 
-    monkeypatch.setattr(complexes, "shifted_slice", counted)
+    built = []
+    terms_by_source = complexes._terms_by_source.__wrapped__
+
+    @functools.wraps(terms_by_source)
+    def counted(C):
+        built.append(C)
+        return terms_by_source(C)
+
+    monkeypatch.setattr(complexes, "_terms_by_source", complexes.memoized(counted))
     C = loads(text)
-    assert (tau(C), nu(C)) == (0, 1) and vertical == []
-    assert validate(C) == [] and hfk_hat(C)
-    assert vertical == [True]
+    x = C.index()
+    C._index = x._replace(powers=Watched(x.powers), sources=Watched(x.sources),
+                          targets=Watched(x.targets))
+    assert validate(C) == [] and hfk_hat(C) and (tau(C), nu(C)) == (0, 1)
+    assert built == [C]
+    assert set(readers) == {"_positional_stage", "_terms_by_source"}
+    assert readers.count("_terms_by_source") == 1
 
 
 def test_a_defective_complex_runs_the_positional_stage_once(text, monkeypatch):

@@ -15,8 +15,8 @@ from conftest import cable_staircase, random_sums, torus_staircase
 from cfk import invariants, selftest
 from cfk.cli import main
 from cfk.cfkfile import dumps, loads
-from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, shifted_slice, tensor,
-                           unknot_complex, validate, vertical_slice)
+from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual, tensor, unknot_complex,
+                           validate)
 from cfk.errors import KnotTypeError
 from cfk.expr import build_complex, parse
 from cfk.invariants import (FreeUComplex, H, V, a_minus, epsilon, hfk_hat,
@@ -106,7 +106,12 @@ def hat_slice(C, k):
     """The U = 0 slice of A^-_k, as nu builds it: g moved to U^{c_g} g,
     c_g = max(i_g, j_g - k)."""
     x = C.index()
-    return shifted_slice(x, [max(i, j - k) for i, j in zip(x.i, x.j)])
+    return references.shifted_slice(x, [max(i, j - k) for i, j in zip(x.i, x.j)])
+
+
+def vertical_slice(C):
+    """The vertical slice: g moved to U^{i_g} g."""
+    return references.shifted_slice(C.index(), C.index().i)
 
 
 @pytest.mark.parametrize("ghost", ["source", "target"])
@@ -662,6 +667,19 @@ def test_hfk_hat_tables(trefoil):
     t29 = hfk_hat(torus_staircase(2, 9))
     assert sorted(t29) == [(a, a - 4) for a in range(-4, 5)]
     assert set(t29.values()) == {1}
+
+
+def test_hfk_hat_cancels_a_pair_that_keeps_the_alexander_grading(trefoil):
+    """A staircase and its sums have no term that keeps both i and the
+    Alexander grading, so their HFK-hat reduces nothing.  The unknot with
+    an acyclic pair u -> w at (0, 0) is valid and has one: HFK-hat
+    cancels it, alone and in a sum with the trefoil."""
+    P = BifilteredComplex([Generator("x", 0, 0, 0), Generator("u", 0, 0, 1),
+                           Generator("w", 0, 0, 0)], [DiffTerm("u", "w", 0)])
+    assert validate(P) == [] and hfk_hat(P) == {(0, 0): 1}
+    K = tensor(trefoil, P)
+    assert validate(K) == [] and (tau(K), nu(K)) == (tau(trefoil), nu(trefoil))
+    assert hfk_hat(K) == hfk_hat(trefoil) == references.hfk_hat(K) == references.slice_hfk_hat(K)
 
 
 def test_seifert_genus(trefoil):

@@ -3,8 +3,8 @@ references in references.py, the column-based loads, staircase, dual
 and tensor against the record-based ones, homology_over_U and dumps
 against the dict-table kernel and the per-term writer they replaced,
 d_invariants and the invariants report against the ones that reduced
-every level they name, and tau, nu and epsilon against the whole-slice
-pairing they replaced."""
+every level they name, and tau, nu, epsilon and HFK-hat against the
+whole-slice pairing and filter they replaced."""
 import json
 from collections import Counter
 import random
@@ -489,12 +489,12 @@ def said(fn, C):
 
 
 def test_tau_nu_and_epsilon_match_the_slice_reference():
-    """tau and nu walk only the terms out of the gradings they read; the
-    reference filters every term into whole slices.  Same value, or the
-    same exception type and message, on 1,500 random complexes, most of
-    them perturbed (so validate refuses many, and tau, nu and epsilon,
-    which read no verdict, still answer on some), on their mirrors, and
-    on the paper's knots and sums and their mirrors."""
+    """tau, nu and HFK-hat walk only the terms out of the gradings they
+    read; the reference filters every term into whole slices.  Same value,
+    or the same exception type and message, on 1,500 random complexes,
+    most of them perturbed (so validate refuses many, and tau, nu, epsilon
+    and HFK-hat, which read no verdict, still answer on some), on their
+    mirrors, and on the paper's knots and sums and their mirrors."""
     rng = random.Random(11)
     pool = []
     for _ in range(1500):
@@ -504,7 +504,7 @@ def test_tau_nu_and_epsilon_match_the_slice_reference():
     paper = [build_complex(parse(e)) for e in (
         K, f"{K} # {K}", "torus(2,5) # torus(2,3) # torus(2,3) # mirror(cable(2,5,torus(2,3)))")]
     readers = ((tau, references.slice_tau), (nu, references.slice_nu),
-               (epsilon, references.slice_epsilon))
+               (epsilon, references.slice_epsilon), (hfk_hat, references.slice_hfk_hat))
     seen = Counter()
     for C in pool + paper + [dual(C) for C in pool + paper]:
         copy = BifilteredComplex.from_columns(*C.index()[:7])  # with a memo of its own
@@ -515,8 +515,9 @@ def test_tau_nu_and_epsilon_match_the_slice_reference():
             kind = (result.split(":")[0] if isinstance(result, str)
                     else "number, validate refuses" if refused else "number")
             seen[mine.__name__, kind] += 1
-    counts = {"number": (1116, 1116, 1116), "number, validate refuses": (1023, 1023, 994),
-              "ValueError": (758, 758, 758), "KnotTypeError": (109, 109, 120),
-              "PreconditionError": (0, 0, 18)}
+    counts = {"number": (1116, 1116, 1116, 1116),
+              "number, validate refuses": (1023, 1023, 994, 1132),
+              "ValueError": (758, 758, 758, 758), "KnotTypeError": (109, 109, 120, 0),
+              "PreconditionError": (0, 0, 18, 0)}
     assert seen == {(name, kind): n for kind, row in counts.items()
-                    for name, n in zip(("tau", "nu", "epsilon"), row) if n}
+                    for name, n in zip(("tau", "nu", "epsilon", "hfk_hat"), row) if n}
