@@ -1,16 +1,21 @@
 """GF(2) linear algebra on Python-int bitmasks, over one reduction kernel.
 
-A vector is one int: bit i is its i-th entry.  ``pairs`` is the only
-elimination loop in cfk.  It reduces a list of columns in order: while an
-earlier column owns a column's highest set bit, that column is XORed in.
-With the bits ordered by a filtration this is the persistence reduction
-(Zomorodian and Carlsson, "Computing persistent homology", 2005), and
-cfk.invariants reads V's free gradings over F2[U], tau and nu off it;
-cfk.complexes reduces each block of a slice with it, for validate's
-vertical stage and HFK-hat.  The caller passes the row count (the
-widest bit length) it already knows, and the pivot table comes back as a
-list indexed by bit length, with -1 where no column owns the bit, so a
-lookup is one list index.  Everything else here is a few lines over
+A vector is one int: bit i is its i-th entry.  ``pairs`` reduces a list
+of columns in order: while an earlier column owns a column's highest set
+bit, that column is XORed in.  With the bits ordered by a filtration this
+is the persistence reduction (Zomorodian and Carlsson, "Computing
+persistent homology", 2005).  It reduces every rectangular block, the map
+from one grading into another: cfk.invariants reads tau and nu off it,
+and cfk.complexes reduces each block of a slice with it, for validate's
+vertical stage and HFK-hat.  The one other elimination loop in cfk is
+the same reduction on the square matrix of a V level, inside
+cfk.invariants.homology_over_U, where rows and columns share one order
+and a column whose row is already a pivot is cleared (skipped) instead
+of reduced; that is exact only because the complex's verdict has shown
+d^2 = 0, which no block here assumes.  The caller passes the row count
+(the widest bit length) it already knows, and the pivot table comes back
+as a list indexed by bit length, with -1 where no column owns the bit, so
+a lookup is one list index.  Everything else here is a few lines over
 ``pairs``:
 
 * ``rank`` counts the columns that reduce to nonzero, one per owner.  A

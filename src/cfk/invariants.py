@@ -11,31 +11,38 @@ Two subquotient constructions carry everything:
   nu locate where the generator of that class survives restriction, and
   HFK-hat is the homology of its Alexander-graded pieces.
 
-All of it runs on one reduction kernel, ``f2.pairs`` (int bitmask columns
-reduced in order, pivot at the highest set bit, and a pivot table that is
-a list indexed by bit length):
+All of it runs on one reduction (int bitmask columns reduced in order,
+pivot at the highest set bit, and a pivot table that is a list indexed by
+bit length), in two loops:
 
 * ``homology_over_U`` is a persistence pairing (Zomorodian and Carlsson,
-  "Computing persistent homology", 2005).  Every term's U exponent is
+  "Computing persistent homology", 2005) with its own loop over the
+  level's square matrix.  Every term's U exponent is
   pinned by the endpoint gradings
   (exponent = (grading(target) - grading(source) + 1) / 2), so the graded
   Smith form over the PID F2[U] is the pairing of the U = 1 matrix over F2
   with rows and columns ordered by grading, and the unpaired elements give
-  the free gradings.  It checks no input: a level comes from a complex
-  whose verdict is valid (see below).  Only the pivot pairs are still
-  checked.
-* tau is one pairing of the vertical slice, grading 0 ordered by
-  Alexander grading (the elder rule, see ``_vertical_pairing``).
-* nu compares ranks level by level, with no representative cycle (``nu``).
-* HFK-hat is ranks of the Alexander-graded pieces, one block per
-  (Alexander grading, grading) pair (cfk.complexes.``_slice_homology``).
+  the free gradings.  The loop clears (Chen and Kerber, "Persistent
+  homology computation with a twist", 2011): a column whose row is
+  already a pivot is neither built nor reduced, which is exact because
+  d^2 = 0.  It checks no input: a level comes from a complex whose
+  verdict is valid, d^2 = 0 included (see below).  Only the pivot pairs
+  are still checked.
+* ``f2.pairs`` reduces the rest, each a rectangular block that maps one
+  grading into another, where no d^2 = 0 is assumed.  tau is one pairing
+  of the vertical slice, grading 0 ordered by Alexander grading (the
+  elder rule, see ``_vertical_pairing``).  nu compares ranks level by
+  level, with no representative cycle (``nu``).  HFK-hat is ranks of the
+  Alexander-graded pieces, one block per (Alexander grading, grading)
+  pair (cfk.complexes.``_slice_homology``).
 
 Everything here works from the complex's index (``C.index()``, see
 cfk.complexes) by generator position; names are read only for messages
 and for the named ``basis`` and ``terms`` of a level, which are zipped
 only when a caller reads them.  A ``FreeUComplex`` is only ever a level
 that ``a_minus`` makes: its gradings by position, and the term positions
-every level of the complex shares, so the V ladder makes no per-level
+every level of the complex shares, also grouped by source
+(cfk.complexes.``_terms_by_source``), so the V ladder makes no per-level
 names and ``homology_over_U`` looks up none unless a pivot pair fails.
 
 Every refusal here that validate would also make uses validate's words.
@@ -88,7 +95,7 @@ from collections.abc import Sequence
 
 from . import f2
 from .complexes import (BifilteredComplex, Index, _level_columns, _numbered, _slice_columns,
-                        _slice_homology, dual, memoized, verdict)
+                        _slice_homology, _terms_by_source, dual, memoized, verdict)
 from .errors import KnotTypeError, PreconditionError
 
 
@@ -98,7 +105,10 @@ class FreeUComplex:
 
     names are the complex's generator names, grading the level's by
     position, and sources and targets the term positions that every level
-    of the complex shares.  basis entries are (name, grading); terms are
+    of the complex shares; by_source lists each source's term positions
+    (a_minus passes the complex's table,
+    cfk.complexes.``_terms_by_source``; without it they are grouped here).
+    basis entries are (name, grading); terms are
     (source, target, exponent) meaning d(source) contains
     U^exponent * target, where the exponent
     (grading(target) - grading(source) + 1) / 2 is pinned by homogeneity.
@@ -106,12 +116,17 @@ class FreeUComplex:
     cfk.oracle and bench/tracing.py read them: the V ladder reads the
     gradings and positions.
     """
-    __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets")
+    __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets", "_by_source")
 
     def __init__(self, names: Sequence[str], grading: list[int], sources: list[int],
-                 targets: list[int]) -> None:
+                 targets: list[int], by_source: list[list[int]] | None = None) -> None:
         self._names, self._grading, self._sources, self._targets = (
             names, grading, sources, targets)
+        if by_source is None:
+            by_source = [[] for _ in names]
+            for q, s in enumerate(sources):
+                by_source[s].append(q)
+        self._by_source = by_source
         self._basis = self._terms = None
 
     @property
@@ -166,7 +181,7 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
         raise ValueError(refused[0].message)
     moved, alexander = _level_columns(C)
     grading = [b - 2 * (a - k) if a > k else b for b, a in zip(moved, alexander)]
-    return FreeUComplex(index.names, grading, index.sources, index.targets)
+    return FreeUComplex(index.names, grading, index.sources, index.targets, _terms_by_source(C))
 
 
 def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
@@ -178,10 +193,20 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     homology", 2005).  Basis element r is the r-th in descending grading,
     ties in basis order, and column s is an int whose bit t is the entry
     d(s) -> t, so the highest set bit is the lowest-grading,
-    minimal-exponent target.  f2.pairs reduces the columns in order: while
-    an earlier column owns the pivot bit, it is XORed in, which is the
-    basis change s -> s + U^f s' with f >= 0.  Its pivot table has an
-    entry per row: the column that owns the row as a pivot, or -1.
+    minimal-exponent target.  The columns are reduced in order, the loop
+    of f2.pairs: while an earlier column owns the pivot bit, it is XORed
+    in, which is the basis change s -> s + U^f s' with f >= 0.  The pivot
+    table has an entry per row: the column that owns the row as a pivot,
+    or -1.  Rows and columns share one order, so the loop clears
+    (Chen-Kerber, "Persistent homology computation with a twist", 2011;
+    Bauer-Kerber-Reininghaus-Wagner, "PHAT", 2017): a column whose row an
+    earlier column already owns is skipped, and every other column is
+    built from x's terms by source only when the loop reaches it, so a
+    skipped column is never allocated.  That is exact when d^2 = 0.  The
+    reduction is R = D V with V unitriangular; if column j reduces to
+    lowest row i, then D R_j = 0 puts D_i in the span of the columns
+    before i, so column i reduces to zero, in any row order.  A skipped
+    column counts as zero and owns no pivot.
 
     Each pair (pivot target t, source s) takes t and s out of the free
     part: it is torsion or cancels, and V never reads it, so nothing of it
@@ -190,8 +215,10 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     rows reads both off the pivot table and the reduced columns.
 
     x is a level that a_minus made, so it is homogeneous and d^2 = 0: that
-    was decided once for the complex, and nothing here checks it again.
-    One guard stays.  Every reduced column is zero or owns a pivot, so a
+    was decided once for the complex (its verdict), and nothing here checks
+    it again; clearing relies on it, and a defect that only a skipped
+    column carries goes unseen.  One guard stays.  Every reduced column is
+    zero or owns a pivot, so a
     pair is clean unless its target owns a pivot too or its source is
     another pair's target, and either makes some pair's target own a
     pivot.  So the same pass finds whether any pair fails: a pivot target
@@ -204,11 +231,24 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r
+    targets, by_source = x._targets, x._by_source
+    owner = [-1] * (n + 1)
     reduced = [0] * n
-    for s, t in zip(x._sources, x._targets):
-        reduced[rank[s]] |= 1 << rank[t]
+    for r, p in enumerate(order):
+        if owner[r + 1] >= 0:
+            continue  # cleared: row r is a pivot, so column r reduces to zero
+        c = 0
+        for q in by_source[p]:
+            c |= 1 << rank[targets[q]]
+        while c:
+            lead = c.bit_length()
+            o = owner[lead]
+            if o < 0:
+                owner[lead] = r
+                reduced[r] = c
+                break
+            c ^= reduced[o]
 
-    owner = f2.pairs(reduced, n)
     free = []
     for r, p in enumerate(order):
         if owner[r + 1] < 0:

@@ -79,16 +79,23 @@ def test_homology_over_u_rejects_inhomogeneous():
                  "generator name 'a' declared twice", id="x0-duplicate basis name 'a'"),
     pytest.param((origin_level, (("a", 1), ("b", 0)), (("a", "b", 0), ("a", "b", 0))),
                  "term U^0:a->b repeated", id="x1-duplicate term a->b"),
-    # a -> b -> c: the pivot a -> b leaves b -> c in the cancelled target's column
-    ((free_level, (("a", 2), ("b", 1), ("c", 0)), (("a", "b", 0), ("b", "c", 0))),
+    # a -> U b, b -> U c: b is walked before a, so the pivot a -> b meets
+    # b -> c in the cancelled target's column; clearing skips no column
+    ((free_level, (("a", 1), ("b", 2), ("c", 3)), (("a", "b", 1), ("b", "c", 1))),
      "column of the cancelled target is nonzero"),
-    # x -> a -> b: the pivot a -> b leaves x -> a in the cancelled source's row
-    ((free_level, (("a", 1), ("b", 0), ("x", 2)), (("x", "a", 0), ("a", "b", 0))),
+    # x -> U a, a -> b: the pivot a -> b leaves x -> a in the cancelled source's row
+    ((free_level, (("x", 0), ("a", 1), ("b", 0)), (("x", "a", 1), ("a", "b", 0))),
      "row of the cancelled source is nonzero"),
     # d(d a) = d: every pivot pair is clean, and a_minus refuses the complex
     ((origin_level, (("a", 2), ("b", 1), ("c", 1), ("d", 0)),
       (("a", "b", 0), ("a", "c", 0), ("b", "d", 0))),
      "d^2(a) contains U^0*d"),
+    # chains of U^0 terms: a_minus refuses them with validate's message;
+    # from positions, clearing skips the column that carries the defect
+    ((origin_level, (("a", 2), ("b", 1), ("c", 0)), (("a", "b", 0), ("b", "c", 0))),
+     "d^2(a) contains U^0*c"),
+    ((origin_level, (("a", 1), ("b", 0), ("x", 2)), (("x", "a", 0), ("a", "b", 0))),
+     "d^2(x) contains U^0*b"),
 ])
 def test_homology_over_u_rejects_bad_input(x, message):
     """x is (level, basis, terms): origin_level goes through a_minus, which

@@ -134,6 +134,61 @@ def test_free_gradings_tau_and_nu_match_the_dict_kernel_on_random_sums():
         assert (tau(C), nu(C)) == (references.tau(C), references.nu(C)), C
 
 
+def test_free_gradings_match_the_dict_kernel_on_k_sum_k():
+    """Every level of K # K (2,025 generators, where clearing skips about
+    1,000 columns a level) has the dict-table kernel's free gradings."""
+    K = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+    C = build_complex(parse(f"{K} # {K}"))
+    lo, hi = C.index().alexander_range
+    for k in range(lo, hi + 1):
+        level = a_minus(C, k)
+        assert homology_over_U(level) == references.homology_over_U(level), k
+
+
+def with_acyclic_pairs(C, rng, count):
+    """C plus count acyclic pairs p -> q: a U^0 term between two new
+    generators at one position (i, j), with M(q) = M(p) - 1, each put at a
+    random place in the generator and term lists.  A pair is a bifiltered
+    direct summand that cancels in every slice and every level, so every
+    invariant of C is unchanged, and every reduction has one pivot more to
+    make."""
+    gens, terms = list(C.generators), list(C.terms)
+    for n in range(count):
+        _name, i, j, m = rng.choice(gens)
+        m += rng.choice((0, 1))
+        for g in (Generator(f"p{n}", i, j, m), Generator(f"q{n}", i, j, m - 1)):
+            gens.insert(rng.randrange(len(gens) + 1), g)
+        terms.insert(rng.randrange(len(terms) + 1), DiffTerm(f"p{n}", f"q{n}", 0))
+    return BifilteredComplex(gens, terms)
+
+
+def test_acyclic_pairs_change_no_reader():
+    """Random sums and the paper's 45- and 225-generator knots, with
+    acyclic pairs added: tau, nu, epsilon, HFK-hat and every V level are
+    those of the complex without the pairs, each level's free gradings
+    are the dict-table kernel's, and tau, nu, epsilon and HFK-hat are the
+    whole-slice references'.  HFK-hat and every level reduce the pairs."""
+    rng = random.Random(3301)
+    K = "torus(2,9) # mirror(cable(2,5,torus(2,3)))"
+    paper = [build_complex(parse(e)) for e in (
+        K, "torus(2,5) # torus(2,3) # torus(2,3) # mirror(cable(2,5,torus(2,3)))")]
+    pool = [random_complex(rng) for _ in range(60)] + paper
+    readers = ((tau, references.slice_tau), (nu, references.slice_nu),
+               (epsilon, references.slice_epsilon), (hfk_hat, references.slice_hfk_hat))
+    for C in pool + [dual(C) for C in pool]:
+        P = with_acyclic_pairs(C, rng, rng.randint(1, 6))
+        assert len(set(P.index().names)) == len(P.index().names)
+        assert validate(P) == []
+        copy = BifilteredComplex.from_columns(*P.index()[:7])
+        for mine, reference in readers:
+            assert mine(P) == mine(C) == reference(copy), (mine.__name__, P)
+        lo, hi = P.index().alexander_range
+        for k in range(lo, hi + 1):
+            level = a_minus(P, k)
+            assert homology_over_U(level) == references.homology_over_U(level), (P, k)
+            assert V(P, k) == V(C, k), (P, k)
+
+
 def unwritable(C, rng):
     """C's columns with one change dumps must handle: a generator renamed
     to another's name or to a name that cannot be written, or a term's
