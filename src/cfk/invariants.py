@@ -106,8 +106,7 @@ class FreeUComplex:
     names are the complex's generator names, grading the level's by
     position, and sources and targets the term positions that every level
     of the complex shares; by_source lists each source's term positions
-    (a_minus passes the complex's table,
-    cfk.complexes.``_terms_by_source``; without it they are grouped here).
+    (a_minus passes the complex's table, cfk.complexes.``_terms_by_source``).
     basis entries are (name, grading); terms are
     (source, target, exponent) meaning d(source) contains
     U^exponent * target, where the exponent
@@ -119,13 +118,9 @@ class FreeUComplex:
     __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets", "_by_source")
 
     def __init__(self, names: Sequence[str], grading: list[int], sources: list[int],
-                 targets: list[int], by_source: list[list[int]] | None = None) -> None:
+                 targets: list[int], by_source: list[list[int]]) -> None:
         self._names, self._grading, self._sources, self._targets = (
             names, grading, sources, targets)
-        if by_source is None:
-            by_source = [[] for _ in names]
-            for q, s in enumerate(sources):
-                by_source[s].append(q)
         self._by_source = by_source
         self._basis = self._terms = None
 

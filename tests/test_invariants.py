@@ -60,8 +60,12 @@ def free_level(basis, terms):
     homology_over_U can refuse."""
     names = [name for name, _m in basis]
     position = {name: p for p, name in enumerate(names)}
-    level = FreeUComplex(names, [m for _name, m in basis], [position[s] for s, _t, _e in terms],
-                         [position[t] for _s, t, _e in terms])
+    sources = [position[s] for s, _t, _e in terms]
+    by_source = [[] for _ in names]
+    for q, s in enumerate(sources):
+        by_source[s].append(q)
+    level = FreeUComplex(names, [m for _name, m in basis], sources,
+                         [position[t] for _s, t, _e in terms], by_source)
     assert level.terms == terms  # each exponent is the one the gradings pin
     return level
 
