@@ -20,7 +20,7 @@ from . import __version__, cfkfile
 from .complexes import validate
 from .errors import CfkError, PreconditionError
 from .expr import build_complex, parse, to_text
-from .invariants import V, epsilon, hfk_hat, tau
+from .invariants import V, epsilon, hfk_hat, seifert_genus, tau
 from .surgery import (SurgerySpec, cable_nu_plus_bounds, cable_tau,
                       d_invariants, g4_upper_annotation, genus_report,
                       surgery_d)
@@ -179,7 +179,7 @@ def _hfk_report(text: str) -> dict[str, Any]:
         "expression": to_text(e),
         "hfk": rows,
         "total_rank": sum(r["rank"] for r in rows),
-        "seifert_genus": rows[0]["alexander"],  # rows run from the top grading
+        "seifert_genus": seifert_genus(C),
     }
 
 

@@ -44,16 +44,17 @@ name at two positions (a tensor with a factor that repeats a name);
 ``validate`` reads such an end as the name's last declaration, as the
 record constructor does.
 
-Every slice of a complex is read through one walk.  Each complex keeps
-in its memo its term positions grouped by source (``_terms_by_source``)
-and each generator's vertical grading M - 2i and Alexander grading
-(``_level_columns``).  ``_slice_columns`` builds the columns of one slice
-map from the terms out of the sources it is given, and
-``_slice_homology`` reduces a slice block by block with f2.pairs.
-validate's vertical stage reads the vertical slice with one block per
-grading, HFK-hat in cfk.invariants with one block per (Alexander
-grading, grading) pair, and tau and nu walk only the terms out of the
-gradings they pair.
+Every slice of a complex is read through one walk, from one table.
+Each complex keeps in its memo its ``Table`` (``_table``): each
+generator's term positions by source, its vertical grading M - 2i and
+its Alexander grading A = j - i, which grade the vertical slice, the
+HFK-hat pieces and every V level of cfk.invariants.  ``_slice_columns``
+builds the columns of one slice map from the terms out of the sources
+it is given, and ``_slice_homology`` reduces a slice block by block with
+f2.pairs.  validate's vertical stage reads the vertical slice with one
+block per grading, HFK-hat in cfk.invariants with one block per
+(Alexander grading, grading) pair, and tau and nu walk only the terms
+out of the gradings they pair.
 
 ``validate`` runs in two stages: the positional stage (the structural
 checks by position, then d^2 = 0 by per-end int sets), then the vertical
@@ -155,8 +156,8 @@ class BifilteredComplex:
         self._repeats = repeats
         self._verdict: tuple[Violation, ...] | None = None
         self.label = label
-        # The term table, the grading columns and the results of
-        # cfk.invariants for this complex, keyed by (function, args).
+        # The table (_table) and the results of cfk.invariants for this
+        # complex, keyed by (function, args).
         self._memo: dict[tuple, object] = {}
 
     @classmethod
@@ -249,7 +250,7 @@ def verdict(C: BifilteredComplex) -> tuple[Violation, ...]:
 def _vertical_stage(C: BifilteredComplex) -> list[Violation]:
     """The knot-type condition: the vertical slice's homology is F2 in
     grading 0, from one block per grading M - 2i."""
-    dims = _slice_homology(C, C.index().i, list(zip(repeat(0), _level_columns(C)[0])))
+    dims = _slice_homology(C, C.index().i, list(zip(repeat(0), _table(C).vertical)))
     if dims == {(0, 0): 1}:
         return []
     return [Violation(VERTICAL_HOMOLOGY,
@@ -340,25 +341,26 @@ def _numbered(positions: list[int], start: int = 0) -> dict[int, int]:
     return dict(zip(positions, range(start, start + len(positions))))
 
 
+class Table(NamedTuple):
+    """What every slice and level of a complex is read from, by generator
+    position: each generator's term positions in term order (by_source),
+    its vertical grading M - 2i and its Alexander grading A = j - i."""
+    by_source: list[list[int]]
+    vertical: list[int]
+    alexander: list[int]
+
+
 @memoized
-def _terms_by_source(C: BifilteredComplex) -> list[list[int]]:
-    """Each generator's term positions, by source position, in term order."""
+def _table(C: BifilteredComplex) -> Table:
+    """C's Table.  M - 2i is g's grading in the vertical slice, and level k
+    of cfk.invariants' a_minus grades g as M - 2i - 2(A - k) when A > k,
+    else M - 2i."""
     index = C.index()
     by_source: list[list[int]] = [[] for _ in index.names]
     for q, s in enumerate(index.sources):
         by_source[s].append(q)
-    return by_source
-
-
-@memoized
-def _level_columns(C: BifilteredComplex) -> tuple[list[int], list[int]]:
-    """M - 2i and the Alexander grading A = j - i of each generator, by
-    position: M - 2i is g's grading in the vertical slice, and level k of
-    cfk.invariants' a_minus grades g as M - 2i - 2(A - k) when A > k, else
-    M - 2i."""
-    index = C.index()
-    return ([m - 2 * i for m, i in zip(index.maslov, index.i)],
-            [j - i for i, j in zip(index.i, index.j)])
+    return Table(by_source, [m - 2 * i for m, i in zip(index.maslov, index.i)],
+                 [j - i for i, j in zip(index.i, index.j)])
 
 
 def _slice_columns(C: BifilteredComplex, sources: list[int], shift: Sequence[int],
@@ -367,11 +369,11 @@ def _slice_columns(C: BifilteredComplex, sources: list[int], shift: Sequence[int
     map from s to the positions numbered in bit (one grading), with bit
     bit[t] for target t: the slice moves g to U^{shift[g]} g and keeps a
     term U^n: s -> t when n + shift[s] == shift[t].  Only the terms out of
-    sources are read, through ``_terms_by_source``.  Callers pass a complex
-    that repeats no (source, target) pair: a repeated term would set its
-    bit once."""
+    sources are read, through C's ``_table``.  Callers pass a complex that
+    repeats no (source, target) pair: a repeated term would set its bit
+    once."""
     index = C.index()
-    targets, powers, by_source = index.targets, index.powers, _terms_by_source(C)
+    targets, powers, by_source = index.targets, index.powers, _table(C).by_source
     columns = []
     for s in sources:
         lift, column = shift[s], 0

@@ -36,35 +36,37 @@ bit length), in two loops:
   Alexander-graded pieces, one block per (Alexander grading, grading)
   pair (cfk.complexes.``_slice_homology``).
 
-Everything here works from the complex's index (``C.index()``, see
-cfk.complexes) by generator position; names are read only for messages
-and for the named ``basis`` and ``terms`` of a level, which are zipped
-only when a caller reads them.  A ``FreeUComplex`` is only ever a level
-that ``a_minus`` makes: its gradings by position, and the term positions
-every level of the complex shares, also grouped by source
-(cfk.complexes.``_terms_by_source``), so the V ladder makes no per-level
-names and ``homology_over_U`` looks up none unless a pivot pair fails.
+Everything here works by generator position from the complex's index
+(``C.index()``, see cfk.complexes) and its one table
+(cfk.complexes.``_table``: term positions by source, M - 2i and
+A = j - i); names are read only for messages and for the named ``basis``
+and ``terms`` of a level, which are zipped each time a caller reads
+them.  A ``FreeUComplex`` is a level that ``a_minus`` makes, and holds
+two fields: its complex and its gradings by position.  So the V ladder
+makes no per-level names, and ``homology_over_U`` reads the terms
+through the complex and looks up no name unless a pivot pair fails.
 
 Every refusal here that validate would also make uses validate's words.
-Every entry point first asks ``C.repeats()``: a repeated name or a
-repeated (source, target) pair raises ValueError with the message of
-validate's first violation, which such a complex always has.  The V
-ladder decides the rest of validity once per complex, not per level:
-before it builds a level, ``a_minus`` reads the complex's verdict
-(cfk.complexes.``verdict``, validate's whole answer: U powers >= 0,
-filtration, homogeneity, d^2 = 0 and then the vertical homology) and
-raises ValueError with validate's message for the first violation.  So
-V, H, nu+ and the surgery formulas refuse what ``validate`` refuses, at
-every k, and read each level of a knot-type complex with no check.
+The V ladder decides validity once per complex, not per level: before
+it builds a level, ``a_minus`` reads the complex's verdict
+(cfk.complexes.``verdict``, validate's whole answer: repeated names and
+terms, U powers >= 0, filtration, homogeneity, d^2 = 0 and then the
+vertical homology) and raises ValueError with validate's message for the
+first violation.  So V, H, nu+ and the surgery formulas refuse what
+``validate`` refuses, at every k, and read each level of a knot-type
+complex with no check.  The vertical readers (``_vertical_pairing``
+under tau and nu, ``_hfk_table`` under HFK-hat) first ask
+``C.repeats()``: a repeated name or a repeated (source, target) pair
+raises ValueError with the message of validate's first violation, which
+such a complex always has.
 ``staircase``, ``dual`` and ``tensor`` seed the verdict as valid, so a
 built complex pays for no check; a loaded or record-built one runs
 validate's stages once, on its first level or its first refusal, and
 keeps the result even when it refuses.  tau, nu, epsilon and HFK-hat read
 no verdict on a complex that repeats nothing: on one that validate
 refuses they may return numbers.  None of them builds a whole slice.
-They read the positions of the complex's terms grouped by source
-(cfk.complexes.``_terms_by_source``, the one table validate's vertical
-stage reads too) and walk only the terms out of the gradings they pair:
+They read the complex's table (the one validate's vertical stage reads
+too) and walk only the terms out of the gradings they pair:
 1 into 0 and 0 into -1 of the vertical slice for tau, 0 into -1 of the
 U = 0 slice of A^-_k for nu at level k, and each (A, g) into (A, g - 1)
 of the vertical slice for HFK-hat.  Each term still passes the slice's
@@ -73,12 +75,11 @@ refuses gets the numbers and errors the whole slices give; HFK-hat
 drops a kept term that lands outside (A, g - 1), which only a term
 against homogeneity can do.
 
-Each complex object keeps a private memo of its checked index, the two
-columns its levels are graded from, the free gradings of each level, its
-term positions by source, the vertical pairing, nu, the HFK-hat table
-and its mirror (``dual``), so every report reduces a
-given (complex, k) once, and epsilon and the genus report's nu+ of the
-mirror read one mirror complex.
+Each complex object keeps a private memo of its table, the free
+gradings of each level, the vertical pairing, nu, the HFK-hat table and
+its mirror (``dual``), so every report reduces a given (complex, k)
+once, and epsilon and the genus report's nu+ of the mirror read one
+mirror complex.
 V outside the Alexander range reads the boundary level (see ``V``).
 
 Callers skip levels by two facts about V (Rasmussen's thesis): it is
@@ -91,65 +92,44 @@ shortcut: it stays a check on the computed table.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from . import f2
-from .complexes import (BifilteredComplex, Index, _level_columns, _numbered, _slice_columns,
-                        _slice_homology, _terms_by_source, dual, memoized, verdict)
+from .complexes import (BifilteredComplex, _numbered, _slice_columns, _slice_homology, _table,
+                        dual, memoized, verdict)
 from .errors import KnotTypeError, PreconditionError
 
 
 class FreeUComplex:
     """One level of a complex as a finitely generated free graded complex
-    over F2[U], as a_minus makes it.
+    over F2[U], as a_minus makes it: the complex and the level's gradings
+    by position.  Every level of a complex shares its generators and
+    terms, so the rest is read through the complex: its index and its
+    table (cfk.complexes.``_table``).
 
-    names are the complex's generator names, grading the level's by
-    position, and sources and targets the term positions that every level
-    of the complex shares; by_source lists each source's term positions
-    (a_minus passes the complex's table, cfk.complexes.``_terms_by_source``).
-    basis entries are (name, grading); terms are
-    (source, target, exponent) meaning d(source) contains
-    U^exponent * target, where the exponent
-    (grading(target) - grading(source) + 1) / 2 is pinned by homogeneity.
-    Both are made the first time each is read, and only the tests,
-    cfk.oracle and bench/tracing.py read them: the V ladder reads the
-    gradings and positions.
+    basis entries are (name, grading); terms are (source, target,
+    exponent) meaning d(source) contains U^exponent * target, where the
+    exponent (grading(target) - grading(source) + 1) / 2 is pinned by
+    homogeneity.  Both are made each time they are read, and only the
+    tests, cfk.oracle and bench/tracing.py read them: the V ladder reads
+    the gradings and positions.
     """
-    __slots__ = ("_basis", "_terms", "_names", "_grading", "_sources", "_targets", "_by_source")
+    __slots__ = ("complex", "grading")
 
-    def __init__(self, names: Sequence[str], grading: list[int], sources: list[int],
-                 targets: list[int], by_source: list[list[int]]) -> None:
-        self._names, self._grading, self._sources, self._targets = (
-            names, grading, sources, targets)
-        self._by_source = by_source
-        self._basis = self._terms = None
+    def __init__(self, C: BifilteredComplex, grading: list[int]) -> None:
+        self.complex, self.grading = C, grading
 
     @property
     def basis(self) -> tuple[tuple[str, int], ...]:
-        if self._basis is None:
-            self._basis = tuple(zip(self._names, self._grading))
-        return self._basis
+        return tuple(zip(self.complex.index().names, self.grading))
 
     @property
     def terms(self) -> tuple[tuple[str, str, int], ...]:
-        if self._terms is None:
-            name, grading = self._names.__getitem__, self._grading
-            self._terms = tuple((name(s), name(t), (grading[t] - grading[s] + 1) // 2)
-                                for s, t in zip(self._sources, self._targets))
-        return self._terms
+        index, grading = self.complex.index(), self.grading
+        name = index.names.__getitem__
+        return tuple((name(s), name(t), (grading[t] - grading[s] + 1) // 2)
+                     for s, t in zip(index.sources, index.targets))
 
     def __repr__(self) -> str:
         return f"FreeUComplex(basis={self.basis!r}, terms={self.terms!r})"
-
-
-@memoized
-def _index(C: BifilteredComplex) -> Index:
-    """C's index, once C.repeats() shows no repeated name and no repeated
-    (source, target) pair; a complex with either raises ValueError with
-    validate's first message (such a complex always has one)."""
-    if C.repeats():
-        raise ValueError(verdict(C)[0].message)
-    return C.index()
 
 
 def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
@@ -158,25 +138,29 @@ def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:
     The basis element for g is U^{c_g} g with c_g = max(i_g, j_g - k), in
     grading M(g) - 2 c_g, by position; a term U^n: s -> t turns into
     exponent n + c_s - c_t, which is (grading(t) - grading(s) + 1) / 2
-    since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings.
-    With A = j - i, c_g = i_g + max(A_g - k, 0), so the grading is
-    M - 2i, less 2(A - k) where A > k: two columns, M - 2i and A, that are
-    built once per complex and kept in its memo
-    (cfk.complexes.``_level_columns``).
+    since M(s) - 1 = M(t) - 2n, so the level keeps only the gradings
+    (``_level_grading``).
 
     C's verdict (cfk.complexes.verdict) is read first: a complex that
     validate refuses raises ValueError with validate's message for its
-    first violation, at every k.  On a complex that passes, every level is
-    a homogeneous subcomplex with d^2 = 0, and each exponent is
-    nonnegative, since n >= 0 and a term lowers neither i nor j.
+    first violation, at every k.  A complex that repeats a name or a
+    (source, target) pair is always refused so.  On a complex that
+    passes, every level is a homogeneous subcomplex with d^2 = 0, and
+    each exponent is nonnegative, since n >= 0 and a term lowers neither
+    i nor j.
     """
-    index = _index(C)
     refused = verdict(C)
     if refused:
         raise ValueError(refused[0].message)
-    moved, alexander = _level_columns(C)
-    grading = [b - 2 * (a - k) if a > k else b for b, a in zip(moved, alexander)]
-    return FreeUComplex(index.names, grading, index.sources, index.targets, _terms_by_source(C))
+    return FreeUComplex(C, _level_grading(C, k))
+
+
+def _level_grading(C: BifilteredComplex, k: int) -> list[int]:
+    """Each generator's grading M - 2 max(i, j - k) at level k, by
+    position.  With A = j - i, max(i, j - k) = i + max(A - k, 0), so it
+    is M - 2i, less 2(A - k) where A > k, from C's table."""
+    table = _table(C)
+    return [b - 2 * (a - k) if a > k else b for b, a in zip(table.vertical, table.alexander)]
 
 
 def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
@@ -196,10 +180,10 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     (Chen-Kerber, "Persistent homology computation with a twist", 2011;
     Bauer-Kerber-Reininghaus-Wagner, "PHAT", 2017): a column whose row an
     earlier column already owns is skipped, and every other column is
-    built from x's terms by source only when the loop reaches it, so a
-    skipped column is never allocated.  That is exact when d^2 = 0.  The
-    reduction is R = D V with V unitriangular; if column j reduces to
-    lowest row i, then D R_j = 0 puts D_i in the span of the columns
+    built from the complex's terms by source only when the loop reaches
+    it, so a skipped column is never allocated.  That is exact when
+    d^2 = 0.  The reduction is R = D V with V unitriangular; if column j
+    reduces to lowest row i, then D R_j = 0 puts D_i in the span of the columns
     before i, so column i reduces to zero, in any row order.  A skipped
     column counts as zero and owns no pivot.
 
@@ -220,13 +204,13 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     whose column is nonzero.  Only then is the first failing pair looked
     for (_refuse_pairs), and names read.
     """
-    grading = x._grading
+    grading, C = x.grading, x.complex
     n = len(grading)
     order = sorted(range(n), key=grading.__getitem__, reverse=True)
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r
-    targets, by_source = x._targets, x._by_source
+    targets, by_source = C.index().targets, _table(C).by_source
     owner = [-1] * (n + 1)
     reduced = [0] * n
     for r, p in enumerate(order):
@@ -259,7 +243,7 @@ def _refuse_pairs(x: FreeUComplex, order: list[int], reduced: list[int],
     """Raise ValueError for homology_over_U's first failing pair in
     (exponent, source name, target name) order: a pair whose target owns
     a pivot too or whose source is another pair's target."""
-    names, grading = x._names, x._grading
+    names, grading = x.complex.index().names, x.grading
     *_key, t = min((grading[order[t]] - grading[order[s]], names[order[s]], names[order[t]], t)
                    for t, s in enumerate(owner[1:])
                    if s >= 0 and (reduced[t] or owner[s + 1] >= 0))
@@ -286,7 +270,7 @@ def V(C: BifilteredComplex, k: int) -> int:
     a_minus reads the verdict first, so C is knot-type here: inverting U
     leaves one free tower, in an even grading <= 0.
     """
-    lo, hi = _index(C).alexander_range
+    lo, hi = C.index().alexander_range
     (d,) = _free_gradings(C, min(max(k, lo), hi))
     return -d // 2 - min(k - lo, 0)
 
@@ -324,19 +308,22 @@ def _vertical_pairing(C: BifilteredComplex) -> tuple[int, list[int], list[int]]:
     grading (ties in basis order), and the boundaries from grading 1
     reduced by f2.pairs, with bit r for the r-th of those elements.
 
-    The vertical slice grades g as M - 2i (the first of
-    cfk.complexes.``_level_columns``) and keeps the terms whose power n + i_s - i_t is
-    zero; only the terms out of gradings 1 and 0 are read.  The grading-0
-    rows and columns take that one order.  The pivots of the boundaries
-    into grading 0 are the leads of the boundaries; the columns of the map
-    out of grading 0 that reduce to zero are the leads of the cycles.  A
-    cycle lead that is no boundary lead is born at its Alexander grading
-    and never dies (the elder rule).  On knot-type input there is exactly
-    one, the generator of the vertical homology, and tau is its Alexander
-    grading.
+    The vertical slice grades g as M - 2i (the vertical column of
+    cfk.complexes.``_table``) and keeps the terms whose power
+    n + i_s - i_t is zero; only the terms out of gradings 1 and 0 are read.  The
+    grading-0 rows and columns take that one order.  The pivots of the
+    boundaries into grading 0 are the leads of the boundaries; the columns
+    of the map out of grading 0 that reduce to zero are the leads of the
+    cycles.  A cycle lead that is no boundary lead is born at its
+    Alexander grading and never dies (the elder rule).  On knot-type input
+    there is exactly one, the generator of the vertical homology, and tau
+    is its Alexander grading.  A complex that repeats a name or a
+    (source, target) pair raises ValueError with validate's first message.
     """
-    index = _index(C)
-    grading, alexander = _level_columns(C)
+    if C.repeats():
+        raise ValueError(verdict(C)[0].message)
+    index = C.index()
+    _, grading, alexander = _table(C)
     zero = sorted((p for p, m in enumerate(grading) if m == 0), key=alexander.__getitem__)
     ones, below = ([p for p, m in enumerate(grading) if m == g] for g in (1, -1))
     into = _slice_columns(C, ones, index.i, _numbered(zero))
@@ -374,13 +361,12 @@ def nu(C: BifilteredComplex) -> int:
     """
     least, zero, into = _vertical_pairing(C)
     boundaries = [c for c in into if c]
-    index = _index(C)
-    alexander = _level_columns(C)[1]
+    index, alexander = C.index(), _table(C).alexander
     width = len(zero)
     for k in range(least, index.alexander_range[1] + 1):
         # g moved to U^{c_g} g, c_g = max(i_g, j_g - k)
         shift = [i if i > j - k else j - k for i, j in zip(index.i, index.j)]
-        grading = [m - 2 * c for m, c in zip(index.maslov, shift)]
+        grading = _level_grading(C, k)
         bit = _numbered([p for p, m in enumerate(grading) if m == -1], width)
         level = [p for p, m in enumerate(grading) if m == 0]
         cols = dict(zip(level, _slice_columns(C, level, shift, bit)))
@@ -421,14 +407,15 @@ def hfk_hat(C: BifilteredComplex) -> dict[tuple[int, int], int]:
 
 @memoized
 def _hfk_table(C: BifilteredComplex) -> dict[tuple[int, int], int]:
-    index = _index(C)
-    grading, alexander = _level_columns(C)
-    return _slice_homology(C, index.i, list(zip(alexander, grading)))
+    if C.repeats():
+        raise ValueError(verdict(C)[0].message)
+    _, grading, alexander = _table(C)
+    return _slice_homology(C, C.index().i, list(zip(alexander, grading)))
 
 
 def seifert_genus(C: BifilteredComplex) -> int:
     """Top Alexander grading carrying nonzero associated-graded homology."""
-    table = hfk_hat(C)
+    table = _hfk_table(C)
     if not table:
         raise KnotTypeError("associated-graded homology vanished entirely")
     return max(a for (a, _m) in table)

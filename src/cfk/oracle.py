@@ -33,10 +33,10 @@ def v_by_u_rank(C: BifilteredComplex, k: int) -> int:
     if not C.index().names:
         raise OracleError("empty complex")
     x = a_minus(C, k)
-    grading = dict(x.basis)
+    grading, terms = dict(x.basis), x.terms
     gradings = list(grading.values())
     top, bottom = max(gradings), min(gradings)
-    maxu = max((e for (_s, _t, e) in x.terms), default=0)
+    maxu = max((e for (_s, _t, e) in terms), default=0)
     S = (top - bottom) // 2 + maxu + 2
     cutoff = bottom - 2 * S - (2 * maxu + 2) - 6
     by_grading: dict[int, list[tuple[str, int]]] = {}
@@ -48,7 +48,7 @@ def v_by_u_rank(C: BifilteredComplex, k: int) -> int:
     index: dict[int, dict[tuple[str, int], int]] = {
         m: {el: i for i, el in enumerate(els)} for m, els in by_grading.items()}
     outgoing: dict[str, list[tuple[str, int]]] = {}
-    for s_, t_, e in x.terms:
+    for s_, t_, e in terms:
         outgoing.setdefault(s_, []).append((t_, e))
 
     def boundary_rows(m: int) -> list[int]:

@@ -235,15 +235,15 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
 ]
 
 
-def run(write: Callable[[str], None] = print) -> int:
+def run() -> int:
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            write(f"FAIL {name}: {exc!r}")
+            print(f"FAIL {name}: {exc!r}")
         else:
-            write(f"PASS {name}")
-    write(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+            print(f"PASS {name}")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

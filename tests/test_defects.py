@@ -2,7 +2,7 @@
 which defect when a complex has several, frozen message by message; the
 record constructor refusing a term that names no generator; loads,
 staircase, dual and tensor seeding the flag and the verdict; one mirror
-per complex; one term table per complex; and the V family refusing
+per complex; one table per complex; and the V family refusing
 complexes that validate refuses only for their vertical homology."""
 import functools
 import gc
@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 import test_references
-from cfk import complexes, expr
+from cfk import complexes, expr, invariants
 from cfk.cfkfile import _read_columns, dumps, loads
 from cfk.complexes import BifilteredComplex, DiffTerm as D
 from cfk.cli import main
@@ -407,9 +407,9 @@ def test_a_tensor_of_valid_factors_can_repeat_a_name():
 
 def test_one_term_table_per_complex(text, monkeypatch):
     """validate's vertical stage, HFK-hat, tau and nu build their slice
-    columns from one table of the complex's term positions by source,
-    built once; past validate's positional stage, nothing else reads the
-    term lists whole."""
+    columns from the complex's one table (term positions by source and
+    the two grading columns), built once; past validate's positional
+    stage, nothing else reads the term lists whole."""
     readers = []
 
     class Watched(list):
@@ -418,22 +418,23 @@ def test_one_term_table_per_complex(text, monkeypatch):
             return super().__iter__()
 
     built = []
-    terms_by_source = complexes._terms_by_source.__wrapped__
+    table = complexes._table.__wrapped__
 
-    @functools.wraps(terms_by_source)
+    @functools.wraps(table)
     def counted(C):
         built.append(C)
-        return terms_by_source(C)
+        return table(C)
 
-    monkeypatch.setattr(complexes, "_terms_by_source", complexes.memoized(counted))
+    for module in (complexes, invariants):
+        monkeypatch.setattr(module, "_table", complexes.memoized(counted))
     C = loads(text)
     x = C.index()
     C._index = x._replace(powers=Watched(x.powers), sources=Watched(x.sources),
                           targets=Watched(x.targets))
     assert validate(C) == [] and hfk_hat(C) and (tau(C), nu(C)) == (0, 1)
     assert built == [C]
-    assert set(readers) == {"_positional_stage", "_terms_by_source"}
-    assert readers.count("_terms_by_source") == 1
+    assert set(readers) == {"_positional_stage", "_table"}
+    assert readers.count("_table") == 1
 
 
 def test_a_defective_complex_runs_the_positional_stage_once(text, monkeypatch):

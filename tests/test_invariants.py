@@ -55,17 +55,16 @@ def test_homology_over_u_examples(trefoil):
 
 
 def free_level(basis, terms):
-    """A FreeUComplex built from positions, with no check of any kind: a
-    level that no valid complex has, which only the pivot-pair guard of
-    homology_over_U can refuse."""
-    names = [name for name, _m in basis]
+    """A FreeUComplex over a complex built from columns, with no check of
+    any kind: a level that no valid complex has, which only the
+    pivot-pair guard of homology_over_U can refuse."""
+    names, grading = [name for name, _m in basis], [m for _name, m in basis]
     position = {name: p for p, name in enumerate(names)}
-    sources = [position[s] for s, _t, _e in terms]
-    by_source = [[] for _ in names]
-    for q, s in enumerate(sources):
-        by_source[s].append(q)
-    level = FreeUComplex(names, [m for _name, m in basis], sources,
-                         [position[t] for _s, t, _e in terms], by_source)
+    origin = [0] * len(names)
+    C = BifilteredComplex.from_columns(names, origin, origin, grading, [e for *_ends, e in terms],
+                                       [position[s] for s, _t, _e in terms],
+                                       [position[t] for _s, t, _e in terms])
+    level = FreeUComplex(C, grading)
     assert level.terms == terms  # each exponent is the one the gradings pin
     return level
 
@@ -614,8 +613,8 @@ def test_v_is_nonnegative_and_drops_by_at_most_one_per_step():
 
 def test_v_memo_stays_within_the_alexander_range():
     """d-invariants at p = 20,000 ask for V_k at 20,000 values of k; the
-    complex's memo keeps one entry per reduced level (an entry per k held
-    2.3 MB)."""
+    complex's memo keeps one entry per reduced level and its one table,
+    and nothing else (an entry per k held 2.3 MB)."""
     C = torus_staircase(2, 3)
     tracemalloc.start()
     try:
@@ -629,7 +628,8 @@ def test_v_memo_stays_within_the_alexander_range():
     lo, hi = alexander_range(C)
     levels = [key[1:] for key in C._memo if key[0] == "_free_gradings"]
     assert levels and all(lo <= k <= hi for (k,) in levels), levels
-    assert len(C._memo) <= hi - lo + 3, list(C._memo)
+    expected = {("_table",)} | {("_free_gradings", k) for (k,) in levels}
+    assert set(C._memo) == expected, list(C._memo)
     assert held < 100_000, held
 
 
