@@ -294,7 +294,7 @@ def _refuse_terms(names: Sequence[str], powers: Sequence[int], sources: list[int
 def read_complex(path: str | Path) -> BifilteredComplex:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {p}: {exc}") from None
     return loads(text, label=str(path))

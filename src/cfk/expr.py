@@ -23,7 +23,7 @@ whose (p-1)(q-1) + 1 exceeds sys.maxsize, or an L-space cable of a
 genus-g companion whose p*2g + (p-1)(q-1) + 1 does, is refused there
 with NoConstructorError, before anything is allocated.  Complexes are
 constructed recursively; a cable only has a constructor when its companion
-is an L-space expression and q clears p*(2g - 1).  An L-space expression
+is an L-space expression, q >= 1 and q >= p*(2g - 1).  An L-space expression
 (the unknot, a torus knot, or such a cable) becomes a staircase through
 its semigroup: ``lspace_exponents`` walks the expression to the semigroup
 below the conductor 2g and reads the staircase exponents off it, with no
@@ -327,7 +327,7 @@ def strip_annotations(e: KnotExpr) -> KnotExpr:
 def is_lspace_expr(e: KnotExpr) -> bool:
     """Whether the expression names a knot whose complex is a staircase:
     the unknot, a positive torus knot, or a sufficiently positive cable of
-    such (q >= p*(2g - 1)); mirrors and sums disqualify."""
+    such (q >= 1 and q >= p*(2g - 1)); mirrors and sums disqualify."""
     return _lspace_genus(e) is not None
 
 
@@ -378,13 +378,19 @@ def lspace_exponents(e: KnotExpr) -> tuple[int, ...]:
     """The decreasing exponents a_0 > ... > a_2m of the Alexander polynomial
     of an L-space expression, read off its semigroup S: they are where S's
     runs and gaps start below the conductor 2g, and 2g itself, moved by -g.
-    Any other expression raises NoConstructorError."""
+    Any other expression, or one whose semigroup does not fit in memory,
+    raises NoConstructorError."""
     if not is_lspace_expr(e):
         raise NoConstructorError(
             f"no CFK constructor available for {to_text(e)}: the companion must "
             "be an L-space expression (unknot, torus, or such a cable) with "
-            "q >= p*(2g - 1)")
-    members = _semigroup(e)
+            "q >= 1 and q >= p*(2g - 1)")
+    try:
+        members = _semigroup(e)
+    except MemoryError:
+        raise NoConstructorError(
+            f"no CFK constructor available for {to_text(e)}: its semigroup below "
+            f"2g = {2 * _lspace_genus(e)} does not fit in memory") from None
     conductor = len(members)
     starts, k, bit = [0], 0, 0
     while k < conductor:
@@ -398,11 +404,11 @@ def lspace_exponents(e: KnotExpr) -> tuple[int, ...]:
 def build_complex(e: KnotExpr) -> BifilteredComplex:
     """Construct the bifiltered complex of an expression.
 
-    Cables demand an L-space companion with q >= p*(2g - 1); everything
-    else composes structurally (mirror -> dual, sum -> tensor).  Complexes
-    loaded from files are validated before use, and a built complex that
-    repeats a name (a sum whose factors' names collide into one product
-    name) raises ValidationError with validate's violations.
+    Cables demand an L-space companion with q >= 1 and q >= p*(2g - 1);
+    everything else composes structurally (mirror -> dual, sum -> tensor).
+    Complexes loaded from files are validated before use, and a built
+    complex that repeats a name (a sum whose factors' names collide into
+    one product name) raises ValidationError with validate's violations.
     Every complex _build returns is new, so it is relabelled in place and
     keeps its index and memo, including what validation recorded.
     """

@@ -26,8 +26,7 @@ bit length), in two loops:
   homology computation with a twist", 2011): a column whose row is
   already a pivot is neither built nor reduced, which is exact because
   d^2 = 0.  It checks no input: a level comes from a complex whose
-  verdict is valid, d^2 = 0 included (see below).  Only the pivot pairs
-  are still checked.
+  verdict is valid, d^2 = 0 included (see below).
 * ``f2.pairs`` reduces the rest, each a rectangular block that maps one
   grading into another, where no d^2 = 0 is assumed.  tau is one pairing
   of the vertical slice, grading 0 ordered by Alexander grading (the
@@ -44,7 +43,7 @@ and ``terms`` of a level, which are zipped each time a caller reads
 them.  A ``FreeUComplex`` is a level that ``a_minus`` makes, and holds
 two fields: its complex and its gradings by position.  So the V ladder
 makes no per-level names, and ``homology_over_U`` reads the terms
-through the complex and looks up no name unless a pivot pair fails.
+through the complex and looks up no name.
 
 Every refusal here that validate would also make uses validate's words.
 The V ladder decides validity once per complex, not per level: before
@@ -193,16 +192,11 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
     is a free generator, and its grading is returned.  One pass over the
     rows reads both off the pivot table and the reduced columns.
 
-    x is a level that a_minus made, so it is homogeneous and d^2 = 0: that
-    was decided once for the complex (its verdict), and nothing here checks
-    it again; clearing relies on it, and a defect that only a skipped
-    column carries goes unseen.  One guard stays.  Every reduced column is
-    zero or owns a pivot, so a
-    pair is clean unless its target owns a pivot too or its source is
-    another pair's target, and either makes some pair's target own a
-    pivot.  So the same pass finds whether any pair fails: a pivot target
-    whose column is nonzero.  Only then is the first failing pair looked
-    for (_refuse_pairs), and names read.
+    Precondition: x is a level that a_minus made, so the complex's verdict
+    has shown it homogeneous with d^2 = 0, and nothing here checks the
+    level again.  Clearing relies on it, and so does the pairing: by the
+    fact above no pivot target keeps a nonzero column and no pivot source
+    is another pair's target.
     """
     grading, C = x.grading, x.complex
     n = len(grading)
@@ -230,28 +224,9 @@ def homology_over_U(x: FreeUComplex) -> tuple[int, ...]:
 
     free = []
     for r, p in enumerate(order):
-        if owner[r + 1] < 0:
-            if not reduced[r]:
-                free.append(grading[p])
-        elif reduced[r]:
-            _refuse_pairs(x, order, reduced, owner)
+        if owner[r + 1] < 0 and not reduced[r]:
+            free.append(grading[p])
     return tuple(free)
-
-
-def _refuse_pairs(x: FreeUComplex, order: list[int], reduced: list[int],
-                  owner: list[int]) -> None:
-    """Raise ValueError for homology_over_U's first failing pair in
-    (exponent, source name, target name) order: a pair whose target owns
-    a pivot too or whose source is another pair's target."""
-    names, grading = x.complex.index().names, x.grading
-    *_key, t = min((grading[order[t]] - grading[order[s]], names[order[s]], names[order[t]], t)
-                   for t, s in enumerate(owner[1:])
-                   if s >= 0 and (reduced[t] or owner[s + 1] >= 0))
-    if reduced[t]:
-        raise ValueError("column of the cancelled target is nonzero; "
-                         "input differential does not square to zero")
-    raise ValueError("row of the cancelled source is nonzero; "
-                     "input differential does not square to zero")
 
 
 def V(C: BifilteredComplex, k: int) -> int:

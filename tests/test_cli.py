@@ -353,6 +353,18 @@ def test_file_not_in_utf8_exits_2(tmp_path, capsys):
     assert (tmp_path / "copy.cfk").read_bytes() == good.read_bytes()
 
 
+def test_file_with_byte_order_mark_reads(tmp_path, capsys):
+    """A UTF-8 file saved with a leading byte-order mark reads as the same
+    text without it, and validates; writing adds none."""
+    bom = tmp_path / "bom.cfk"
+    bom.write_bytes(b"\xef\xbb\xbf" + DATA.read_bytes())
+    assert cfk.dumps(cfk.read_complex(bom)) == cfk.dumps(cfk.read_complex(DATA))
+    assert main(["validate", str(bom)]) == 0
+    assert capsys.readouterr() == (f"{bom}: OK (5 generators, 4 terms)\n", "")
+    cfk.write_complex(cfk.read_complex(bom), tmp_path / "copy.cfk")
+    assert (tmp_path / "copy.cfk").read_bytes() == DATA.read_bytes()
+
+
 def test_deep_expressions_exit_1(capsys):
     """Nesting past MAX_DEPTH, by brackets or by a chain of sums, is a
     one-line syntax error, not a RecursionError."""
@@ -413,6 +425,30 @@ def test_torus_at_sys_maxsize_parses():
     assert parse(f"torus({sys.maxsize},2)") == Torus(sys.maxsize, 2)
     with pytest.raises(NoConstructorError, match="exceed sys.maxsize"):
         parse(f"torus({sys.maxsize + 2},2)")
+
+
+@pytest.mark.parametrize("text, knot, conductor", [
+    (f"mirror(torus(2,{sys.maxsize})) # torus(2,3)", f"torus(2,{sys.maxsize})", sys.maxsize - 1),
+    (f"cable(2,{2 ** 61 + 1},torus(2,3))", f"cable(2,{2 ** 61 + 1},torus(2,3))", 2 ** 61 + 4)])
+def test_semigroup_past_memory_exits_3(capsys, text, knot, conductor):
+    """A knot that parses but whose semigroup below 2g is far above 2^48
+    bytes, which no allocation can satisfy, is refused with exit code 3
+    and one line naming it, not a MemoryError traceback."""
+    assert main(["genus", text]) == 3
+    assert capsys.readouterr() == ("", (
+        f"error: no CFK constructor available for {knot}: its semigroup below "
+        f"2g = {conductor} does not fit in memory\n"))
+
+
+def test_annotation_scope(capsys):
+    """sigma gives the signature of the subtree it wraps, at any depth;
+    g4_upper counts only at the root, where the outermost wins."""
+    rep = run_json(capsys, ["genus", "torus(2,3) # {torus(3,5) @ sigma=-8}"])
+    assert rep["sigma"] == -10
+    rep = run_json(capsys, ["genus", "torus(2,3) # {torus(3,5) @ g4_upper=1}"])
+    assert (rep["sigma"], rep["g4_upper"]) == (None, 5)
+    rep = run_json(capsys, ["genus", "{{torus(3,5) @ g4_upper=1} @ g4_upper=2}"])
+    assert rep["g4_upper"] == 2
 
 
 @pytest.mark.parametrize("annotation", ["g4_upper", "g4_upper=-1"])

@@ -169,12 +169,14 @@ def test_build_complex_smalls():
 
 
 def test_build_complex_rejects_illegal_cable():
-    with pytest.raises(NoConstructorError) as e:
-        kx.build_complex(kx.parse("cable(2,1,torus(2,3))"))
-    assert str(e.value) == (
-        "no CFK constructor available for cable(2,1,torus(2,3)): the companion "
-        "must be an L-space expression (unknot, torus, or such a cable) with "
-        "q >= p*(2g - 1)")
+    # q = -1 clears p*(2g - 1) = -2 of the unknot, but not q >= 1
+    for text in ["cable(2,1,torus(2,3))", "cable(2,-1,unknot)"]:
+        with pytest.raises(NoConstructorError) as e:
+            kx.build_complex(kx.parse(text))
+        assert str(e.value) == (
+            f"no CFK constructor available for {text}: the companion "
+            "must be an L-space expression (unknot, torus, or such a cable) with "
+            "q >= 1 and q >= p*(2g - 1)")
     for text in ["cable(3,2,mirror(torus(2,3)))", "cable(3,1,torus(2,3))"]:
         with pytest.raises(NoConstructorError):
             kx.build_complex(kx.parse(text))
