@@ -32,8 +32,10 @@ one int, (source rank, U power, target rank); it sorts the keys only when
 they are out of order, which a written file's never are, and cuts the dif
 lines where the source changes.
 
-Files are read and written as UTF-8, whatever the locale; a file that is
-not UTF-8 is a FormatError ("cannot read PATH: ...").
+Files are read and written as UTF-8, whatever the locale; a leading
+byte-order mark is dropped on reading.  A file that is not UTF-8 is a
+FormatError ("cannot read PATH: ..."), which gives the bad byte's offset
+in the file, the mark counted.
 """
 from __future__ import annotations
 
@@ -294,7 +296,7 @@ def _refuse_terms(names: Sequence[str], powers: Sequence[int], sources: list[int
 def read_complex(path: str | Path) -> BifilteredComplex:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8-sig")
+        text = p.read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {p}: {exc}") from None
     return loads(text, label=str(path))

@@ -92,9 +92,14 @@ def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
 
     V is nonincreasing and >= 0, so V_k = 0 for every k >= nu+, which the
     genus report already holds: those levels are filled with 0, in V and
-    in H_k = V_{-k}, and only levels below nu+ are reduced.  Every level
-    below nu+ in the window is reduced, so the V(-k) = V(k) + k warning
-    still compares each computed level with its partner."""
+    in H_k = V_{-k}, and only levels below nu+ are reduced.  On a complex
+    the build seeds as symmetric (``C.symmetric``: staircases, their
+    mirrors and their sums), V_{-k} = V_k + k is a theorem, so each
+    negative level is filled from its partner and only levels 0..nu+-1
+    are reduced; the V(-k) = V(k) + k warning cannot fire there.  On any
+    other complex, such as one read from a file, every level below nu+
+    in the window is reduced, so the warning compares each computed level
+    with its partner."""
     e = parse(text)
     C = build_complex(e)
     rep = genus_report(C, e)
@@ -102,6 +107,8 @@ def _invariants_report(text: str, vk: tuple[int, int] | None) -> dict[str, Any]:
     lo, hi = vk if vk is not None else (-genus, genus)
 
     def level(k: int) -> int:
+        if k < 0 and C.symmetric:
+            return level(-k) - k
         return V(C, k) if k < rep.nu_plus else 0
 
     vals = {k: level(k) for k in range(lo, hi + 1)}

@@ -69,6 +69,13 @@ leave it to the first call.  The V ladder in cfk.invariants reads it
 before it builds a level, so a built complex is never checked, and any
 other is checked once.  ``dual(C)`` is kept in C's memo, so C has one
 mirror.
+
+Next to the verdict, the same builds seed ``C.symmetric``: True when C
+is filtered homotopy equivalent to its i <-> j swap, so that
+V_{-k} = V_k + k (cfk.invariants).  ``staircase`` sets it, ``dual``
+keeps its source's, and ``tensor`` sets it when both factors have it.
+``from_columns``, ``loads`` and the record constructor leave it False,
+which means unknown: a complex read from a file need not be symmetric.
 """
 from __future__ import annotations
 
@@ -95,10 +102,6 @@ class Generator(NamedTuple):
     i: int
     j: int
     maslov: int
-
-    @property
-    def alexander(self) -> int:
-        return self.j - self.i
 
 
 class DiffTerm(NamedTuple):
@@ -155,6 +158,9 @@ class BifilteredComplex:
         self._terms: tuple[DiffTerm, ...] | None = None
         self._repeats = repeats
         self._verdict: tuple[Violation, ...] | None = None
+        # Seeded by the builds that show it: C is filtered homotopy
+        # equivalent to its i <-> j swap (see staircase).  False is unknown.
+        self.symmetric = False
         self.label = label
         # The table (_table) and the results of cfk.invariants for this
         # complex, keyed by (function, args).
@@ -426,6 +432,10 @@ def staircase(exponents: Sequence[int], prefix: str = "x",
     (odd generators, arrow sources) and downward steps; every arrow has U
     power zero and the Maslov grading alternates 0, 1 starting from M = 0
     at the top left.
+
+    The verdict is seeded as valid, and the complex as symmetric: the
+    exponents are symmetric about 0, so swapping i and j maps generator
+    idx onto generator 2m - idx, arrows and gradings included.
     """
     exps = tuple(exponents)
     if (len(exps) % 2 == 0 or any(map(operator.le, exps, exps[1:]))
@@ -446,6 +456,7 @@ def staircase(exponents: Sequence[int], prefix: str = "x",
         [f"{prefix}{idx}" for idx in range(len(exps))], i, j, m, [0] * len(sources),
         sources, targets, label, clean=True)
     C._verdict = ()
+    C.symmetric = True
     return C
 
 
@@ -460,14 +471,16 @@ def dual(C: BifilteredComplex) -> BifilteredComplex:
     It is kept in C's memo, so each complex has one mirror.  The mirror
     has C's names and C's pairs reversed, so it repeats what C repeats: it
     takes C's repeat flag as it stands, and C's verdict when that is
-    valid (its vertical homology is the dual of C's).  It holds no
-    reference to C."""
+    valid (its vertical homology is the dual of C's).  It takes C's
+    symmetry seed too, since negating positions commutes with swapping i
+    and j.  It holds no reference to C."""
     x = C.index()
     neg = operator.neg
     D = BifilteredComplex.from_columns(
         x.names, list(map(neg, x.i)), list(map(neg, x.j)), list(map(neg, x.maslov)),
         x.powers, x.targets, x.sources, f"dual({C.label})")
     D._repeats = C._repeats
+    D.symmetric = C.symmetric
     if C._verdict == ():
         D._verdict = ()
     return D
@@ -489,6 +502,8 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
     whether its names repeat ("x" * "y*z" and "x*y" * "z" do).  Its
     verdict is () when they do not: the positional checks carry over term
     by term, and by Kunneth its vertical homology is F2 (x) F2 in grading 0.
+    The product is seeded as symmetric when both factors are: the i <-> j
+    swap of C1 (x) C2 is the product of the factors' swaps.
     """
     x1, x2 = C1.index(), C2.index()
     n2 = len(x2.names)
@@ -507,6 +522,7 @@ def tensor(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
         [n for n in x1.powers for _ in right] + list(x2.powers) * len(x1.names),
         ends(x1.sources, x2.sources), ends(x1.targets, x2.targets),
         f"tensor({C1.label}, {C2.label})")
+    C.symmetric = C1.symmetric and C2.symmetric
     if C1._verdict == C2._verdict == ():
         names = C.index().names
         C._repeats = len(set(names)) < len(names)

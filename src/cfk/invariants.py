@@ -86,8 +86,15 @@ nonincreasing in k, with V_{k+1} >= V_k - 1, and it is >= 0, so V_k = 0
 for every k >= nu+.  nu_plus steps by the first; cfk.surgery's
 ``surgery_d`` reads the larger of V_a and H_b = V_{-b} as V at
 min(a, -b); and the CLI's invariants report fills V_k = 0 for k >= nu+
-without reducing those levels.  V_{-k} = V_k + k is not used as a
-shortcut: it stays a check on the computed table.
+without reducing those levels.  A third fact holds on symmetric
+complexes: swapping i and j maps A^-_{-k}(C) onto A^-_k of the swapped
+complex with gradings moved by 2k, so V_{-k} = V_k + k when C is
+filtered homotopy equivalent to its swap.  The CLI's invariants report
+fills the negative half of its window by it on a complex the build
+seeds as symmetric (cfk.complexes: staircases, their mirrors and their
+sums); on any other it reduces those levels and keeps the identity as a
+check.
+V and H here reduce every level they are asked for, whatever the seed.
 """
 from __future__ import annotations
 
@@ -126,9 +133,6 @@ class FreeUComplex:
         name = index.names.__getitem__
         return tuple((name(s), name(t), (grading[t] - grading[s] + 1) // 2)
                      for s, t in zip(index.sources, index.targets))
-
-    def __repr__(self) -> str:
-        return f"FreeUComplex(basis={self.basis!r}, terms={self.terms!r})"
 
 
 def a_minus(C: BifilteredComplex, k: int) -> FreeUComplex:

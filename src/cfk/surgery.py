@@ -143,10 +143,6 @@ class SignatureValue(NamedTuple):
     value: Optional[int]
     steps: tuple[str, ...]
 
-    @property
-    def known(self) -> bool:
-        return self.value is not None
-
 
 def _torus_sigma(p: int, q: int) -> Optional[int]:
     """sigma(T(p, q)) when p or |q| is at most 2, else None.  T(p, -q) is

@@ -29,7 +29,8 @@ it took each quotient floor(s/p) once.  ``d_invariants`` reads both
 stable towers of every spin-c slot, as cfk.surgery.surgery_d did before
 it read V at min(a, -b) only, and ``invariants_report`` is the CLI's
 invariants report with every level of its V window reduced, as cfk.cli
-made it before it filled V_k = 0 for k >= nu+.  ``slice_tau``,
+made it before it filled V_k = 0 for k >= nu+, and V_{-k} = V_k + k on
+built complexes.  ``slice_tau``,
 ``slice_nu`` and ``slice_epsilon`` are the positional pairings that cfk
 ran before tau and nu walked each complex's terms by source: they read
 the whole vertical slice and, for each level nu tries, the whole U = 0

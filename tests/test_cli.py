@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cfk
+import cfk.invariants
 from cfk import selftest
 from cfk.cli import _build_argparser, main
 from cfk.errors import NoConstructorError
@@ -339,14 +340,16 @@ def test_signature_bound_is_exact_for_any_even_sigma(capsys, sigma, half):
 
 def test_file_not_in_utf8_exits_2(tmp_path, capsys):
     """cfk v1 files are UTF-8 whatever the locale: a file that is not
-    ends in one line and exit code 2, never a traceback."""
+    ends in one line and exit code 2, never a traceback.  The bad byte's
+    position is its offset in the file, a byte-order mark counted."""
     bad = tmp_path / "bad.cfk"
-    bad.write_bytes(b"cfk v1\ngen a\xff 0 0 0\n")
-    message = (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
-               "position 12: invalid start byte\n")
-    for argv in (["validate", str(bad)], ["hfk", f'file("{bad}")']):
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", message)
+    for mark, position in ((b"", 12), (b"\xef\xbb\xbf", 15)):
+        bad.write_bytes(mark + b"cfk v1\ngen a\xff 0 0 0\n")
+        message = (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+                   f"position {position}: invalid start byte\n")
+        for argv in (["validate", str(bad)], ["hfk", f'file("{bad}")']):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
     good = tmp_path / "good.cfk"
     good.write_bytes("cfk v1\ngen \u00e9 0 0 0\n".encode("utf-8"))
     cfk.write_complex(cfk.read_complex(good), tmp_path / "copy.cfk")
@@ -363,6 +366,41 @@ def test_file_with_byte_order_mark_reads(tmp_path, capsys):
     assert capsys.readouterr() == (f"{bom}: OK (5 generators, 4 terms)\n", "")
     cfk.write_complex(cfk.read_complex(bom), tmp_path / "copy.cfk")
     assert (tmp_path / "copy.cfk").read_bytes() == DATA.read_bytes()
+
+
+def reduced_levels(monkeypatch, capsys, argv):
+    """main(argv + ["--json"])'s V and H tables and warnings, and the k of
+    every level that cfk.invariants.a_minus built while it ran."""
+    levels = []
+    a_minus = cfk.invariants.a_minus
+
+    def recording(C, k):
+        levels.append(k)
+        return a_minus(C, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cfk.invariants, "a_minus", recording)
+        rep = run_json(capsys, argv)
+    return [rep["V"], rep["H"], rep["warnings"]], levels
+
+
+@pytest.mark.parametrize("knot", ["torus(2,97)", "torus(2,5) # torus(2,3) # torus(2,3) # "
+                                  "mirror(cable(2,5,torus(2,3)))"])
+@pytest.mark.parametrize("window", [[], ["--vk=-60..60"], ["--vk=-7..3"]])
+def test_invariants_fills_the_negative_half_on_built_complexes(monkeypatch, capsys, tmp_path,
+                                                                knot, window):
+    """A built complex is symmetric, so cfk invariants reduces no negative
+    level and fills V(-k) = V(k) + k.  The same complex read from a file is
+    not known to be, so there the report reduces every level below nu+ in
+    the window, a superset, and gets the same tables."""
+    built, filled = reduced_levels(monkeypatch, capsys, ["invariants", knot, *window])
+    path = tmp_path / "k.cfk"
+    cfk.write_complex(cfk.build_complex(parse(knot)), path)
+    text = f'file("{path}")'
+    read, reduced = reduced_levels(monkeypatch, capsys, ["invariants", text, *window])
+    assert min(filled) == 0 > min(reduced)
+    assert set(filled) < set(reduced)
+    assert read == built
 
 
 def test_deep_expressions_exit_1(capsys):

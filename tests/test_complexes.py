@@ -1,9 +1,11 @@
 import pytest
 
 from conftest import cable_staircase, torus_staircase
+from cfk.cfkfile import dumps, loads, read_complex, write_complex
 from cfk.complexes import (BifilteredComplex, DiffTerm, Generator, dual,
                            staircase, tensor, unknot_complex, validate)
 from cfk.errors import ValidationError
+from cfk.expr import build_complex, parse
 from cfk.invariants import V, epsilon, nu, nu_plus, tau
 
 
@@ -49,7 +51,7 @@ def test_staircase_structure():
         ("x5", "x4", 0), ("x5", "x6", 0),
         ("x7", "x6", 0), ("x7", "x8", 0)]
     # alexander gradings read the polynomial exponents back off
-    assert [g.alexander for g in C.generators] == [4, 3, 2, 1, 0, -1, -2, -3, -4]
+    assert [g.j - g.i for g in C.generators] == [4, 3, 2, 1, 0, -1, -2, -3, -4]
     assert validate(C) == []
 
 
@@ -269,3 +271,22 @@ def test_complex_equality_ignores_label_and_term_order(trefoil):
                                   list(reversed(trefoil.terms)),
                                   label="renamed")
     assert reordered == trefoil
+
+
+def test_builds_seed_symmetry_and_readers_leave_it_unknown(tmp_path):
+    """staircase, dual and tensor seed C.symmetric, next to the verdict; a
+    complex read from a file or built from records or columns is not
+    known to be symmetric, nor is a sum or mirror that involves one."""
+    T = torus_staircase(2, 5)
+    path = tmp_path / "k.cfk"
+    write_complex(T, path)
+    seeded = [T, dual(T), tensor(T, dual(T))] + [build_complex(parse(text)) for text in (
+        "unknot", "mirror(torus(2,3))", "torus(2,9) # mirror(cable(2,5,torus(2,3)))",
+        "mirror(torus(2,3) # torus(2,5)) # torus(3,4)")]
+    loaded = loads(dumps(T))
+    unknown = [loaded, dual(loaded), tensor(T, loaded), BifilteredComplex(T.generators, T.terms),
+               BifilteredComplex.from_columns(*T.index()[:7]), read_complex(path)]
+    unknown += [build_complex(parse(text.format(f=f'file("{path}")'))) for text in (
+        "{f}", "mirror({f})", "torus(2,3) # {f}", "{f} # mirror({f})")]
+    assert [C.symmetric for C in seeded] == [True] * len(seeded)
+    assert [C.symmetric for C in unknown] == [False] * len(unknown)

@@ -510,7 +510,7 @@ def direct_V(C, k):
 
 
 def alexander_range(C):
-    alexanders = [g.alexander for g in C.generators]
+    alexanders = [g.j - g.i for g in C.generators]
     return min(alexanders), max(alexanders)
 
 

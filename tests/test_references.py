@@ -534,11 +534,33 @@ def test_d_invariants_match_the_two_tower_reference():
     assert seen == {list, ValueError}
 
 
+def test_an_asymmetric_file_still_warns(tmp_path, capsys):
+    """validate accepts some complexes that are no knot's.  Of the draws
+    of test_tau_nu_and_epsilon_match_the_slice_reference's pool
+    (random.Random(11), 80% perturbed), the 16th is the first that
+    validate accepts and that breaks V(-k) = V(k) + k.  Read from a file
+    it is not known to be symmetric, so cfk invariants reduces its
+    negative levels and warns where they break the identity."""
+    rng = random.Random(11)
+    for _ in range(16):
+        C = random_complex(rng)
+        C = perturb(C, rng) if rng.random() < 0.8 else C
+    assert validate(C) == [] and not C.symmetric
+    path = tmp_path / "asymmetric.cfk"
+    path.write_text(dumps(C))
+    assert main(["invariants", f'file("{path}")']) == 0
+    out, err = capsys.readouterr()
+    assert "  V[-1] = 5\n  V[0] = 4\n  V[1] = 3\n" in out
+    assert err == "".join(f"warning: V table violates V(-k) = V(k) + k at k={k}\n"
+                          for k in (-4, -3, -2, -1, 1, 2, 3, 4))
+
+
 def test_invariants_json_matches_the_full_window_reference(tmp_path, capsys):
-    """cfk invariants --json fills V_k = 0 from nu+ on; the reference
-    reduces every level of the window.  Identical JSON on the golden
-    expressions, and on random sums and a shuffled file complex with the
-    default window and with a random window, often asymmetric."""
+    """cfk invariants --json fills V_k = 0 from nu+ on, and on a built
+    complex V_{-k} = V_k + k for k < 0; the reference reduces every level
+    of the window.  Identical JSON on the golden expressions, and on
+    random sums and a shuffled file complex with the default window and
+    with a random window, often asymmetric."""
     rng = random.Random(2357)
     path = tmp_path / "k.cfk"
     path.write_text(dumps(random_complex(rng)))

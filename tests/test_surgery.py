@@ -206,14 +206,14 @@ def test_cable_lower_bound_at_large_q_reads_few_levels(monkeypatch):
 
 def test_signature_basics():
     assert signature_eval(kx.parse("unknot")).value == 0
-    assert signature_eval(kx.parse("unknot")).known
+    assert signature_eval(kx.parse("unknot")).value is not None
     assert signature_eval(kx.parse("torus(2,3)")).value == -2
     assert signature_eval(kx.parse("torus(2,7)")).value == -6
     assert signature_eval(kx.parse("torus(3,2)")).value == -2
     assert signature_eval(kx.parse("mirror(torus(2,5))")).value == 4
     assert signature_eval(kx.parse("torus(2,3) # torus(2,5)")).value == -6
     s = signature_eval(kx.parse("torus(3,4)"))
-    assert s.value is None and not s.known
+    assert s.value is None
     assert "unknown" in s.steps[-1]
 
 
